@@ -42,10 +42,8 @@ from .mining import (
     PositiveDict,
     StructureStats,
     SymmetricStructure,
-    brute_force_oracle,
     load_dict,
     mine_positive_dict,
-    relation_sequences,
     sample_positives,
     save_dict,
     structure_stats,
@@ -78,7 +76,6 @@ __all__ = [
     "TrainResult",
     "Triple",
     "UnionGraph",
-    "brute_force_oracle",
     "combined_gradients",
     "combined_loss",
     "contrastive_loss",
@@ -93,7 +90,6 @@ __all__ = [
     "parse_config",
     "probe_report",
     "read_triple_file",
-    "relation_sequences",
     "sample_positives",
     "save_checkpoint",
     "save_dict",

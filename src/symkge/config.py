@@ -3,18 +3,13 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import BadValueError, UnknownKeyError
 from .model import ScorerKind
 
 MARGIN_RANKING = "margin_ranking"
 BINARY_CROSS_ENTROPY = "binary_cross_entropy"
-
-# Search grids used by hyper-parameter sweeps; single runs may use any value.
-DEFAULT_K_GRID = (1, 2, 3)
-DEFAULT_M_GRID = (10, 50, 100, 1000)
-DEFAULT_ALPHA_GRID = (0.001, 0.01, 0.1, 1.0)
 
 
 @dataclass(frozen=True)
@@ -143,7 +138,3 @@ def config_as_dict(cfg: TrainConfig) -> dict[str, object]:
         value = getattr(cfg, f.name)
         out[f.name] = value.value if isinstance(value, ScorerKind) else value
     return out
-
-
-def with_seed(cfg: TrainConfig, seed: int) -> TrainConfig:
-    return replace(cfg, seed=seed)

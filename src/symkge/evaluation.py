@@ -15,7 +15,7 @@ from .errors import (
     UnknownEntityError,
 )
 from .graph import Triple
-from .model import EmbeddingTable, ScorerKind
+from .model import SCORERS, EmbeddingTable, ScorerKind
 
 HEAD = "head"
 TAIL = "tail"
@@ -39,23 +39,6 @@ class _FilterIndex:
             self.tails_by_hr.setdefault((h, r), set()).add(t)
 
 
-def _candidate_scores(
-    table: EmbeddingTable, kind: ScorerKind, triple: tuple[int, int, int], corrupt_side: str
-) -> np.ndarray:
-    """Scores of every entity substituted on one side; no BLAS reductions."""
-    h, r, t = triple
-    entities = table.entity_vecs
-    r_vec = table.relation_vecs[r]
-    if kind is ScorerKind.TRANSE:
-        fixed = r_vec - table.entity_vecs[t] if corrupt_side == HEAD else table.entity_vecs[h] + r_vec
-        delta = entities + fixed if corrupt_side == HEAD else fixed - entities
-        return -np.sqrt((delta * delta).sum(axis=1))
-    if kind is ScorerKind.DISTMULT:
-        fixed = r_vec * (table.entity_vecs[t] if corrupt_side == HEAD else table.entity_vecs[h])
-        return (entities * fixed).sum(axis=1)
-    raise ValueError(f"unknown scorer kind {kind!r}")
-
-
 def _rank_one(
     table: EmbeddingTable,
     kind: ScorerKind,
@@ -69,11 +52,17 @@ def _rank_one(
     if not 0 <= r < table.relation_count:
         raise UnknownEntityError(f"query relation outside table: {triple}")
 
-    scores = _candidate_scores(table, kind, triple, corrupt_side)
+    # One pass over the entity table, no BLAS reductions. A head query is the
+    # tail query of the inverse relation, anchored at the known tail.
+    scorer = SCORERS[kind]
+    entities = table.entity_vecs
+    r_vec = table.relation_vecs[r]
     if corrupt_side == HEAD:
+        scores = scorer.score(entities[t], scorer.inverse(r_vec), entities)
         true_entity = h
         known_here = index.heads_by_rt.get((r, t), ())
     else:
+        scores = scorer.score(entities[h], r_vec, entities)
         true_entity = t
         known_here = index.tails_by_hr.get((h, r), ())
 

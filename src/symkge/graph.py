@@ -100,23 +100,13 @@ class _Interner:
         return eid
 
 
-def intern_graph(
-    raw_triples: Iterable[RawTriple],
-    label_maps: LabelMaps | None = None,
-) -> tuple[UnionGraph, LabelMaps]:
+def intern_graph(raw_triples: Iterable[RawTriple]) -> tuple[UnionGraph, LabelMaps]:
     """Intern string triples and build the union-graph adjacency index.
 
-    Duplicate triples are dropped (first occurrence wins). When label_maps is
-    given, its vocabulary is extended in place of starting fresh, so ids
-    assigned earlier stay stable.
+    Duplicate triples are dropped (first occurrence wins).
     """
     entities = _Interner()
     relations = _Interner()
-    if label_maps is not None:
-        entities.ids = dict(label_maps.entity_ids)
-        entities.labels = list(label_maps.entity_labels)
-        relations.ids = dict(label_maps.relation_ids)
-        relations.labels = list(label_maps.relation_labels)
 
     seen: dict[Triple, None] = {}
     for row in raw_triples:

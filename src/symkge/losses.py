@@ -21,7 +21,7 @@ import numpy as np
 from .config import BINARY_CROSS_ENTROPY, MARGIN_RANKING, TrainConfig
 from .errors import DegenerateVectorError, KMismatchError
 from .mining import PositiveDict, sample_positives
-from .model import EmbeddingTable, ScorerKind, score_batch
+from .model import SCORERS, EmbeddingTable, ScorerKind, score_batch
 
 NORM_EPS = 1e-12
 
@@ -71,18 +71,6 @@ def contrastive_loss(anchor_vec: np.ndarray, positive_vecs: np.ndarray | list) -
     p_norms = _checked_norms(positives, "positive")
     diff = anchor / a_norm - positives / p_norms[:, None]
     return float((diff * diff).sum(axis=1).mean())
-
-
-def contrastive_loss_cosine_form(anchor_vec: np.ndarray, positive_vecs: np.ndarray | list) -> float:
-    """Equivalent 2 - 2*mean-cosine form, kept for identity checks."""
-    positives = np.atleast_2d(np.asarray(positive_vecs, dtype=np.float64))
-    if positives.size == 0:
-        return 0.0
-    anchor = np.asarray(anchor_vec, dtype=np.float64)
-    a_norm = _checked_norms(anchor[None, :], "anchor")[0]
-    p_norms = _checked_norms(positives, "positive")
-    cosines = (positives * anchor).sum(axis=1) / (p_norms * a_norm)
-    return float(2.0 - 2.0 * cosines.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -135,26 +123,13 @@ def _add_score_grads(
     grads: Gradients,
 ) -> None:
     """Scatter-add coeff[i] * d score_i / d vec into the gradient tables."""
-    h = table.entity_vecs[h_idx]
-    r = table.relation_vecs[r_idx]
-    t = table.entity_vecs[t_idx]
-    if kind is ScorerKind.TRANSE:
-        delta = h + r - t
-        norms = np.sqrt((delta * delta).sum(axis=1))
-        # Zero distance has no defined direction; use the zero subgradient.
-        safe = np.where(norms > 0.0, norms, 1.0)
-        unit = delta / safe[:, None]
-        g = -unit * coeff[:, None]
-        np.add.at(grads.entity, h_idx, g)
-        np.add.at(grads.relation, r_idx, g)
-        np.add.at(grads.entity, t_idx, -g)
-    elif kind is ScorerKind.DISTMULT:
-        c = coeff[:, None]
-        np.add.at(grads.entity, h_idx, r * t * c)
-        np.add.at(grads.relation, r_idx, h * t * c)
-        np.add.at(grads.entity, t_idx, h * r * c)
-    else:
-        raise ValueError(f"unknown scorer kind {kind!r}")
+    d_h, d_r, d_t = SCORERS[kind].partials(
+        table.entity_vecs[h_idx], table.relation_vecs[r_idx], table.entity_vecs[t_idx]
+    )
+    c = coeff[:, None]
+    np.add.at(grads.entity, h_idx, d_h * c)
+    np.add.at(grads.relation, r_idx, d_r * c)
+    np.add.at(grads.entity, t_idx, d_t * c)
 
 
 def _task_forward_backward(
@@ -207,9 +182,13 @@ def _contrastive_forward_backward(
     pos_dict: PositiveDict | None,
     cfg: TrainConfig,
     epoch: int,
-    grads: Gradients | None,
+    grad_entity: np.ndarray | None,
 ) -> float:
-    """Mean alignment loss over anchor occurrences with nonempty positives."""
+    """Mean alignment loss over anchor occurrences with nonempty positives.
+
+    The alignment term never touches relations, so only the entity gradient
+    is accumulated.
+    """
     if pos_dict is None:
         return 0.0
     sampled: list[tuple[int, list[int]]] = []
@@ -233,14 +212,14 @@ def _contrastive_forward_backward(
         p_hat = p / p_norms[:, None]
         diff = a_hat[None, :] - p_hat
         total += float((diff * diff).sum(axis=1).mean())
-        if grads is not None:
+        if grad_entity is not None:
             m_a = len(positives)
             cosines = (p_hat * a_hat).sum(axis=1)
             w = 2.0 / (n_occ * m_a)
             grad_a = -w / a_norm * (p_hat - cosines[:, None] * a_hat).sum(axis=0)
-            grads.entity[anchor] += grad_a
+            grad_entity[anchor] += grad_a
             grad_p = -w / p_norms[:, None] * (a_hat[None, :] - cosines[:, None] * p_hat)
-            np.add.at(grads.entity, positives, grad_p)
+            np.add.at(grad_entity, positives, grad_p)
     return total / n_occ
 
 
@@ -295,13 +274,9 @@ def combined_gradients(
     )
     task = _task_forward_backward(table, kind, batch, negatives, cfg, grads)
 
-    contr_grads = Gradients(
-        entity=np.zeros_like(table.entity_vecs),
-        relation=np.zeros_like(table.relation_vecs),
-    )
+    contr_entity = np.zeros_like(table.entity_vecs)
     contrastive = _contrastive_forward_backward(
-        table, _batch_anchors(batch), pos_dict, cfg, epoch, contr_grads
+        table, _batch_anchors(batch), pos_dict, cfg, epoch, contr_entity
     )
-    grads.entity += cfg.alpha * contr_grads.entity
-    grads.relation += cfg.alpha * contr_grads.relation
+    grads.entity += cfg.alpha * contr_entity
     return LossBreakdown(task, contrastive, task + cfg.alpha * contrastive), grads

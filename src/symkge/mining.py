@@ -8,13 +8,12 @@ is compared in the target-to-pivot direction.
 The miner hashes half-paths into (pivot, sequence) groups and pairs group
 members, instead of enumerating full 2k-hop walks per anchor. Full-path
 simplicity still applies: a pair is only valid when the two halves can be
-spliced into a 2k walk that repeats no entity. brute_force_oracle enumerates
-those walks directly and is the correctness reference for the group miner.
+spliced into a 2k walk that repeats no entity. The test suite checks the
+miner against an oracle that enumerates those walks directly.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import random
 import struct
@@ -83,24 +82,6 @@ class StructureStats:
 def _check_hop_bound(k_max: int) -> None:
     if not 1 <= k_max <= MAX_HOP_BOUND:
         raise HopBoundExceededError(f"hop bound must be in 1..{MAX_HOP_BOUND}, got {k_max}")
-
-
-def _step_relations(graph: UnionGraph, u: int, v: int) -> list[SignedRelation]:
-    return [sr for sr, nb in graph.out_index[u] if nb == v]
-
-
-def relation_sequences(graph: UnionGraph, path: list[int]) -> list[HalfSequence]:
-    """All signed relation sequences realizable along an entity path.
-
-    Parallel relations between a consecutive pair multiply out into one
-    sequence per combination. Returns [] when some pair has no signed edge.
-    """
-    if len(path) < 2:
-        raise ValueError("path needs at least two entities")
-    per_step = [_step_relations(graph, u, v) for u, v in zip(path, path[1:])]
-    if any(not choices for choices in per_step):
-        return []
-    return [tuple(combo) for combo in itertools.product(*per_step)]
 
 
 # ---------------------------------------------------------------------------
@@ -310,54 +291,6 @@ def structure_stats(
                                     rs += 1
         per_hop.append(HopStats(k=k, rs_count=rs, total_count=total))
     return StructureStats(hop_bound=k_max, per_hop=tuple(per_hop))
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-# ---------------------------------------------------------------------------
-
-
-def brute_force_oracle(graph: UnionGraph, anchor: int, k_max: int) -> set[int]:
-    """Exhaustive reference for mine_positive_dict, for small graphs only.
-
-    Enumerates every simple walk of length 2k (k = 1..k_max) leaving the
-    anchor, splits it at the midpoint, and keeps the far endpoint whenever
-    some combination of parallel edges gives both halves the same
-    anchor-to-pivot / target-to-pivot signed sequence.
-    """
-    _check_hop_bound(k_max)
-    found: set[int] = set()
-    for k in range(1, k_max + 1):
-        for path in _simple_walks(graph, anchor, 2 * k):
-            target = path[2 * k]
-            step_sets = [_step_relations(graph, u, v) for u, v in zip(path, path[1:])]
-            first_half = {tuple(c) for c in itertools.product(*step_sets[:k])}
-            back_sets = [
-                [sr.flipped() for sr in step_sets[i]] for i in range(2 * k - 1, k - 1, -1)
-            ]
-            second_half = {tuple(c) for c in itertools.product(*back_sets)}
-            if first_half & second_half:
-                found.add(target)
-    return found
-
-
-def _simple_walks(graph: UnionGraph, start: int, length: int):
-    """Yield every simple entity path of exactly `length` edges from start."""
-    path = [start]
-
-    def step(node: int, remaining: int):
-        if remaining == 0:
-            yield list(path)
-            return
-        neighbors = sorted({nb for _, nb in graph.out_index[node]})
-        for nb in neighbors:
-            if nb in path:
-                continue
-            path.append(nb)
-            yield from step(nb, remaining - 1)
-            path.pop()
-
-    yield from step(start, length)
 
 
 # ---------------------------------------------------------------------------

@@ -57,18 +57,51 @@ def init_embeddings(entity_count: int, relation_count: int, dim: int, seed: int)
     )
 
 
-def score_vecs(kind: ScorerKind, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Score rows of (h, r, t) vectors; higher means more plausible.
+class TransE:
+    """-||h + r - t||: the relation translates the head onto the tail."""
 
-    Reductions use ndarray.sum (pairwise, single-threaded) rather than BLAS
-    so results are bit-stable across thread counts.
-    """
-    if kind is ScorerKind.TRANSE:
+    @staticmethod
+    def score(h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
         delta = h + r - t
         return -np.sqrt((delta * delta).sum(axis=-1))
-    if kind is ScorerKind.DISTMULT:
+
+    @staticmethod
+    def partials(h: np.ndarray, r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+        delta = h + r - t
+        norms = np.sqrt((delta * delta).sum(axis=-1, keepdims=True))
+        # Zero distance has no defined direction; use the zero subgradient.
+        unit = delta / np.where(norms > 0.0, norms, 1.0)
+        return -unit, -unit, unit
+
+    @staticmethod
+    def inverse(r: np.ndarray) -> np.ndarray:
+        return -r
+
+
+class DistMult:
+    """<h, r, t>: a diagonal bilinear form, symmetric in head and tail."""
+
+    @staticmethod
+    def score(h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
         return (h * r * t).sum(axis=-1)
-    raise ValueError(f"unknown scorer kind {kind!r}")
+
+    @staticmethod
+    def partials(h: np.ndarray, r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+        return r * t, h * t, h * r
+
+    @staticmethod
+    def inverse(r: np.ndarray) -> np.ndarray:
+        return r
+
+
+# The only place scoring math lives. Each scorer works on rows and broadcasts:
+# score(h, r, t) is higher for more plausible triples; partials(h, r, t) gives
+# the rows of d score / d h, d r, d t; score(t, inverse(r), h) equals
+# score(h, r, t), so a head query is scored as a tail query of the inverse
+# relation.
+# Reductions use ndarray.sum (pairwise, single-threaded) rather than BLAS so
+# results are bit-stable across thread counts.
+SCORERS = {ScorerKind.TRANSE: TransE, ScorerKind.DISTMULT: DistMult}
 
 
 def score(table: EmbeddingTable, kind: ScorerKind, triple: Triple | tuple[int, int, int]) -> float:
@@ -78,14 +111,14 @@ def score(table: EmbeddingTable, kind: ScorerKind, triple: Triple | tuple[int, i
     if not 0 <= r < table.relation_count:
         raise UnknownEntityError(f"relation id outside table: {triple}")
     return float(
-        score_vecs(kind, table.entity_vecs[h], table.relation_vecs[r], table.entity_vecs[t])
+        SCORERS[kind].score(table.entity_vecs[h], table.relation_vecs[r], table.entity_vecs[t])
     )
 
 
 def score_batch(
     table: EmbeddingTable, kind: ScorerKind, h: np.ndarray, r: np.ndarray, t: np.ndarray
 ) -> np.ndarray:
-    return score_vecs(kind, table.entity_vecs[h], table.relation_vecs[r], table.entity_vecs[t])
+    return SCORERS[kind].score(table.entity_vecs[h], table.relation_vecs[r], table.entity_vecs[t])
 
 
 # ---------------------------------------------------------------------------

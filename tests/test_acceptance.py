@@ -23,12 +23,13 @@ from symkge.evaluation import (
 )
 from symkge.experiment import ExperimentSpec, run_experiment
 from symkge.graph import intern_graph, load_dataset
-from symkge.losses import contrastive_loss, contrastive_loss_cosine_form
-from symkge.mining import brute_force_oracle, mine_positive_dict
+from symkge.losses import contrastive_loss
+from symkge.mining import mine_positive_dict
 from symkge.model import EmbeddingTable, ScorerKind, score
 from symkge.training import train
 
 from conftest import planted_kg_triples, random_graph, write_split_files
+from oracles import brute_force_oracle, contrastive_loss_cosine_form
 from test_losses import _finite_difference_check, _small_setup
 
 

@@ -68,30 +68,39 @@ def test_unknown_entity_rejected():
         filtered_rank(table, ScorerKind.DISTMULT, (0, 0, 7), TAIL, set())
 
 
-def test_rank_matches_exhaustive_enumeration():
+@pytest.mark.parametrize("kind", list(ScorerKind))
+def test_rank_matches_exhaustive_enumeration(kind):
     """Oracle: enumerate candidate scores one by one with score()."""
     rng = np.random.default_rng(12)
+    # Entities 5..8 repeat the rows of 0..3, so exact ties occur on both sides.
+    distinct = rng.normal(size=(5, 4))
     table = EmbeddingTable(
-        entity_vecs=rng.normal(size=(7, 4)), relation_vecs=rng.normal(size=(3, 4))
+        entity_vecs=distinct[[0, 1, 2, 3, 4, 0, 1, 2, 3]],
+        relation_vecs=rng.normal(size=(3, 4)),
     )
+    n_e = table.entity_count
     triples = {(int(h), int(r), int(t))
-               for h, r, t in rng.integers(0, [7, 3, 7], size=(12, 3))}
+               for h, r, t in rng.integers(0, [n_e, 3, n_e], size=(12, 3))}
+    tied_sides = set()
     for query in list(triples)[:6]:
         for side in (HEAD, TAIL):
-            got = filtered_rank(table, ScorerKind.TRANSE, query, side, triples)
+            got = filtered_rank(table, kind, query, side, triples)
             h, r, t = query
             truth = h if side == HEAD else t
             candidates = []
-            for e in range(7):
+            for e in range(n_e):
                 candidate = (e, r, t) if side == HEAD else (h, r, e)
                 if e != truth and candidate in triples:
                     continue  # filtered out
-                candidates.append((e, score(table, ScorerKind.TRANSE, candidate)))
+                candidates.append((e, score(table, kind, candidate)))
             s_star = dict(candidates)[truth]
             higher = sum(1 for e, s in candidates if s > s_star)
             ties = sum(1 for e, s in candidates if s == s_star and e != truth)
+            if ties:
+                tied_sides.add(side)
             assert got == 1.0 + higher + ties / 2.0
             assert 1.0 <= got <= len(candidates)
+    assert tied_sides == {HEAD, TAIL}
 
 
 def test_single_triple_perfect_report():

@@ -8,16 +8,15 @@ from symkge.errors import CorruptDictFileError, HopBoundExceededError, KMismatch
 from symkge.graph import FORWARD, INVERSE, SignedRelation, intern_graph
 from symkge.mining import (
     PositiveDict,
-    brute_force_oracle,
     load_dict,
     mine_positive_dict,
-    relation_sequences,
     sample_positives,
     save_dict,
     structure_stats,
 )
 
 from conftest import random_graph
+from oracles import brute_force_oracle, relation_sequences
 
 
 # ---------------------------------------------------------------------------
