@@ -34,7 +34,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=int, default=1, help="worker processes for mining")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
 
@@ -111,8 +110,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--ablation", choices=ABLATIONS, default="both")
     p.add_argument("--base-seed", type=int, default=0)
     p.add_argument("--out", default=None, help="also write the JSON report here")
-    p.add_argument("--parallel-runs", action="store_true",
-                   help="execute runs in worker processes (same report, faster)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="run training runs in this many processes (same report)")
     _train_override_flags(p)
     _common_flags(p)
     p.set_defaults(func=cmd_experiment)
@@ -164,9 +163,7 @@ def _config_from_args(args) -> TrainConfig:
 def cmd_mine(args) -> int:
     graph, _ = intern_graph(read_triple_file(args.train))
     started = time.perf_counter()
-    pos, structures = mine_positive_dict(
-        graph, args.k, max_degree=args.max_degree, workers=args.threads
-    )
+    pos, structures = mine_positive_dict(graph, args.k, max_degree=args.max_degree)
     elapsed = time.perf_counter() - started
     save_dict(pos, args.out)
     pairs = sum(len(s) for s in pos.targets)
@@ -189,7 +186,7 @@ def cmd_mine(args) -> int:
 def cmd_stats(args) -> int:
     graph, _ = intern_graph(read_triple_file(args.train))
     started = time.perf_counter()
-    stats = structure_stats(graph, args.k, max_degree=args.max_degree, workers=args.threads)
+    stats = structure_stats(graph, args.k, max_degree=args.max_degree)
     elapsed = time.perf_counter() - started
     if args.json:
         print(json.dumps({
@@ -339,8 +336,7 @@ def cmd_experiment(args) -> int:
         base_seed=args.base_seed,
     )
     report = run_experiment(spec, workers=args.threads,
-                            progress=None if args.quiet else lambda m: _say(args, m),
-                            parallel_runs=args.parallel_runs)
+                            progress=None if args.quiet else lambda m: _say(args, m))
     encoded = report_to_json(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

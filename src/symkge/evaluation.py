@@ -44,8 +44,9 @@ def _rank_one(
     kind: ScorerKind,
     triple: tuple[int, int, int],
     corrupt_side: str,
-    index: _FilterIndex,
+    known_here: Iterable[int],
 ) -> float:
+    """Rank of the query among its side's candidates, minus the known ones."""
     h, r, t = triple
     if not (0 <= h < table.entity_count and 0 <= t < table.entity_count):
         raise UnknownEntityError(f"query entity outside table: {triple}")
@@ -60,11 +61,9 @@ def _rank_one(
     if corrupt_side == HEAD:
         scores = scorer.score(entities[t], scorer.inverse(r_vec), entities)
         true_entity = h
-        known_here = index.heads_by_rt.get((r, t), ())
     else:
         scores = scorer.score(entities[h], r_vec, entities)
         true_entity = t
-        known_here = index.tails_by_hr.get((h, r), ())
 
     keep = np.ones(table.entity_count, dtype=bool)
     for other in known_here:
@@ -93,7 +92,12 @@ def filtered_rank(
     """
     if corrupt_side not in (HEAD, TAIL):
         raise ValueError(f"corrupt_side must be {HEAD!r} or {TAIL!r}")
-    return _rank_one(table, kind, tuple(query_triple), corrupt_side, _FilterIndex(known_triples))
+    h, r, t = query_triple
+    if corrupt_side == HEAD:
+        known_here = {kh for kh, kr, kt in known_triples if kr == r and kt == t}
+    else:
+        known_here = {kt for kh, kr, kt in known_triples if kh == h and kr == r}
+    return _rank_one(table, kind, (h, r, t), corrupt_side, known_here)
 
 
 def evaluate_split(
@@ -107,10 +111,10 @@ def evaluate_split(
         raise ValueError("split is empty")
     index = _FilterIndex(known_triples)
     ranks = np.empty(2 * len(split), dtype=np.float64)
-    for i, triple in enumerate(split):
-        triple = tuple(triple)
-        ranks[2 * i] = _rank_one(table, kind, triple, HEAD, index)
-        ranks[2 * i + 1] = _rank_one(table, kind, triple, TAIL, index)
+    for i, (h, r, t) in enumerate(split):
+        triple = (h, r, t)
+        ranks[2 * i] = _rank_one(table, kind, triple, HEAD, index.heads_by_rt.get((r, t), ()))
+        ranks[2 * i + 1] = _rank_one(table, kind, triple, TAIL, index.tails_by_hr.get((h, r), ()))
     return RankingReport(
         mrr=float((1.0 / ranks).mean()),
         hits={n: float((ranks <= n).mean()) for n in (1, 3, 10)},

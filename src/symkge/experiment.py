@@ -95,15 +95,15 @@ def run_experiment(
     spec: ExperimentSpec,
     workers: int = 1,
     progress=None,
-    parallel_runs: bool = False,
 ) -> dict[str, object]:
     """Train and evaluate every arm of the spec; returns the JSON-able report.
 
     The report is fully deterministic for a fixed spec: run seeds are
     base_seed + run index, and no timing or host information is included.
-    Runs execute sequentially unless parallel_runs is set; each run is fully
-    isolated (own seed-derived rng streams), so the report is identical
-    either way.
+    With workers > 1 and more than one run, the runs of each arm execute in
+    a pool of min(runs, workers) processes; mining stays in this process.
+    Each run is fully isolated (own seed-derived rng streams), so the report
+    is identical whatever the worker count.
     """
     if not spec.test_path:
         raise DataError("experiment needs a test split for evaluation")
@@ -112,17 +112,15 @@ def run_experiment(
     arms: dict[str, object] = {}
     pos_dict = None
     if spec.ablation in (CONTRASTIVE_ARM, "both"):
-        pos_dict, _ = mine_positive_dict(dataset.graph, spec.config.k, workers=workers)
+        pos_dict, _ = mine_positive_dict(dataset.graph, spec.config.k)
         if progress is not None:
             mined = sum(len(s) for s in pos_dict.targets)
             progress(f"mined positive dictionary: {mined} directed pairs")
 
     run_pool = None
-    if parallel_runs and spec.runs > 1:
+    if workers > 1 and spec.runs > 1:
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        run_pool = multiprocessing.get_context(method).Pool(
-            processes=min(spec.runs, max(2, workers))
-        )
+        run_pool = multiprocessing.get_context(method).Pool(processes=min(spec.runs, workers))
     try:
         if spec.ablation in (BASELINE_ARM, "both"):
             arms[BASELINE_ARM] = _run_arm(dataset, spec, False, None, progress, run_pool)

@@ -20,7 +20,6 @@ import struct
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass
-import multiprocessing
 
 from .errors import CorruptDictFileError, HopBoundExceededError
 from .graph import SignedRelation, UnionGraph
@@ -130,58 +129,12 @@ def _collect_half_paths(
 
 
 def _half_path_groups(
-    graph: UnionGraph,
-    k_max: int,
-    max_degree: int | None = None,
-    workers: int = 1,
+    graph: UnionGraph, k_max: int, max_degree: int | None = None
 ) -> list[GroupTable]:
-    if workers <= 1 or graph.entity_count < 2 * workers:
-        groups: list[GroupTable] = [dict() for _ in range(k_max + 1)]
-        for start in range(graph.entity_count):
-            _collect_half_paths(graph, start, k_max, groups, max_degree)
-        return groups
-    return _parallel_groups(graph, k_max, max_degree, workers)
-
-
-_WORKER_STATE: tuple[UnionGraph, int, int | None] | None = None
-
-
-def _init_worker(graph: UnionGraph, k_max: int, max_degree: int | None) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = (graph, k_max, max_degree)
-
-
-def _mine_chunk(entity_range: tuple[int, int]) -> list[GroupTable]:
-    assert _WORKER_STATE is not None
-    graph, k_max, max_degree = _WORKER_STATE
     groups: list[GroupTable] = [dict() for _ in range(k_max + 1)]
-    for start in range(*entity_range):
+    for start in range(graph.entity_count):
         _collect_half_paths(graph, start, k_max, groups, max_degree)
     return groups
-
-
-def _parallel_groups(
-    graph: UnionGraph, k_max: int, max_degree: int | None, workers: int
-) -> list[GroupTable]:
-    # Each start entity is owned by exactly one worker, so merging never has
-    # to reconcile interior sets for the same (key, start) pair. The merged
-    # table content is order-independent; downstream phases sort keys.
-    n = graph.entity_count
-    chunk = (n + workers - 1) // workers
-    ranges = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    # Fork keeps the graph shared copy-on-write instead of pickling it per task.
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    ctx = multiprocessing.get_context(method)
-    with ctx.Pool(
-        processes=workers, initializer=_init_worker, initargs=(graph, k_max, max_degree)
-    ) as pool:
-        partials = pool.map(_mine_chunk, ranges)
-    merged: list[GroupTable] = [dict() for _ in range(k_max + 1)]
-    for part in partials:
-        for k in range(1, k_max + 1):
-            for key, members in part[k].items():
-                merged[k].setdefault(key, {}).update(members)
-    return merged
 
 
 def _compatible(
@@ -225,9 +178,13 @@ def mine_positive_dict(
     optional degree cap skips hub pivots entirely (see _collect_half_paths);
     it is an approximation for very large graphs and must stay off for
     correctness checks.
+
+    Mining always runs in one process; `workers` is accepted and not read.
+    It stays only because the benchmark harness still passes it. Once the
+    harness stops passing it, the keyword is removed.
     """
     _check_hop_bound(k_max)
-    groups = _half_path_groups(graph, k_max, max_degree, workers=workers)
+    groups = _half_path_groups(graph, k_max, max_degree)
     targets: list[set[int]] = [set() for _ in range(graph.entity_count)]
     structures: list[SymmetricStructure] = []
 
@@ -259,7 +216,6 @@ def structure_stats(
     graph: UnionGraph,
     k_max: int,
     max_degree: int | None = None,
-    workers: int = 1,
 ) -> StructureStats:
     """Count 2k-hop structures and the symmetric ones among them, per k.
 
@@ -268,7 +224,7 @@ def structure_stats(
     the midpoint; distinct sequence-half pairs count separately.
     """
     _check_hop_bound(k_max)
-    groups = _half_path_groups(graph, k_max, max_degree, workers=workers)
+    groups = _half_path_groups(graph, k_max, max_degree)
     per_hop = []
     for k in range(1, k_max + 1):
         by_pivot: dict[int, dict[HalfSequence, dict[int, set[frozenset[int]]]]] = defaultdict(dict)
@@ -339,7 +295,11 @@ def save_dict(pos: PositiveDict, path: str | os.PathLike[str]) -> None:
 
 
 def load_dict(path: str | os.PathLike[str]) -> PositiveDict:
-    """Read a SYMD dictionary, validating magic, version, and checksum."""
+    """Read a SYMD dictionary, validating magic, version, checksum and pairs.
+
+    Every target id must be below the entity count, no entity may be paired
+    with itself, and every pair must appear in both directions.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(_DICT_MAGIC) + 4 + struct.calcsize("<IIQ"):
@@ -366,4 +326,14 @@ def load_dict(path: str | os.PathLike[str]) -> PositiveDict:
         offset = end
     if offset != len(payload):
         raise CorruptDictFileError(f"{path}: trailing bytes in payload")
+    for a, row in enumerate(targets):
+        for t in row:
+            if t >= entity_count:
+                raise CorruptDictFileError(
+                    f"{path}: entity {a} has target {t}, outside the {entity_count} entities"
+                )
+            if t == a:
+                raise CorruptDictFileError(f"{path}: entity {a} is paired with itself")
+            if a not in targets[t]:
+                raise CorruptDictFileError(f"{path}: pair ({a}, {t}) has no reverse ({t}, {a})")
     return PositiveDict(targets=tuple(targets), hop_bound=hop_bound)

@@ -113,10 +113,14 @@ def train(
             raise KMismatchError(
                 f"dictionary mined with hop bound {pos_dict.hop_bound}, config wants {cfg.k}"
             )
-        if pos_dict.entity_count > graph.entity_count:
+        # Every train entity needs a (possibly empty) row; padding past the
+        # train split is fine, past the graph is not.
+        highest = max((max(h, t) for h, _, t in graph.triples), default=-1)
+        if not highest < pos_dict.entity_count <= graph.entity_count:
             raise DataError(
-                f"dictionary covers {pos_dict.entity_count} entities but the graph "
-                f"has only {graph.entity_count}; was it mined from another train split?"
+                f"dictionary covers {pos_dict.entity_count} entities, but the train "
+                f"split uses ids up to {highest} and the graph has {graph.entity_count}; "
+                f"was it mined from another train split?"
             )
     table = init_embeddings(graph.entity_count, graph.relation_count, cfg.dim, cfg.seed)
     optimizer = Adam(table, lr=cfg.lr)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from symkge.cli import main
-from symkge.mining import load_dict
+from symkge.mining import PositiveDict, load_dict, save_dict
 from symkge.model import load_checkpoint
 
 from conftest import planted_kg_triples, write_split_files
@@ -30,18 +30,6 @@ def test_mine_writes_dict(kg_files, capsys):
     assert pos.hop_bound == 1
     assert any(pos.targets)
     assert "wrote" in capsys.readouterr().out
-
-
-def test_mine_parallel_matches_serial(kg_files, capsys):
-    tmp, paths = kg_files
-    serial = tmp / "serial.symd"
-    parallel = tmp / "parallel.symd"
-    assert main(["mine", "--train", str(paths["train"]), "--k", "2",
-                 "--out", str(serial), "--quiet"]) == 0
-    assert main(["mine", "--train", str(paths["train"]), "--k", "2",
-                 "--out", str(parallel), "--threads", "3", "--quiet"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-    capsys.readouterr()
 
 
 def test_eval_rejects_entities_missing_from_checkpoint(kg_files, tmp_path, capsys):
@@ -113,6 +101,40 @@ def test_train_eval_round_trip(kg_files, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert 0.0 <= payload["mrr"] <= 1.0
     assert payload["n_queries"] > 0
+
+
+def _train_with_dict(paths, dict_path, out):
+    return main([
+        "train", "--train", str(paths["train"]), "--dict", str(dict_path),
+        "--out", str(out), "--k", "1", "--dim", "4", "--epochs", "1",
+        "--batch-size", "64", "--negatives", "1", "--quiet",
+    ])
+
+
+def test_train_refuses_dict_from_smaller_split(kg_files, tmp_path, capsys):
+    _, paths = kg_files
+    prefix = tmp_path / "prefix.tsv"
+    lines = paths["train"].read_text(encoding="utf-8").splitlines(keepends=True)
+    prefix.write_text("".join(lines[:10]), encoding="utf-8")  # 12 of 24 entities
+    small = tmp_path / "small.symd"
+    assert main(["mine", "--train", str(prefix), "--k", "1", "--out", str(small),
+                 "--quiet"]) == 0
+    capsys.readouterr()
+    assert _train_with_dict(paths, small, tmp_path / "m.syme") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1  # one line, no traceback
+    assert "another train split" in err
+
+
+def test_train_refuses_corrupt_dict_content(kg_files, tmp_path, capsys):
+    _, paths = kg_files
+    bad = tmp_path / "bad.symd"
+    rows = ({1, 99}, {0}, {2})  # valid checksum, impossible pairs
+    save_dict(PositiveDict(targets=tuple(map(frozenset, rows)), hop_bound=1), bad)
+    assert _train_with_dict(paths, bad, tmp_path / "m.syme") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "bad.symd" in err
 
 
 def test_train_epoch_log_lines(kg_files, capsys):
@@ -216,6 +238,8 @@ def test_experiment_json_deterministic(kg_files, capsys):
     assert main(argv) == 0
     second = capsys.readouterr().out
     assert first == second
+    assert main(argv + ["--threads", "2"]) == 0  # both runs of an arm in a pool
+    assert capsys.readouterr().out == first
     payload = json.loads(first)
     assert payload["ttest_mrr"] is not None
 
@@ -223,6 +247,17 @@ def test_experiment_json_deterministic(kg_files, capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["train"]) == 1  # missing required flags
     assert main(["mine", "--train", "x", "--k", "not_an_int", "--out", "y"]) == 1
+    # --threads belongs to experiment alone, and --parallel-runs is gone
+    assert main(["experiment", "--train", "x", "--test", "y", "--parallel-runs"]) == 1
+    for argv in (
+        ["mine", "--train", "x", "--k", "1", "--out", "y"],
+        ["stats", "--train", "x", "--k", "1"],
+        ["train", "--train", "x", "--out", "y"],
+        ["eval", "--ckpt", "x", "--train", "x", "--test", "y"],
+        ["probe", "--ckpt", "x", "--labels", "y"],
+        ["ttest", "--a", "x", "--b", "y"],
+    ):
+        assert main(argv + ["--threads", "2"]) == 1, argv
     capsys.readouterr()
 
 

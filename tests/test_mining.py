@@ -1,5 +1,6 @@
 """Miner correctness against the brute-force oracle, plus dictionary plumbing."""
 
+import multiprocessing
 import random
 
 import pytest
@@ -265,13 +266,18 @@ def test_dict_monotone_in_hop_bound(seed):
         assert per_k[0][a] <= per_k[1][a] <= per_k[2][a]
 
 
-def test_parallel_mining_matches_serial():
+def test_parallel_mining_matches_serial(monkeypatch):
+    # Mining runs in one process whatever `workers` says; the keyword is
+    # still accepted because the benchmark harness passes it.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("mining must not start worker processes")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
     graph, _ = random_graph(99, 20, 60, 5)
     pos1, structs1 = mine_positive_dict(graph, 2, workers=1)
     pos2, structs2 = mine_positive_dict(graph, 2, workers=3)
     assert pos1 == pos2
     assert structs1 == structs2
-    assert structure_stats(graph, 2, workers=1) == structure_stats(graph, 2, workers=3)
 
 
 def test_structures_record_walks(toy_people_fixture):
@@ -390,6 +396,24 @@ def test_dict_truncated_file(tmp_path):
     (tmp_path / "cut.symd").write_bytes(blob[: len(blob) // 2])
     with pytest.raises(CorruptDictFileError):
         load_dict(tmp_path / "cut.symd")
+
+
+@pytest.mark.parametrize(
+    "rows,problem",
+    [
+        ([{1, 99}, {0}, set()], "outside the 3 entities"),
+        ([{1}, {0}, {2}], "paired with itself"),
+        ([{1, 2}, {0}, set()], "no reverse"),
+    ],
+    ids=["out_of_range", "self_pair", "asymmetric"],
+)
+def test_dict_bad_pairs_rejected(tmp_path, rows, problem):
+    # save_dict writes any content with a valid checksum; load_dict must
+    # still refuse pairs no miner can produce.
+    path = tmp_path / "bad.symd"
+    save_dict(_dict_of(rows), path)
+    with pytest.raises(CorruptDictFileError, match=problem):
+        load_dict(path)
 
 
 def test_dict_bad_magic(tmp_path):
