@@ -74,11 +74,18 @@ def test_end_to_end_determinism(split_paths):
 
 
 def test_worker_count_does_not_change_report(split_paths):
-    # Two workers run three runs per arm in a pool of two processes.
-    spec = _tiny_spec(split_paths, runs=3)
+    spec = _tiny_spec(split_paths)
     serial = report_to_json(run_experiment(spec, workers=1))
     parallel = report_to_json(run_experiment(spec, workers=2))
     assert serial == parallel
+
+
+def test_parallel_runs_match_sequential(split_paths):
+    # Two workers run three runs per arm in a pool of two processes.
+    spec = _tiny_spec(split_paths, runs=3)
+    sequential = report_to_json(run_experiment(spec))
+    parallel = report_to_json(run_experiment(spec, workers=2))
+    assert sequential == parallel
 
 
 def test_failed_run_names_arm_and_run(split_paths):
