@@ -51,18 +51,24 @@ def _mean_metrics(entries: list[dict[str, object]]) -> dict[str, float]:
     return {k: sum(float(e[k]) for e in entries) / len(entries) for k in keys}
 
 
-def _single_run(
-    dataset: Dataset,
-    spec: ExperimentSpec,
-    arm: str,
-    run_index: int,
-    pos_dict: PositiveDict | None,
-) -> dict[str, object]:
+# (dataset, spec, pos_dict) in each pool worker, set once by the pool's
+# initializer, so that run tasks carry only (arm, run_index, with_positives).
+_RUN_INPUTS: tuple[Dataset, ExperimentSpec, PositiveDict | None] | None = None
+
+
+def _init_run_worker(*inputs) -> None:
+    global _RUN_INPUTS
+    _RUN_INPUTS = inputs
+
+
+def _single_run(arm: str, run_index: int, with_positives: bool, inputs=None) -> dict[str, object]:
+    """One seeded run of an arm; inputs defaults to a pool worker's _RUN_INPUTS."""
+    dataset, spec, pos_dict = inputs or _RUN_INPUTS
     seed = spec.base_seed + run_index
     cfg = replace(spec.config, seed=seed)
     known = set(dataset.train) | set(dataset.valid) | set(dataset.test)
     try:
-        result = train(dataset.graph, pos_dict, cfg)
+        result = train(dataset.graph, pos_dict if with_positives else None, cfg)
         report = evaluate_split(result.table, cfg.scorer, dataset.test, known)
     except SymkgeError as exc:
         exc.args = (f"{arm} arm, run {run_index + 1}/{spec.runs} (seed {seed}): {exc}",)
@@ -70,21 +76,14 @@ def _single_run(
     return _metrics_entry(seed, report)
 
 
-def _run_arm(
-    dataset: Dataset,
-    spec: ExperimentSpec,
-    with_positives: bool,
-    pos_dict,
-    progress=None,
-    run_pool=None,
-) -> dict[str, object]:
+def _run_arm(inputs, with_positives: bool, progress=None, run_pool=None) -> dict[str, object]:
+    spec = inputs[1]
     arm = CONTRASTIVE_ARM if with_positives else BASELINE_ARM
-    arm_dict = pos_dict if with_positives else None
-    args = [(dataset, spec, arm, i, arm_dict) for i in range(spec.runs)]
+    tasks = [(arm, i, with_positives) for i in range(spec.runs)]
     if run_pool is not None:
-        entries = run_pool.starmap(_single_run, args)
+        entries = run_pool.starmap(_single_run, tasks)
     else:
-        entries = [_single_run(*a) for a in args]
+        entries = [_single_run(*task, inputs) for task in tasks]
     if progress is not None:
         for i, entry in enumerate(entries):
             progress(f"{arm} run {i + 1}/{spec.runs}: mrr={entry['mrr']:.4f}")
@@ -117,15 +116,18 @@ def run_experiment(
             mined = sum(len(s) for s in pos_dict.targets)
             progress(f"mined positive dictionary: {mined} directed pairs")
 
+    inputs = (dataset, spec, pos_dict)
     run_pool = None
     if workers > 1 and spec.runs > 1:
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        run_pool = multiprocessing.get_context(method).Pool(processes=min(spec.runs, workers))
+        run_pool = multiprocessing.get_context(method).Pool(
+            min(spec.runs, workers), initializer=_init_run_worker, initargs=inputs
+        )
     try:
         if spec.ablation in (BASELINE_ARM, "both"):
-            arms[BASELINE_ARM] = _run_arm(dataset, spec, False, None, progress, run_pool)
+            arms[BASELINE_ARM] = _run_arm(inputs, False, progress, run_pool)
         if spec.ablation in (CONTRASTIVE_ARM, "both"):
-            arms[CONTRASTIVE_ARM] = _run_arm(dataset, spec, True, pos_dict, progress, run_pool)
+            arms[CONTRASTIVE_ARM] = _run_arm(inputs, True, progress, run_pool)
     finally:
         if run_pool is not None:
             run_pool.close()

@@ -14,6 +14,7 @@ differences in the test suite; keep both in sync when touching formulas.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,8 @@ from .mining import PositiveDict, sample_positives
 from .model import SCORERS, EmbeddingTable, ScorerKind, score_batch
 
 NORM_EPS = 1e-12
+# Floats per dense array in the alignment step; bounds its temporary memory.
+_ALIGN_BLOCK_FLOATS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -186,40 +189,72 @@ def _contrastive_forward_backward(
 ) -> float:
     """Mean alignment loss over anchor occurrences with nonempty positives.
 
-    The alignment term never touches relations, so only the entity gradient
-    is accumulated.
+    With grad_entity given, cfg.alpha times the loss gradient is added into
+    it; the term never touches relations. Every sum runs in the order of a
+    loop over occurrences, so results are bit-identical to that loop.
     """
     if pos_dict is None:
         return 0.0
-    sampled: list[tuple[int, list[int]]] = []
-    for anchor in anchors.tolist():
-        positives = sample_positives(
-            pos_dict, anchor, cfg.m, positive_sample_seed(cfg.seed, epoch, anchor)
-        )
-        if positives:
-            sampled.append((anchor, positives))
-    if not sampled:
+    # The positive stream depends on the anchor, not the occurrence.
+    uniq, occ = np.unique(anchors, return_inverse=True)
+    sampled = [
+        sample_positives(pos_dict, a, cfg.m, positive_sample_seed(cfg.seed, epoch, a))
+        for a in uniq.tolist()
+    ]
+    counts = np.array([len(p) for p in sampled], dtype=np.int64)
+    occ = occ[counts[occ] > 0]
+    if occ.size == 0:
         return 0.0
+    # Distinct anchor u's positives are flat[first[u] : first[u] + counts[u]].
+    flat = np.fromiter(itertools.chain.from_iterable(sampled), np.int64, int(counts.sum()))
+    first = np.cumsum(counts) - counts
 
-    n_occ = len(sampled)
+    n_occ, dim = occ.size, table.entity_vecs.shape[1]
+    if grad_entity is not None:
+        rows = np.unique(np.concatenate([uniq[counts > 0], flat]))
+        compact = np.zeros((len(rows), dim))
     total = 0.0
-    for anchor, positives in sampled:
-        a = table.entity_vecs[anchor]
-        p = table.entity_vecs[positives]
-        a_norm = _checked_norms(a[None, :], "anchor")[0]
-        p_norms = _checked_norms(p, "positive")
-        a_hat = a / a_norm
-        p_hat = p / p_norms[:, None]
-        diff = a_hat[None, :] - p_hat
-        total += float((diff * diff).sum(axis=1).mean())
+    chunk = max(1, _ALIGN_BLOCK_FLOATS // ((1 + cfg.m) * dim))
+    for lo in range(0, n_occ, chunk):
+        part, local = np.unique(occ[lo : lo + chunk], return_inverse=True)
+        # Distinct anchor i of the chunk owns rows start[i]..start[i] + its
+        # count of ids and grad: the anchor, then its positives.
+        lengths = 1 + counts[part]
+        start = np.cumsum(lengths) - lengths
+        ids = np.empty(int(lengths.sum()), dtype=np.int64)
+        grad = np.empty((ids.size, dim))
+        per_anchor = np.empty(len(part))
+        # One block per positive count: padding would change the mean's sum.
+        for m_a in sorted(set(counts[part].tolist())):
+            group = np.flatnonzero(counts[part] == m_a)
+            slots = start[group][:, None] + np.arange(1 + m_a)
+            u = part[group]
+            ids[slots[:, 0]] = uniq[u]
+            ids[slots[:, 1:]] = flat[first[u][:, None] + np.arange(m_a)]
+            a = table.entity_vecs[ids[slots[:, 0]]]
+            p = table.entity_vecs[ids[slots[:, 1:]]]
+            a_norm = _checked_norms(a, "anchor")
+            p_norms = _checked_norms(p, "positive")
+            a_hat = (a / a_norm[:, None])[:, None, :]
+            p_hat = p / p_norms[:, :, None]
+            diff = a_hat - p_hat
+            per_anchor[group] = (diff * diff).sum(axis=-1).mean(axis=1)
+            if grad_entity is not None:
+                cos = (p_hat * a_hat).sum(axis=-1)[:, :, None]
+                w = 2.0 / (n_occ * m_a)
+                grad[slots[:, 0]] = (-w / a_norm)[:, None] * (p_hat - cos * a_hat).sum(axis=1)
+                grad[slots[:, 1:]] = -w / p_norms[:, :, None] * (a_hat - cos * p_hat)
+        for value in per_anchor[local].tolist():
+            total += value
         if grad_entity is not None:
-            m_a = len(positives)
-            cosines = (p_hat * a_hat).sum(axis=1)
-            w = 2.0 / (n_occ * m_a)
-            grad_a = -w / a_norm * (p_hat - cosines[:, None] * a_hat).sum(axis=0)
-            grad_entity[anchor] += grad_a
-            grad_p = -w / p_norms[:, None] * (a_hat[None, :] - cosines[:, None] * p_hat)
-            np.add.at(grad_entity, positives, grad_p)
+            # The chunk's occurrences' blocks, back to back in occurrence order.
+            lengths = lengths[local]
+            ends = np.cumsum(lengths)
+            gather = np.arange(ends[-1]) + np.repeat(start[local] - (ends - lengths), lengths)
+            np.add.at(compact, np.searchsorted(rows, ids[gather]), grad[gather])
+    if grad_entity is not None:
+        compact *= cfg.alpha
+        grad_entity[rows] += compact
     return total / n_occ
 
 
@@ -273,10 +308,9 @@ def combined_gradients(
         relation=np.zeros_like(table.relation_vecs),
     )
     task = _task_forward_backward(table, kind, batch, negatives, cfg, grads)
-
-    contr_entity = np.zeros_like(table.entity_vecs)
+    # With alpha == 0 the term is still reported but adds nothing to train on.
     contrastive = _contrastive_forward_backward(
-        table, _batch_anchors(batch), pos_dict, cfg, epoch, contr_entity
+        table, _batch_anchors(batch), pos_dict, cfg, epoch,
+        grads.entity if cfg.alpha != 0.0 else None,
     )
-    grads.entity += cfg.alpha * contr_entity
     return LossBreakdown(task, contrastive, task + cfg.alpha * contrastive), grads

@@ -21,7 +21,12 @@ from .graph import UnionGraph
 
 
 class Adam:
-    """Dense Adam over the two embedding matrices (beta1=0.9, beta2=0.999)."""
+    """Dense Adam over the two embedding matrices (beta1=0.9, beta2=0.999).
+
+    Updates in place, in the operation order of params -= lr * (m / bc1) /
+    (sqrt(v / bc2) + eps). Its two scratch buffers live for one step: kept,
+    they would add two tables to the gradient computation's peak memory.
+    """
 
     def __init__(self, table: EmbeddingTable, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -43,11 +48,14 @@ class Adam:
             (table.entity_vecs, grads.entity, self.m_e, self.v_e),
             (table.relation_vecs, grads.relation, self.m_r, self.v_r),
         ):
+            step, denom = np.empty_like(params), np.empty_like(params)
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            m += np.multiply(grad, 1.0 - self.beta1, out=step)
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            params -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += np.multiply(np.multiply(grad, 1.0 - self.beta2, out=step), grad, out=step)
+            np.multiply(np.divide(m, bc1, out=step), self.lr, out=step)
+            np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), self.eps, out=denom)
+            params -= np.divide(step, denom, out=step)
 
 
 def _stream_seed(seed: int, epoch: int, tag: int) -> int:

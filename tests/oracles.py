@@ -7,8 +7,8 @@ import itertools
 import numpy as np
 
 from symkge.graph import SignedRelation, UnionGraph
-from symkge.losses import _checked_norms
-from symkge.mining import HalfSequence, _check_hop_bound
+from symkge.losses import _checked_norms, positive_sample_seed
+from symkge.mining import HalfSequence, _check_hop_bound, sample_positives
 
 
 def _step_relations(graph: UnionGraph, u: int, v: int) -> list[SignedRelation]:
@@ -82,3 +82,43 @@ def contrastive_loss_cosine_form(anchor_vec: np.ndarray, positive_vecs: np.ndarr
     p_norms = _checked_norms(positives, "positive")
     cosines = (positives * anchor).sum(axis=1) / (p_norms * a_norm)
     return float(2.0 - 2.0 * cosines.mean())
+
+
+def contrastive_forward_backward_loop(table, anchors, pos_dict, cfg, epoch, grad_entity):
+    """One anchor occurrence at a time: the reference for the batched alignment.
+
+    Returns the mean alignment loss over occurrences with nonempty positives
+    and, when grad_entity is given, adds the unscaled loss gradient into it.
+    """
+    if pos_dict is None:
+        return 0.0
+    sampled = []
+    for anchor in np.asarray(anchors).tolist():
+        positives = sample_positives(
+            pos_dict, anchor, cfg.m, positive_sample_seed(cfg.seed, epoch, anchor)
+        )
+        if positives:
+            sampled.append((anchor, positives))
+    if not sampled:
+        return 0.0
+
+    n_occ = len(sampled)
+    total = 0.0
+    for anchor, positives in sampled:
+        a = table.entity_vecs[anchor]
+        p = table.entity_vecs[positives]
+        a_norm = _checked_norms(a[None, :], "anchor")[0]
+        p_norms = _checked_norms(p, "positive")
+        a_hat = a / a_norm
+        p_hat = p / p_norms[:, None]
+        diff = a_hat[None, :] - p_hat
+        total += float((diff * diff).sum(axis=1).mean())
+        if grad_entity is not None:
+            m_a = len(positives)
+            cosines = (p_hat * a_hat).sum(axis=1)
+            w = 2.0 / (n_occ * m_a)
+            grad_a = -w / a_norm * (p_hat - cosines[:, None] * a_hat).sum(axis=0)
+            grad_entity[anchor] += grad_a
+            grad_p = -w / p_norms[:, None] * (a_hat[None, :] - cosines[:, None] * p_hat)
+            np.add.at(grad_entity, positives, grad_p)
+    return total / n_occ

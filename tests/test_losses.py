@@ -1,13 +1,19 @@
 """Loss values against hand-derived numbers and gradients against finite differences."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symkge import losses
 from symkge.config import BINARY_CROSS_ENTROPY, MARGIN_RANKING, TrainConfig
 from symkge.errors import DegenerateVectorError
 from symkge.losses import (
+    Gradients,
+    _contrastive_forward_backward,
+    _task_forward_backward,
     combined_gradients,
     combined_loss,
     contrastive_loss,
@@ -17,7 +23,7 @@ from symkge.losses import (
 from symkge.mining import PositiveDict, sample_positives
 from symkge.model import EmbeddingTable, ScorerKind, init_embeddings
 
-from oracles import contrastive_loss_cosine_form
+from oracles import contrastive_forward_backward_loop, contrastive_loss_cosine_form
 
 
 def _dict_of(targets, k=2):
@@ -228,6 +234,59 @@ def test_combined_loss_deterministic_per_epoch():
     c = combined_loss(table, cfg.scorer, batch, negatives, pos_dict, cfg, epoch=3)
     assert a == b
     assert a != c  # resampled positives move the contrastive term
+
+
+@pytest.mark.parametrize("m", [3, 10])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("chunked", [False, True])
+def test_batched_alignment_equals_per_anchor_loop(m, seed, chunked, monkeypatch):
+    """Same loss and gradient bits as one anchor occurrence at a time."""
+    rng = np.random.default_rng(seed)
+    n, dim = 40, 16
+    if chunked:  # a few occurrences per dense block, so the batch spans many
+        monkeypatch.setattr(losses, "_ALIGN_BLOCK_FLOATS", 7 * (1 + m) * dim)
+    sizes = [0, 1, 2, 3, 5, 8, 9, 10, 12, 20]
+    targets = [
+        set(rng.choice(np.delete(np.arange(n), e), sizes[e % len(sizes)], replace=False).tolist())
+        for e in range(n)
+    ]
+    pos_dict = _dict_of(targets, k=1)
+    cfg = TrainConfig(k=1, m=m, alpha=0.37, dim=dim, seed=seed)
+    table = init_embeddings(n, 1, dim, seed=seed)
+    anchors = rng.integers(0, n, 96)
+    sizes_hit = {len(targets[a]) for a in anchors.tolist()}
+    assert len(set(anchors.tolist())) < len(anchors)  # repeated anchors
+    assert 0 in sizes_hit and min(sizes_hit - {0}) < m < max(sizes_hit)
+    assert len({min(size, m) for size in sizes_hit} - {0}) >= 2  # several positive counts
+
+    base = rng.normal(size=(n, dim))
+    base[::3] = 0.0
+    grad = base.copy()
+    value = _contrastive_forward_backward(table, anchors, pos_dict, cfg, 5, grad)
+    reference = np.zeros_like(base)
+    assert value == contrastive_forward_backward_loop(table, anchors, pos_dict, cfg, 5, reference)
+    assert np.array_equal(grad, base + cfg.alpha * reference)
+    assert value == _contrastive_forward_backward(table, anchors, pos_dict, cfg, 5, None)
+
+    empty_only = anchors[[len(targets[a]) == 0 for a in anchors.tolist()]]
+    grad = base.copy()
+    assert _contrastive_forward_backward(table, empty_only, pos_dict, cfg, 5, grad) == 0.0
+    assert np.array_equal(grad, base)
+
+
+@pytest.mark.parametrize("kind", list(ScorerKind))
+def test_gradients_without_alignment_equal_task_gradients(kind):
+    table, cfg, batch, negatives, pos_dict = _small_setup(alpha=0.5, kind=kind)
+    task_only = Gradients(np.zeros_like(table.entity_vecs), np.zeros_like(table.relation_vecs))
+    _task_forward_backward(table, kind, batch, negatives, cfg, task_only)
+    _, no_dict = combined_gradients(table, kind, batch, negatives, None, cfg)
+    breakdown, no_alpha = combined_gradients(
+        table, kind, batch, negatives, pos_dict, replace(cfg, alpha=0.0)
+    )
+    assert breakdown.contrastive > 0.0  # still reported
+    for grads in (no_dict, no_alpha):
+        assert np.array_equal(grads.entity, task_only.entity)
+        assert np.array_equal(grads.relation, task_only.relation)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """Training loop behavior: determinism, progress, failure modes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from symkge.config import TrainConfig
+from symkge.config import MARGIN_RANKING, TrainConfig
 from symkge.errors import KMismatchError, NonFiniteLossError
+from symkge.graph import intern_graph
+from symkge.losses import Gradients
 from symkge.mining import mine_positive_dict
 from symkge.model import ScorerKind, init_embeddings
 from symkge.training import Adam, sample_negatives, train
 
-from conftest import random_graph
+from conftest import planted_kg_triples, random_graph
 
 
 def _toy_cfg(**overrides) -> TrainConfig:
@@ -125,8 +129,6 @@ def test_adam_moves_toward_gradient_descent_direction():
     table = init_embeddings(3, 2, 4, seed=0)
     before = table.entity_vecs.copy()
     opt = Adam(table, lr=0.1)
-    from symkge.losses import Gradients
-
     grads = Gradients(entity=np.zeros_like(table.entity_vecs),
                       relation=np.zeros_like(table.relation_vecs))
     grads.entity[0] = 1.0
@@ -134,3 +136,55 @@ def test_adam_moves_toward_gradient_descent_direction():
     # first Adam step with constant gradient is -lr * g / (|g| + eps) elementwise
     assert np.allclose(table.entity_vecs[0], before[0] - 0.1, atol=1e-6)
     assert np.array_equal(table.entity_vecs[1:], before[1:])
+
+
+def test_adam_in_place_matches_reference_formula():
+    table = init_embeddings(7, 3, 5, seed=1)
+    params = [table.entity_vecs.copy(), table.relation_vecs.copy()]
+    moments = [[np.zeros_like(p), np.zeros_like(p)] for p in params]
+    opt = Adam(table, lr=0.05)
+    rng = np.random.default_rng(2)
+    for t in range(1, 10):
+        grads = Gradients(rng.normal(size=(7, 5)), rng.normal(size=(3, 5)))
+        grads.entity[::2] = 0.0
+        opt.step(table, grads)
+        bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+        for p, (m, v), g in zip(params, moments, (grads.entity, grads.relation)):
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * g * g
+            p -= 0.05 * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+    assert np.array_equal(table.entity_vecs, params[0])
+    assert np.array_equal(table.relation_vecs, params[1])
+    state = [(opt.m_e, opt.v_e), (opt.m_r, opt.v_r)]
+    for (m, v), (ref_m, ref_v) in zip(state, moments):
+        assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
+
+
+# Recorded from the per-anchor alignment loop and out-of-place Adam that the
+# batched alignment and in-place Adam replaced. A change that alters
+# trajectories on purpose re-records it and says so in CHANGES.md.
+GOLDEN_TRAJECTORY_SHA256 = "c47f22c41db9cebe652d8f04a47e2f9f544ca48f8a783ec47f3a4c065c5c7392"
+
+
+def test_golden_trajectory():
+    """Epoch log and final table bits of a fixed run with alignment.
+
+    TransE with margin ranking uses only + - * / sqrt and pairwise sums, all
+    correctly rounded, so its bits should not depend on SIMD code paths. m=12
+    over rows of 0 and 11 to 15 targets gives anchors with no, fewer than m,
+    m and more than m targets.
+    """
+    triples = planted_kg_triples(seed=5, n_pivots=4, members_per_pivot=12, n_noise=60)
+    graph, _ = intern_graph(triples)
+    pos, _ = mine_positive_dict(graph, 1)
+    cfg = TrainConfig(k=1, m=12, alpha=0.5, dim=8, lr=0.01, epochs=3, batch_size=32,
+                      n_negatives=2, seed=3, scorer=ScorerKind.TRANSE, task_loss=MARGIN_RANKING)
+    result = train(graph, pos, cfg)
+    digest = hashlib.sha256()
+    for e in result.epoch_log:
+        digest.update(f"{e.task.hex()} {e.contrastive.hex()} {e.total.hex()}\n".encode())
+    digest.update(result.table.entity_vecs.tobytes())
+    digest.update(result.table.relation_vecs.tobytes())
+    assert digest.hexdigest() == GOLDEN_TRAJECTORY_SHA256
