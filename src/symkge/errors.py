@@ -74,6 +74,10 @@ class DegenerateVectorError(NumericError):
     """An embedding vector collapsed to (near-)zero norm."""
 
 
+class NonFiniteTableError(NumericError):
+    """Embedding table holds NaN or infinite values, or its scores overflow."""
+
+
 class NonFiniteLossError(NumericError):
     """Loss became NaN or infinite; carries the offending epoch/batch."""
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -11,6 +12,7 @@ import numpy as np
 from .errors import (
     DimMismatchError,
     InsufficientSamplesError,
+    NonFiniteTableError,
     SingleClassError,
     UnknownEntityError,
 )
@@ -28,54 +30,116 @@ class RankingReport:
     n_queries: int
 
 
-class _FilterIndex:
-    """Known-triple lookups for filtered ranking."""
-
-    def __init__(self, known: Iterable[tuple[int, int, int]]):
-        self.heads_by_rt: dict[tuple[int, int], set[int]] = {}
-        self.tails_by_hr: dict[tuple[int, int], set[int]] = {}
-        for h, r, t in known:
-            self.heads_by_rt.setdefault((r, t), set()).add(h)
-            self.tails_by_hr.setdefault((h, r), set()).add(t)
+# Floats per dense (queries x entities) array while ranking: bounds the
+# query chunk, so peak memory does not grow with the split.
+_RANK_BLOCK_FLOATS = 1 << 20
 
 
-def _rank_one(
+def _filter_keys(h, r, t, corrupt_head, entity_count: int, relation_count: int) -> np.ndarray:
+    """Key of the known-triple group that filters each query.
+
+    A head query on (r, t) drops the heads of known (., r, t) and a tail
+    query on (h, r) the tails of known (h, r, .); the two key ranges do not
+    overlap.
+    """
+    tail_keys = entity_count * relation_count + h * relation_count + r
+    return np.where(corrupt_head, r * entity_count + t, tail_keys)
+
+
+def _known_csr(
+    known: Iterable[tuple[int, int, int]], entity_count: int, relation_count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted filter keys of the known triples, with the candidate each drops.
+
+    Triples outside the table are dropped: they name no candidate, and their
+    keys could collide with valid ones.
+    """
+    flat = np.fromiter(itertools.chain.from_iterable(known), dtype=np.int64)
+    h, r, t = flat.reshape(-1, 3).T
+    inside = (h >= 0) & (h < entity_count) & (t >= 0) & (t < entity_count)
+    inside &= (r >= 0) & (r < relation_count)
+    h, r, t = h[inside], r[inside], t[inside]
+    keys = np.concatenate([_filter_keys(h, r, t, side, entity_count, relation_count)
+                           for side in (True, False)])
+    order = np.argsort(keys, kind="stable")
+    return keys[order], np.concatenate([h, t])[order]
+
+
+def _filtered_ranks(
     table: EmbeddingTable,
     kind: ScorerKind,
-    triple: tuple[int, int, int],
-    corrupt_side: str,
-    known_here: Iterable[int],
-) -> float:
-    """Rank of the query among its side's candidates, minus the known ones."""
-    h, r, t = triple
-    if not (0 <= h < table.entity_count and 0 <= t < table.entity_count):
-        raise UnknownEntityError(f"query entity outside table: {triple}")
-    if not 0 <= r < table.relation_count:
-        raise UnknownEntityError(f"query relation outside table: {triple}")
+    triples: np.ndarray,
+    corrupt_head: np.ndarray,
+    known: Iterable[tuple[int, int, int]],
+) -> np.ndarray:
+    """Filtered rank of each query (triples[i], side corrupt_head[i]).
 
-    # One pass over the entity table, no BLAS reductions. A head query is the
-    # tail query of the inverse relation, anchored at the known tail.
+    Equal, bit for bit, to scoring every candidate with the scorer's score()
+    and counting: ties split evenly, known candidates other than the query
+    are excluded. A BLAS product only bounds the candidates; those whose
+    bounds do not settle their order against the query are re-scored with
+    score(), so ranks do not depend on the BLAS thread count.
+    """
+    n_e, n_r = table.entity_count, table.relation_count
+    h, r, t = triples.T
+    for what, bad in (("entity", (h < 0) | (h >= n_e) | (t < 0) | (t >= n_e)),
+                      ("relation", (r < 0) | (r >= n_r))):
+        if bad.any():
+            triple = tuple(triples[bad.argmax()].tolist())
+            raise UnknownEntityError(f"query {what} outside table: {triple}")
+    if not table.all_finite():
+        raise NonFiniteTableError("embedding table holds NaN or infinite values")
+
+    # A head query is the tail query of the inverse relation, anchored at
+    # the known tail.
     scorer = SCORERS[kind]
     entities = table.entity_vecs
-    r_vec = table.relation_vecs[r]
-    if corrupt_side == HEAD:
-        scores = scorer.score(entities[t], scorer.inverse(r_vec), entities)
-        true_entity = h
-    else:
-        scores = scorer.score(entities[h], r_vec, entities)
-        true_entity = t
+    anchor_ids = np.where(corrupt_head, t, h)
+    true_ids = np.where(corrupt_head, h, t)
+    known_keys, known_ids = _known_csr(known, n_e, n_r)
+    filter_keys = _filter_keys(h, r, t, corrupt_head, n_e, n_r)
 
-    keep = np.ones(table.entity_count, dtype=bool)
-    for other in known_here:
-        keep[other] = False
-    keep[true_entity] = True  # the query itself always competes
+    ranks = np.empty(len(triples), dtype=np.float64)
+    chunk = max(1, _RANK_BLOCK_FLOATS // n_e)
+    for start in range(0, len(triples), chunk):
+        part = slice(start, start + chunk)
+        anchors, truth = entities[anchor_ids[part]], true_ids[part]
+        rels = table.relation_vecs[r[part]]
+        rels[corrupt_head[part]] = scorer.inverse(rels[corrupt_head[part]])
+        rows = np.arange(len(truth))
+        own = scorer.score(anchors, rels, entities[truth])
+        if not np.isfinite(own).all():
+            raise NonFiniteTableError("query scores overflow the float range")
+        lo_bound, hi_bound = scorer.bounds(anchors, rels, entities)
+        higher = lo_bound > own[:, None]
+        band = ~(higher | (hi_bound < own[:, None]))  # NaN bounds land in the band
 
-    kept_scores = scores[keep]
-    s_star = scores[true_entity]
-    higher = int((kept_scores > s_star).sum())
-    equal_others = int((kept_scores == s_star).sum()) - 1
-    # Mean rank over ties: half the tied candidates land above the query.
-    return 1.0 + higher + equal_others / 2.0
+        # Known candidates and the query itself do not compete. Query i's
+        # known candidates are known_ids[first[i] : first[i] + counts[i]].
+        first = np.searchsorted(known_keys, filter_keys[part], side="left")
+        counts = np.searchsorted(known_keys, filter_keys[part], side="right") - first
+        run_starts = np.repeat(first - np.cumsum(counts) + counts, counts)
+        excluded = (
+            np.concatenate([rows, np.repeat(rows, counts)]),
+            np.concatenate([truth, known_ids[run_starts + np.arange(counts.sum())]]),
+        )
+        higher[excluded] = False
+        band[excluded] = False
+
+        n_higher = np.count_nonzero(higher, axis=1)
+        n_tied = np.zeros(len(truth), dtype=np.int64)
+        # A degenerate table (all scores equal) puts every candidate in the
+        # band, so re-score it in blocks of the same float budget.
+        band_at = np.flatnonzero(band)
+        step = max(1, _RANK_BLOCK_FLOATS // table.dim)
+        for band_start in range(0, len(band_at), step):
+            band_rows, band_ids = np.divmod(band_at[band_start : band_start + step], n_e)
+            rescored = scorer.score(anchors[band_rows], rels[band_rows], entities[band_ids])
+            n_higher += np.bincount(band_rows[rescored > own[band_rows]], minlength=len(truth))
+            n_tied += np.bincount(band_rows[rescored == own[band_rows]], minlength=len(truth))
+        # Mean rank over ties: half the tied candidates land above the query.
+        ranks[part] = 1.0 + n_higher + n_tied / 2.0
+    return ranks
 
 
 def filtered_rank(
@@ -92,12 +156,12 @@ def filtered_rank(
     """
     if corrupt_side not in (HEAD, TAIL):
         raise ValueError(f"corrupt_side must be {HEAD!r} or {TAIL!r}")
-    h, r, t = query_triple
-    if corrupt_side == HEAD:
-        known_here = {kh for kh, kr, kt in known_triples if kr == r and kt == t}
-    else:
-        known_here = {kt for kh, kr, kt in known_triples if kh == h and kr == r}
-    return _rank_one(table, kind, (h, r, t), corrupt_side, known_here)
+    triples = np.asarray([query_triple], dtype=np.int64)
+    # Only known triples on the query's relation can filter it.
+    relation = query_triple[1]
+    same_relation = [known for known in known_triples if known[1] == relation]
+    corrupt_head = np.array([corrupt_side == HEAD])
+    return float(_filtered_ranks(table, kind, triples, corrupt_head, same_relation)[0])
 
 
 def evaluate_split(
@@ -109,12 +173,10 @@ def evaluate_split(
     """Filtered MRR and Hits@{1,3,10}; every triple queries both sides."""
     if len(split) == 0:
         raise ValueError("split is empty")
-    index = _FilterIndex(known_triples)
-    ranks = np.empty(2 * len(split), dtype=np.float64)
-    for i, (h, r, t) in enumerate(split):
-        triple = (h, r, t)
-        ranks[2 * i] = _rank_one(table, kind, triple, HEAD, index.heads_by_rt.get((r, t), ()))
-        ranks[2 * i + 1] = _rank_one(table, kind, triple, TAIL, index.tails_by_hr.get((h, r), ()))
+    # Query 2i corrupts the head of split[i], query 2i + 1 its tail.
+    triples = np.repeat(np.asarray(split, dtype=np.int64).reshape(-1, 3), 2, axis=0)
+    corrupt_head = np.tile([True, False], len(split))
+    ranks = _filtered_ranks(table, kind, triples, corrupt_head, known_triples)
     return RankingReport(
         mrr=float((1.0 / ranks).mean()),
         hits={n: float((ranks <= n).mean()) for n in (1, 3, 10)},

@@ -14,6 +14,23 @@ from .errors import CorruptCheckpointError, UnknownEntityError
 from .graph import Triple
 
 
+_UNIT = np.finfo(np.float64).eps / 2  # unit roundoff u
+# Absolute error per vector element from products that underflow.
+_ABS_SLACK = 8.0 * np.finfo(np.float64).smallest_subnormal
+
+
+def _slack(dim: int) -> float:
+    """Relative error allowance for bounds() over dim-long rows.
+
+    gamma_n = n u / (1 - n u) bounds the relative error of any n-term dot
+    product of floats, whatever the summation order, FMA or thread count.
+    Eight of them cover the BLAS product, the norms, score()'s own rounding
+    and the few elementwise operations that combine them.
+    """
+    n = dim + 4
+    return 8.0 * n * _UNIT / (1.0 - n * _UNIT)
+
+
 class ScorerKind(enum.Enum):
     TRANSE = "transe"
     DISTMULT = "distmult"
@@ -77,6 +94,25 @@ class TransE:
     def inverse(r: np.ndarray) -> np.ndarray:
         return -r
 
+    @staticmethod
+    def bounds(h: np.ndarray, r: np.ndarray, entities: np.ndarray) -> tuple[np.ndarray, ...]:
+        q = h + r  # the rows score() subtracts each tail from
+        q_sq = np.einsum("ij,ij->i", q, q)
+        e_sq = np.einsum("ij,ij->i", entities, entities)
+        dist_sq = (-2.0 * q) @ entities.T  # power-of-two scaling is exact
+        dist_sq += q_sq[:, None]
+        dist_sq += e_sq[None, :]
+        # ||q - e||^2 <= 2 (||q||^2 + ||e||^2), so this slack also covers the
+        # rounding of score()'s own sum.
+        rel = _slack(q.shape[-1])
+        slack = np.add.outer(rel * q_sq + _ABS_SLACK * q.shape[-1], rel * e_sq)
+        far = dist_sq + slack
+        near = np.maximum(np.subtract(dist_sq, slack, out=dist_sq), 0.0, out=dist_sq)
+        # score() rounds its sqrt once, and so does this.
+        lo = np.multiply(np.sqrt(far, out=far), -(1.0 + 8.0 * _UNIT), out=far)
+        hi = np.multiply(np.sqrt(near, out=near), -(1.0 - 8.0 * _UNIT), out=near)
+        return lo, hi
+
 
 class DistMult:
     """<h, r, t>: a diagonal bilinear form, symmetric in head and tail."""
@@ -93,14 +129,33 @@ class DistMult:
     def inverse(r: np.ndarray) -> np.ndarray:
         return r
 
+    @staticmethod
+    def bounds(h: np.ndarray, r: np.ndarray, entities: np.ndarray) -> tuple[np.ndarray, ...]:
+        w = h * r  # the rows score() multiplies each tail by
+        products = w @ entities.T
+        # Any summation order errs by at most gamma * sum |w_k e_k|, and
+        # sum |w_k e_k| <= ||w|| ||e||. The padding keeps the norms upper
+        # bounds where squares underflow.
+        pad = _ABS_SLACK * w.shape[-1]
+        w_norm = np.sqrt(np.einsum("ij,ij->i", w, w) + pad) * _slack(w.shape[-1])
+        e_norm = np.sqrt(np.einsum("ij,ij->i", entities, entities) + pad)
+        err = np.multiply.outer(w_norm, e_norm)
+        err += pad
+        return products - err, np.add(products, err, out=products)
+
 
 # The only place scoring math lives. Each scorer works on rows and broadcasts:
 # score(h, r, t) is higher for more plausible triples; partials(h, r, t) gives
 # the rows of d score / d h, d r, d t; score(t, inverse(r), h) equals
 # score(h, r, t), so a head query is scored as a tail query of the inverse
-# relation.
-# Reductions use ndarray.sum (pairwise, single-threaded) rather than BLAS so
-# results are bit-stable across thread counts.
+# relation. bounds(h, r, entities) gives, for B query rows and N candidate
+# tails, (B, N) arrays lo and hi with lo <= score(h[i], r[i], entities[j]) <=
+# hi exactly as score() computes it, or a non-finite bound.
+# score() and partials() reduce with ndarray.sum (pairwise, single-threaded,
+# each row on its own) rather than BLAS, so results are bit-stable across
+# thread counts. bounds() is the only BLAS product in the package: its error
+# bound holds for any summation order, so ranking, which decides only clear
+# cases from the bounds and re-scores the rest with score(), stays exact.
 SCORERS = {ScorerKind.TRANSE: TransE, ScorerKind.DISTMULT: DistMult}
 
 

@@ -159,6 +159,9 @@ def train(
                     batch_index=batch_index,
                 )
             optimizer.step(table, grads)
+            # Kept, this batch's gradients would add a table to the next
+            # batch's peak while combined_gradients builds its own.
+            del grads
             if cfg.renormalize:
                 norms = np.sqrt((table.entity_vecs**2).sum(axis=1, keepdims=True))
                 np.divide(table.entity_vecs, norms, out=table.entity_vecs, where=norms > 0)

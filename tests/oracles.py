@@ -6,9 +6,12 @@ import itertools
 
 import numpy as np
 
+from symkge.errors import UnknownEntityError
+from symkge.evaluation import HEAD
 from symkge.graph import SignedRelation, UnionGraph
 from symkge.losses import _checked_norms, positive_sample_seed
 from symkge.mining import HalfSequence, _check_hop_bound, sample_positives
+from symkge.model import SCORERS
 
 
 def _step_relations(graph: UnionGraph, u: int, v: int) -> list[SignedRelation]:
@@ -122,3 +125,37 @@ def contrastive_forward_backward_loop(table, anchors, pos_dict, cfg, epoch, grad
             grad_p = -w / p_norms[:, None] * (a_hat[None, :] - cosines[:, None] * p_hat)
             np.add.at(grad_entity, positives, grad_p)
     return total / n_occ
+
+
+def rank_one(table, kind, triple, corrupt_side, known_here):
+    """Filtered rank of one query from one full pass of score() over the table.
+
+    known_here holds the candidate ids the filter drops on the query's side.
+    The reference for the batched, bound-then-rescore ranking.
+    """
+    h, r, t = triple
+    if not (0 <= h < table.entity_count and 0 <= t < table.entity_count):
+        raise UnknownEntityError(f"query entity outside table: {triple}")
+    if not 0 <= r < table.relation_count:
+        raise UnknownEntityError(f"query relation outside table: {triple}")
+
+    scorer = SCORERS[kind]
+    entities = table.entity_vecs
+    r_vec = table.relation_vecs[r]
+    if corrupt_side == HEAD:
+        scores = scorer.score(entities[t], scorer.inverse(r_vec), entities)
+        true_entity = h
+    else:
+        scores = scorer.score(entities[h], r_vec, entities)
+        true_entity = t
+
+    keep = np.ones(table.entity_count, dtype=bool)
+    for other in known_here:
+        keep[other] = False
+    keep[true_entity] = True  # the query itself always competes
+
+    kept_scores = scores[keep]
+    s_star = scores[true_entity]
+    higher = int((kept_scores > s_star).sum())
+    equal_others = int((kept_scores == s_star).sum()) - 1
+    return 1.0 + higher + equal_others / 2.0

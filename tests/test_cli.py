@@ -9,7 +9,7 @@ import pytest
 
 from symkge.cli import main
 from symkge.mining import PositiveDict, load_dict, save_dict
-from symkge.model import load_checkpoint
+from symkge.model import load_checkpoint, save_checkpoint
 
 from conftest import planted_kg_triples, write_split_files
 
@@ -44,6 +44,24 @@ def test_eval_rejects_entities_missing_from_checkpoint(kg_files, tmp_path, capsy
                "--test", str(stranger)])
     assert rc == 2  # UnknownEntity surfaces as a data error
     capsys.readouterr()
+
+
+def test_eval_rejects_nonfinite_checkpoint(kg_files, tmp_path, capsys):
+    tmp, paths = kg_files
+    ckpt = tmp_path / "finite.syme"
+    assert main(["train", "--train", str(paths["train"]), "--out", str(ckpt),
+                 "--dim", "4", "--epochs", "1", "--batch-size", "64",
+                 "--negatives", "1", "--quiet"]) == 0
+    table, kind = load_checkpoint(ckpt)
+    table.entity_vecs[0, 1] = np.nan
+    broken = tmp_path / "nan.syme"
+    save_checkpoint(table, kind, broken)
+    capsys.readouterr()
+    rc = main(["eval", "--ckpt", str(broken), "--train", str(paths["train"]),
+               "--test", str(paths["test"])])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.count("\n") == 1 and "numeric failure" in err
 
 
 def test_stats_prints_table(kg_files, capsys):

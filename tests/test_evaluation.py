@@ -1,13 +1,19 @@
 """Filtered ranking against exhaustive enumeration, probe behavior, t-test values."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symkge import evaluation
 from symkge.errors import (
     DimMismatchError,
     InsufficientSamplesError,
+    NonFiniteTableError,
+    NumericError,
     SingleClassError,
     UnknownEntityError,
 )
@@ -24,7 +30,9 @@ from symkge.evaluation import (
     students_t_test,
     train_probe,
 )
-from symkge.model import EmbeddingTable, ScorerKind, init_embeddings, score
+from symkge.model import SCORERS, EmbeddingTable, ScorerKind, init_embeddings, score
+
+from oracles import rank_one
 
 
 def _table(entities, relations):
@@ -68,6 +76,30 @@ def test_unknown_entity_rejected():
         filtered_rank(table, ScorerKind.DISTMULT, (0, 0, 7), TAIL, set())
 
 
+@pytest.mark.parametrize("query", [(-1, 0, 1), (2, 0, 1), (0, 0, -1), (0, 0, 2),
+                                   (0, -1, 1), (0, 1, 1)])
+def test_split_ids_outside_table_rejected(query):
+    # NumPy would wrap -1 to the last row rather than fail.
+    table = _table([[1.0], [2.0]], [[1.0]])
+    with pytest.raises(UnknownEntityError):
+        evaluate_split(table, ScorerKind.TRANSE, [(0, 0, 1), query], {(0, 0, 1)})
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("entities", [
+    [[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]],
+    [[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0]],
+    [[0.0, 1e300], [0.0, -1e300], [1.0, 1.0]],  # finite, but distances overflow
+])
+def test_nonfinite_scores_rejected(entities):
+    table = _table(entities, [[1.0, 0.0]])
+    assert issubclass(NonFiniteTableError, NumericError)
+    with pytest.raises(NonFiniteTableError):
+        filtered_rank(table, ScorerKind.TRANSE, (0, 0, 1), TAIL, {(0, 0, 1)})
+    with pytest.raises(NonFiniteTableError):
+        evaluate_split(table, ScorerKind.TRANSE, [(0, 0, 1)], {(0, 0, 1)})
+
+
 @pytest.mark.parametrize("kind", list(ScorerKind))
 def test_rank_matches_exhaustive_enumeration(kind):
     """Oracle: enumerate candidate scores one by one with score()."""
@@ -101,6 +133,118 @@ def test_rank_matches_exhaustive_enumeration(kind):
             assert got == 1.0 + higher + ties / 2.0
             assert 1.0 <= got <= len(candidates)
     assert tied_sides == {HEAD, TAIL}
+
+
+def _rank_events():
+    """Record, for both scorers, which of score() and bounds() runs, in order."""
+    events = []
+
+    def recording(name, fn):
+        def wrapper(*args):
+            events.append(name)
+            return fn(*args)
+        return staticmethod(wrapper)
+
+    patches = [(cls, name, recording(name, getattr(cls, name)))
+               for cls in SCORERS.values() for name in ("score", "bounds")]
+    return events, patches
+
+
+@st.composite
+def _hard_tables(draw):
+    """Small tables built to defeat a bound-only ranking.
+
+    Row magnitudes span 1e-3..1e6; rows repeat exactly (ties on both sides)
+    or within a few ulps (near-ties only a re-score can order); one relation
+    may be zero, and some tails sit exactly at head + relation.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_e, n_r, dim = draw(st.integers(2, 12)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    entities = rng.normal(size=(n_e, dim)) * 10.0 ** rng.uniform(-3, 6, size=(n_e, 1))
+    relations = rng.normal(size=(n_r, dim)) * 10.0 ** rng.uniform(-3, 6, size=(n_r, 1))
+    if draw(st.booleans()):
+        relations[0] = 0.0
+    for _ in range(draw(st.integers(0, n_e))):
+        src, dst = rng.integers(0, n_e, size=2)
+        kind = draw(st.sampled_from(["copy", "ulps", "translate"]))
+        if kind == "copy":
+            entities[dst] = entities[src]
+        elif kind == "ulps":
+            steps = int(rng.integers(1, 4))
+            entities[dst] = entities[src]
+            col = int(rng.integers(0, dim))
+            for _ in range(steps):
+                entities[dst, col] = np.nextafter(entities[dst, col], np.inf)
+        else:
+            entities[dst] = entities[src] + relations[int(rng.integers(0, n_r))]
+    table = EmbeddingTable(entity_vecs=entities, relation_vecs=relations)
+    known = {(int(h), int(r), int(t))
+             for h, r, t in rng.integers(0, [n_e, n_r, n_e], size=(draw(st.integers(1, 12)), 3))}
+    split = sorted(known)[: draw(st.integers(1, len(known)))]
+    return table, split, known
+
+
+@pytest.mark.parametrize("one_query_per_chunk", [False, True])
+def test_batched_ranks_match_oracle(monkeypatch, one_query_per_chunk):
+    if one_query_per_chunk:
+        monkeypatch.setattr(evaluation, "_RANK_BLOCK_FLOATS", 1)
+    events, patches = _rank_events()
+    for cls, name, wrapper in patches:
+        monkeypatch.setattr(cls, name, wrapper)
+    rescored = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(_hard_tables(), st.sampled_from(list(ScorerKind)))
+    def check(case, kind):
+        table, split, known = case
+        triples = np.repeat(np.asarray(split, dtype=np.int64), 2, axis=0)
+        corrupt_head = np.tile([True, False], len(split))
+        events.clear()
+        got = evaluation._filtered_ranks(table, kind, triples, corrupt_head, known)
+        # A score() call right after bounds() re-scores a non-empty band.
+        rescored.append(any(a == "bounds" and b == "score" for a, b in zip(events, events[1:])))
+        want = []
+        for h, r, t in split:
+            heads = {kh for kh, kr, kt in known if (kr, kt) == (r, t)}
+            tails = {kt for kh, kr, kt in known if (kh, kr) == (h, r)}
+            want += [rank_one(table, kind, (h, r, t), HEAD, heads),
+                     rank_one(table, kind, (h, r, t), TAIL, tails)]
+        assert got.tolist() == want
+        report = evaluate_split(table, kind, split, known)
+        assert report.mrr == float((1.0 / np.asarray(want)).mean())
+
+    check()
+    assert any(rescored), "no example exercised the re-scored band"
+
+
+_THREADED_EVAL = """
+import hashlib, sys
+import numpy as np
+from symkge.evaluation import _filtered_ranks, evaluate_split
+from symkge.model import EmbeddingTable, ScorerKind
+rng = np.random.default_rng(5)
+table = EmbeddingTable(rng.normal(size=(3000, 64)), rng.normal(size=(20, 64)))
+split = [tuple(x) for x in rng.integers(0, [3000, 20, 3000], size=(200, 3)).tolist()]
+known = set(split) | {tuple(x) for x in rng.integers(0, [3000, 20, 3000], size=(2000, 3)).tolist()}
+triples = np.repeat(np.asarray(split), 2, axis=0)
+for kind in ScorerKind:
+    ranks = _filtered_ranks(table, kind, triples, np.tile([True, False], len(split)), known)
+    report = evaluate_split(table, kind, split, known)
+    print(kind.value, hashlib.sha256(ranks.tobytes()).hexdigest(), repr(report))
+"""
+
+
+def test_ranks_independent_of_blas_threads():
+    outputs = []
+    for threads in ("1", "2"):
+        env = {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": ":".join(sys.path)}
+        run = subprocess.run([sys.executable, "-c", _THREADED_EVAL], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("RankingReport") == len(ScorerKind)
 
 
 def test_single_triple_perfect_report():
