@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import enum
 import json
 import sys
 import time
@@ -22,9 +24,9 @@ from .errors import (
 )
 from .evaluation import ProbeConfig, evaluate_split, probe_report, students_t_test, train_probe
 from .experiment import ABLATIONS, ExperimentSpec, report_to_json, run_experiment
-from .graph import intern_graph, load_dataset, read_triple_file
+from .graph import load_dataset
 from .mining import load_dict, mine_positive_dict, save_dict, structure_stats
-from .model import ScorerKind, load_checkpoint, save_checkpoint
+from .model import load_checkpoint, save_checkpoint
 from .training import train
 
 
@@ -120,38 +122,20 @@ def _build_parser() -> _Parser:
 
 
 def _train_override_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=int, default=None)
-    parser.add_argument("--m", type=int, default=None)
-    parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--dim", type=int, default=None)
-    parser.add_argument("--lr", type=float, default=None)
-    parser.add_argument("--epochs", type=int, default=None)
-    parser.add_argument("--batch-size", type=int, default=None)
-    parser.add_argument("--negatives", type=int, default=None)
-    parser.add_argument("--margin", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--scorer", choices=[k.value for k in ScorerKind], default=None)
-    parser.add_argument("--task-loss", choices=["margin_ranking", "binary_cross_entropy"],
-                        default=None)
-    parser.add_argument("--renormalize", action="store_true", default=None)
+    for f in dataclasses.fields(TrainConfig):
+        flag = "--" + f.metadata.get("flag", f.name).replace("_", "-")
+        kind = type(f.default)
+        if kind is bool:
+            parser.add_argument(flag, dest=f.name, action="store_true", default=None)
+        elif issubclass(kind, enum.Enum):
+            parser.add_argument(flag, dest=f.name, type=kind, choices=list(kind),
+                                metavar="{" + ",".join(v.value for v in kind) + "}")
+        else:
+            parser.add_argument(flag, dest=f.name, type=kind, choices=f.metadata.get("choices"))
 
 
 def _config_from_args(args) -> TrainConfig:
-    overrides = {
-        "k": args.k,
-        "m": args.m,
-        "alpha": args.alpha,
-        "dim": args.dim,
-        "lr": args.lr,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "n_negatives": args.negatives,
-        "margin": args.margin,
-        "seed": args.seed,
-        "scorer": ScorerKind(args.scorer) if args.scorer else None,
-        "task_loss": args.task_loss,
-        "renormalize": args.renormalize,
-    }
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)}
     return parse_config(getattr(args, "config", None), overrides)
 
 
@@ -161,7 +145,7 @@ def _config_from_args(args) -> TrainConfig:
 
 
 def cmd_mine(args) -> int:
-    graph, _ = intern_graph(read_triple_file(args.train))
+    graph = load_dataset(args.train).graph
     started = time.perf_counter()
     pos, structures = mine_positive_dict(graph, args.k, max_degree=args.max_degree)
     elapsed = time.perf_counter() - started
@@ -184,7 +168,7 @@ def cmd_mine(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    graph, _ = intern_graph(read_triple_file(args.train))
+    graph = load_dataset(args.train).graph
     started = time.perf_counter()
     stats = structure_stats(graph, args.k, max_degree=args.max_degree)
     elapsed = time.perf_counter() - started
@@ -325,6 +309,8 @@ def cmd_ttest(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    if args.seed is not None:
+        raise UsageError("--seed is not accepted: run i of an experiment uses seed --base-seed + i")
     cfg = _config_from_args(args)
     spec = ExperimentSpec(
         train_path=args.train,

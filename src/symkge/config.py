@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import enum
+import numbers
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import BadValueError, UnknownKeyError
 from .model import ScorerKind
 
 MARGIN_RANKING = "margin_ranking"
 BINARY_CROSS_ENTROPY = "binary_cross_entropy"
+TASK_LOSSES = (MARGIN_RANKING, BINARY_CROSS_ENTROPY)
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real}
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Every training option: each field is a config-file key, parsed by the type
+    of its default, and a CLI flag --<name> ('_' as '-', or metadata "flag")."""
+
     k: int = 2
     m: int = 50
     alpha: float = 0.001
@@ -21,17 +28,17 @@ class TrainConfig:
     lr: float = 1e-3
     epochs: int = 500
     batch_size: int = 512
-    n_negatives: int = 10
+    n_negatives: int = field(default=10, metadata={"flag": "negatives"})
     margin: float = 1.0
     seed: int = 0
     scorer: ScorerKind = ScorerKind.TRANSE
-    task_loss: str = ""  # resolved from scorer when left empty
+    task_loss: str = field(default="", metadata={"choices": TASK_LOSSES})  # "": from scorer
     renormalize: bool = False
 
     def __post_init__(self):
+        _validate(self)
         if not self.task_loss:
             object.__setattr__(self, "task_loss", default_task_loss(self.scorer))
-        _validate(self)
 
 
 def default_task_loss(scorer: ScorerKind) -> str:
@@ -40,6 +47,12 @@ def default_task_loss(scorer: ScorerKind) -> str:
 
 
 def _validate(cfg: TrainConfig) -> None:
+    for f in fields(cfg):
+        value, kind = getattr(cfg, f.name), type(f.default)
+        # an int fits a float field; bool is an int subclass, yet only bool fields take one
+        if (isinstance(value, bool) != (kind is bool)
+                or not isinstance(value, _ACCEPTS.get(kind, kind))):
+            raise BadValueError(f"{f.name} must be of type {kind.__name__}, got {value!r}")
     if cfg.k not in (1, 2, 3):
         raise BadValueError(f"k must be 1, 2, or 3, got {cfg.k}")
     if cfg.m < 1:
@@ -52,12 +65,12 @@ def _validate(cfg: TrainConfig) -> None:
         raise BadValueError(f"lr must be >= 0, got {cfg.lr}")
     if cfg.margin <= 0:
         raise BadValueError(f"margin must be > 0, got {cfg.margin}")
-    if cfg.task_loss not in (MARGIN_RANKING, BINARY_CROSS_ENTROPY):
+    if cfg.task_loss and cfg.task_loss not in TASK_LOSSES:
         raise BadValueError(f"unknown task loss {cfg.task_loss!r}")
 
 
 def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
+    lowered = raw.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
@@ -65,28 +78,16 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
-def _parse_scorer(raw: str) -> ScorerKind:
-    try:
-        return ScorerKind(raw.strip().lower())
-    except ValueError:
-        raise ValueError(raw) from None
+def _parse_value(kind: type, raw: str) -> object:
+    """A config-file value for a field whose default is of type kind."""
+    if kind is bool:
+        return _parse_bool(raw)
+    if issubclass(kind, enum.Enum):
+        return kind(raw.lower())
+    return kind(raw)
 
 
-_PARSERS = {
-    "k": int,
-    "m": int,
-    "alpha": float,
-    "dim": int,
-    "lr": float,
-    "epochs": int,
-    "batch_size": int,
-    "n_negatives": int,
-    "margin": float,
-    "seed": int,
-    "scorer": _parse_scorer,
-    "task_loss": str.strip,
-    "renormalize": _parse_bool,
-}
+_KINDS = {f.name: type(f.default) for f in fields(TrainConfig)}
 
 
 def parse_config(
@@ -110,25 +111,22 @@ def parse_config(
                     raise BadValueError(f"{path}:{lineno}: expected key=value")
                 key, _, raw = stripped.partition("=")
                 key = key.strip()
-                if key not in _PARSERS:
+                if key not in _KINDS:
                     raise UnknownKeyError(f"{path}:{lineno}: unknown key {key!r}")
                 try:
-                    values[key] = _PARSERS[key](raw.strip())
+                    values[key] = _parse_value(_KINDS[key], raw.strip())
                 except ValueError:
                     raise BadValueError(
                         f"{path}:{lineno}: bad value {raw.strip()!r} for {key}"
                     ) from None
 
     for key, value in (cli_overrides or {}).items():
-        if key not in _PARSERS:
+        if key not in _KINDS:
             raise UnknownKeyError(f"unknown config key {key!r}")
         if value is not None:
             values[key] = value
 
-    try:
-        return TrainConfig(**values)  # type: ignore[arg-type]
-    except TypeError as exc:
-        raise BadValueError(str(exc)) from None
+    return TrainConfig(**values)  # type: ignore[arg-type]
 
 
 def config_as_dict(cfg: TrainConfig) -> dict[str, object]:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from .config import TrainConfig, config_as_dict
 from .errors import DataError, SymkgeError
 from .evaluation import evaluate_split, students_t_test
-from .graph import Dataset, load_dataset
+from .graph import Dataset, Triple, load_dataset
 from .mining import PositiveDict, mine_positive_dict
 from .training import train
 
@@ -51,9 +51,9 @@ def _mean_metrics(entries: list[dict[str, object]]) -> dict[str, float]:
     return {k: sum(float(e[k]) for e in entries) / len(entries) for k in keys}
 
 
-# (dataset, spec, pos_dict) in each pool worker, set once by the pool's
+# (dataset, spec, pos_dict, known) in each pool worker, set once by the pool's
 # initializer, so that run tasks carry only (arm, run_index, with_positives).
-_RUN_INPUTS: tuple[Dataset, ExperimentSpec, PositiveDict | None] | None = None
+_RUN_INPUTS: tuple[Dataset, ExperimentSpec, PositiveDict | None, set[Triple]] | None = None
 
 
 def _init_run_worker(*inputs) -> None:
@@ -63,10 +63,9 @@ def _init_run_worker(*inputs) -> None:
 
 def _single_run(arm: str, run_index: int, with_positives: bool, inputs=None) -> dict[str, object]:
     """One seeded run of an arm; inputs defaults to a pool worker's _RUN_INPUTS."""
-    dataset, spec, pos_dict = inputs or _RUN_INPUTS
+    dataset, spec, pos_dict, known = inputs or _RUN_INPUTS
     seed = spec.base_seed + run_index
     cfg = replace(spec.config, seed=seed)
-    known = set(dataset.train) | set(dataset.valid) | set(dataset.test)
     try:
         result = train(dataset.graph, pos_dict if with_positives else None, cfg)
         report = evaluate_split(result.table, cfg.scorer, dataset.test, known)
@@ -116,7 +115,8 @@ def run_experiment(
             mined = sum(len(s) for s in pos_dict.targets)
             progress(f"mined positive dictionary: {mined} directed pairs")
 
-    inputs = (dataset, spec, pos_dict)
+    known = set(dataset.train) | set(dataset.valid) | set(dataset.test)
+    inputs = (dataset, spec, pos_dict, known)
     run_pool = None
     if workers > 1 and spec.runs > 1:
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None

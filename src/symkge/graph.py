@@ -8,9 +8,10 @@ h --(r, forward)--> t and as t --(r, inverse)--> h.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import EmptyDatasetError, MalformedTripleError, UnknownEntityError
 
@@ -44,12 +45,6 @@ class LabelMaps:
     entity_ids: dict[str, int]
     relation_ids: dict[str, int]
 
-    def entity_label(self, eid: int) -> str:
-        return self.entity_labels[eid]
-
-    def relation_label(self, rid: int) -> str:
-        return self.relation_labels[rid]
-
 
 @dataclass(frozen=True)
 class UnionGraph:
@@ -74,30 +69,20 @@ class UnionGraph:
         return len(self.out_index[e])
 
 
-def _build_out_index(
-    triples: Sequence[Triple], entity_count: int
-) -> tuple[tuple[tuple[SignedRelation, int], ...], ...]:
-    buckets: list[list[tuple[SignedRelation, int]]] = [[] for _ in range(entity_count)]
+def _union_graph(triples: tuple[Triple, ...], labels: LabelMaps) -> UnionGraph:
+    """The union graph of triples over every entity and relation of labels."""
+    buckets: list[list[tuple[SignedRelation, int]]] = [[] for _ in labels.entity_labels]
+    forward = [SignedRelation(r, FORWARD) for r in range(len(labels.relation_labels))]
+    inverse = [SignedRelation(r, INVERSE) for r in range(len(labels.relation_labels))]
     for h, r, t in triples:
-        buckets[h].append((SignedRelation(r, FORWARD), t))
-        buckets[t].append((SignedRelation(r, INVERSE), h))
-    return tuple(tuple(sorted(b)) for b in buckets)
-
-
-class _Interner:
-    """Assigns dense ids in first-appearance order."""
-
-    def __init__(self) -> None:
-        self.ids: dict[str, int] = {}
-        self.labels: list[str] = []
-
-    def intern(self, label: str) -> int:
-        eid = self.ids.get(label)
-        if eid is None:
-            eid = len(self.labels)
-            self.ids[label] = eid
-            self.labels.append(label)
-        return eid
+        buckets[h].append((forward[r], t))
+        buckets[t].append((inverse[r], h))
+    return UnionGraph(
+        triples=triples,
+        out_index=tuple(tuple(sorted(b)) for b in buckets),
+        entity_count=len(labels.entity_labels),
+        relation_count=len(labels.relation_labels),
+    )
 
 
 def intern_graph(raw_triples: Iterable[RawTriple]) -> tuple[UnionGraph, LabelMaps]:
@@ -105,35 +90,16 @@ def intern_graph(raw_triples: Iterable[RawTriple]) -> tuple[UnionGraph, LabelMap
 
     Duplicate triples are dropped (first occurrence wins).
     """
-    entities = _Interner()
-    relations = _Interner()
-
-    seen: dict[Triple, None] = {}
-    for row in raw_triples:
+    rows = list(raw_triples)
+    for row in rows:
         if len(row) != 3:
             raise MalformedTripleError(f"expected 3 fields, got {len(row)}: {row!r}")
-        h, r, t = row
-        if not h or not r or not t:
+        if not all(row):
             raise MalformedTripleError(f"empty field in triple {row!r}")
-        seen.setdefault(Triple(entities.intern(h), relations.intern(r), entities.intern(t)))
-
-    if not seen:
+    if not rows:
         raise EmptyDatasetError("no triples to intern")
-
-    triples = tuple(seen)
-    graph = UnionGraph(
-        triples=triples,
-        out_index=_build_out_index(triples, len(entities.labels)),
-        entity_count=len(entities.labels),
-        relation_count=len(relations.labels),
-    )
-    maps = LabelMaps(
-        entity_labels=tuple(entities.labels),
-        relation_labels=tuple(relations.labels),
-        entity_ids=dict(entities.ids),
-        relation_ids=dict(relations.ids),
-    )
-    return graph, maps
+    labels = _extend_vocab(rows)
+    return _union_graph(_to_id_triples(rows, labels), labels), labels
 
 
 def signed_neighbors(graph: UnionGraph, e: int) -> tuple[tuple[SignedRelation, int], ...]:
@@ -179,11 +145,28 @@ class Dataset:
     test: tuple[Triple, ...]
 
 
-def _to_id_triples(raw: Iterable[RawTriple], labels: LabelMaps) -> tuple[Triple, ...]:
-    seen: dict[Triple, None] = {}
+def _extend_vocab(raw: Iterable[RawTriple]) -> LabelMaps:
+    """Label maps over every label of raw, with ids in first-appearance order."""
+    entity_ids: dict[str, int] = {}
+    relation_ids: dict[str, int] = {}
     for h, r, t in raw:
-        seen.setdefault(Triple(labels.entity_ids[h], labels.relation_ids[r], labels.entity_ids[t]))
-    return tuple(seen)
+        entity_ids.setdefault(h, len(entity_ids))
+        relation_ids.setdefault(r, len(relation_ids))
+        entity_ids.setdefault(t, len(entity_ids))
+    return LabelMaps(
+        entity_labels=tuple(entity_ids),
+        relation_labels=tuple(relation_ids),
+        entity_ids=entity_ids,
+        relation_ids=relation_ids,
+    )
+
+
+def _to_id_triples(raw: Iterable[RawTriple], labels: LabelMaps) -> tuple[Triple, ...]:
+    """Id triples of raw, duplicates dropped (first occurrence wins)."""
+    entity_ids, relation_ids = labels.entity_ids, labels.relation_ids
+    return tuple(dict.fromkeys(
+        Triple(entity_ids[h], relation_ids[r], entity_ids[t]) for h, r, t in raw
+    ))
 
 
 def load_dataset(
@@ -198,43 +181,12 @@ def load_dataset(
     if not raw_train:
         raise EmptyDatasetError(f"{train_path}: no triples")
 
-    graph, labels = intern_graph(raw_train)
-    for extra in (raw_valid, raw_test):
-        if extra:
-            labels = _extend_vocab(extra, labels)
-
-    # Pad the adjacency index so it covers valid/test-only entities too;
-    # the edge set stays train-only.
-    full_graph = UnionGraph(
-        triples=graph.triples,
-        out_index=graph.out_index
-        + tuple(() for _ in range(len(labels.entity_labels) - graph.entity_count)),
-        entity_count=len(labels.entity_labels),
-        relation_count=len(labels.relation_labels),
-    )
+    labels = _extend_vocab(itertools.chain(raw_train, raw_valid, raw_test))
+    graph = _union_graph(_to_id_triples(raw_train, labels), labels)
     return Dataset(
-        graph=full_graph,
+        graph=graph,
         labels=labels,
-        train=full_graph.triples,
+        train=graph.triples,
         valid=_to_id_triples(raw_valid, labels),
         test=_to_id_triples(raw_test, labels),
-    )
-
-
-def _extend_vocab(raw: Iterable[RawTriple], labels: LabelMaps) -> LabelMaps:
-    entities = _Interner()
-    entities.ids = dict(labels.entity_ids)
-    entities.labels = list(labels.entity_labels)
-    relations = _Interner()
-    relations.ids = dict(labels.relation_ids)
-    relations.labels = list(labels.relation_labels)
-    for h, r, t in raw:
-        entities.intern(h)
-        relations.intern(r)
-        entities.intern(t)
-    return LabelMaps(
-        entity_labels=tuple(entities.labels),
-        relation_labels=tuple(relations.labels),
-        entity_ids=dict(entities.ids),
-        relation_ids=dict(relations.ids),
     )

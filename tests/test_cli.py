@@ -267,6 +267,9 @@ def test_usage_error_exit_code(capsys):
     assert main(["mine", "--train", "x", "--k", "not_an_int", "--out", "y"]) == 1
     # --threads belongs to experiment alone, and --parallel-runs is gone
     assert main(["experiment", "--train", "x", "--test", "y", "--parallel-runs"]) == 1
+    # experiment seeds its runs from --base-seed alone
+    assert main(["experiment", "--train", "x", "--test", "y", "--seed", "1"]) == 1
+    assert "--base-seed" in capsys.readouterr().err
     for argv in (
         ["mine", "--train", "x", "--k", "1", "--out", "y"],
         ["stats", "--train", "x", "--k", "1"],

@@ -90,6 +90,14 @@ def test_invalid_ranges_rejected():
         TrainConfig(lr=-1.0)
     with pytest.raises(BadValueError):
         TrainConfig(task_loss="nonsense")
+    # fields are checked against their declared types
+    with pytest.raises(BadValueError):
+        TrainConfig(scorer="transe")
+    with pytest.raises(BadValueError):
+        TrainConfig(dim=4.0)
+    with pytest.raises(BadValueError):
+        TrainConfig(batch_size=8.5)
+    assert TrainConfig(alpha=0).alpha == 0  # an int is a valid float
 
 
 def test_zero_lr_allowed():

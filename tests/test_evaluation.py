@@ -217,6 +217,69 @@ def test_batched_ranks_match_oracle(monkeypatch, one_query_per_chunk):
     assert any(rescored), "no example exercised the re-scored band"
 
 
+def _adversarial_bounds(cls, rngs):
+    """bounds() whose every interval still holds the exact score() but is moved.
+
+    Per candidate the interval is, at random: exactly [s, s]; the real
+    bounds; endpoints snapped to other candidates' scores in the same row
+    (the query's own score among them); infinite; or NaN.
+    """
+    real_bounds = cls.bounds
+
+    def bounds(h, r, entities):
+        rng = rngs[-1]
+        n_q, n_e = len(h), len(entities)
+        rows, ids = np.repeat(np.arange(n_q), n_e), np.tile(np.arange(n_e), n_q)
+        s = cls.score(h[rows], r[rows], entities[ids]).reshape(n_q, n_e)
+        real_lo, real_hi = real_bounds(h, r, entities)
+        snap_lo, snap_hi = s.copy(), s.copy()
+        for i, row in enumerate(s):
+            ordered = np.sort(row)
+            n_le = np.searchsorted(ordered, row, side="right")
+            n_lt = np.searchsorted(ordered, row, side="left")
+            snap_lo[i] = ordered[(rng.random(n_e) * n_le).astype(np.int64)]
+            snap_hi[i] = ordered[n_lt + (rng.random(n_e) * (n_e - n_lt)).astype(np.int64)]
+        choices = [
+            (s, s),
+            (np.minimum(real_lo, s), np.maximum(real_hi, s)),
+            (snap_lo, snap_hi),
+            (np.full_like(s, -np.inf), np.full_like(s, np.inf)),
+            (np.full_like(s, np.nan), np.full_like(s, np.nan)),
+        ]
+        mode = rng.integers(0, len(choices), size=s.shape)
+        lo = np.choose(mode, [c[0] for c in choices])
+        hi = np.choose(mode, [c[1] for c in choices])
+        assert ((lo <= s) | np.isnan(lo)).all() and ((s <= hi) | np.isnan(hi)).all()
+        return lo, hi
+
+    return staticmethod(bounds)
+
+
+def test_ranks_exact_under_adversarial_bounds(monkeypatch):
+    """Ranks depend only on bounds() containing the score, not on the BLAS."""
+    rngs = []
+    for cls in SCORERS.values():
+        monkeypatch.setattr(cls, "bounds", _adversarial_bounds(cls, rngs))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_hard_tables(), st.sampled_from(list(ScorerKind)), st.integers(0, 2**32 - 1))
+    def check(case, kind, seed):
+        rngs.append(np.random.default_rng(seed))
+        table, split, known = case
+        triples = np.repeat(np.asarray(split, dtype=np.int64), 2, axis=0)
+        got = evaluation._filtered_ranks(table, kind, triples,
+                                         np.tile([True, False], len(split)), known)
+        want = []
+        for h, r, t in split:
+            heads = {kh for kh, kr, kt in known if (kr, kt) == (r, t)}
+            tails = {kt for kh, kr, kt in known if (kh, kr) == (h, r)}
+            want += [rank_one(table, kind, (h, r, t), HEAD, heads),
+                     rank_one(table, kind, (h, r, t), TAIL, tails)]
+        assert got.tolist() == want
+
+    check()
+
+
 _THREADED_EVAL = """
 import hashlib, sys
 import numpy as np

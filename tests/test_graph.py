@@ -150,3 +150,43 @@ def test_self_loop_kept():
     graph, _ = intern_graph([("a", "r", "a"), ("a", "r", "b")])
     assert len(graph.triples) == 2
     assert len(graph.out_index[0]) == 3  # loop contributes forward and inverse
+
+
+def _write_split(path, rows):
+    path.write_text("".join(f"{h}\t{r}\t{t}\n" for h, r, t in rows), encoding="utf-8")
+    return path
+
+
+def test_load_dataset_matches_interning_splits_in_order(tmp_path):
+    late_entities = late_relations = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        train = random_raw_triples(rng, 10, 30, 3)
+        valid = random_raw_triples(rng, 15, 12, 5) + train[:2]
+        test = random_raw_triples(rng, 15, 12, 5)
+        test += test[:3]  # duplicate rows within a split
+        ds = load_dataset(_write_split(tmp_path / "train.tsv", train),
+                          _write_split(tmp_path / "valid.tsv", valid),
+                          _write_split(tmp_path / "test.tsv", test))
+
+        train_graph, train_labels = intern_graph(train)
+        _, all_labels = intern_graph(train + valid + test)
+        assert ds.labels == all_labels
+        assert ds.graph.triples == ds.train == train_graph.triples
+        assert ds.graph.entity_count == len(all_labels.entity_labels)
+        assert ds.graph.relation_count == len(all_labels.relation_labels)
+        n_train = train_graph.entity_count
+        assert ds.graph.out_index[:n_train] == train_graph.out_index
+        assert all(edges == () for edges in ds.graph.out_index[n_train:])
+        late_entities += ds.graph.entity_count - n_train
+        late_relations += ds.graph.relation_count - train_graph.relation_count
+
+        for split, rows in ((ds.valid, valid), (ds.test, test)):
+            want = []
+            for h, r, t in rows:
+                triple = (all_labels.entity_ids[h], all_labels.relation_ids[r],
+                          all_labels.entity_ids[t])
+                if triple not in want:
+                    want.append(triple)
+            assert list(split) == want
+    assert late_entities and late_relations  # valid/test-only labels were exercised
