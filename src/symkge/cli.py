@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import __version__
-from .config import TrainConfig, parse_config
+from .config import TrainConfig, parse_config, read_config_file
 from .errors import (
     BadValueError,
     DataError,
@@ -309,8 +309,8 @@ def cmd_ttest(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.seed is not None:
-        raise UsageError("--seed is not accepted: run i of an experiment uses seed --base-seed + i")
+    if args.seed is not None or "seed" in read_config_file(args.config):
+        raise UsageError("--seed or a config seed is refused: run i uses seed --base-seed + i")
     cfg = _config_from_args(args)
     spec = ExperimentSpec(
         train_path=args.train,

@@ -90,15 +90,11 @@ def _parse_value(kind: type, raw: str) -> object:
 _KINDS = {f.name: type(f.default) for f in fields(TrainConfig)}
 
 
-def parse_config(
-    path: str | os.PathLike[str] | None,
-    cli_overrides: dict[str, object] | None = None,
-) -> TrainConfig:
-    """Resolve a TrainConfig: CLI flags > file values > built-in defaults.
+def read_config_file(path: str | os.PathLike[str] | None) -> dict[str, object]:
+    """The values a key=value config file sets, by key; {} for no file.
 
-    The file is plain key=value lines; blank lines and '#' comments are
-    skipped. Unknown keys and unparseable values are errors with the line
-    number attached.
+    Blank lines and '#' comments are skipped. Unknown keys and unparseable
+    values are errors with the line number attached.
     """
     values: dict[str, object] = {}
     if path is not None:
@@ -119,7 +115,15 @@ def parse_config(
                     raise BadValueError(
                         f"{path}:{lineno}: bad value {raw.strip()!r} for {key}"
                     ) from None
+    return values
 
+
+def parse_config(
+    path: str | os.PathLike[str] | None,
+    cli_overrides: dict[str, object] | None = None,
+) -> TrainConfig:
+    """Resolve a TrainConfig: CLI flags > file values > built-in defaults."""
+    values = read_config_file(path)
     for key, value in (cli_overrides or {}).items():
         if key not in _KINDS:
             raise UnknownKeyError(f"unknown config key {key!r}")

@@ -17,7 +17,7 @@ from .errors import (
     UnknownEntityError,
 )
 from .graph import Triple
-from .model import SCORERS, EmbeddingTable, ScorerKind
+from .model import SCORERS, EmbeddingTable, ScorerKind, squared_norms
 
 HEAD = "head"
 TAIL = "tail"
@@ -98,6 +98,7 @@ def _filtered_ranks(
     true_ids = np.where(corrupt_head, h, t)
     known_keys, known_ids = _known_csr(known, n_e, n_r)
     filter_keys = _filter_keys(h, r, t, corrupt_head, n_e, n_r)
+    entity_sq = squared_norms(entities)
 
     ranks = np.empty(len(triples), dtype=np.float64)
     chunk = max(1, _RANK_BLOCK_FLOATS // n_e)
@@ -110,7 +111,7 @@ def _filtered_ranks(
         own = scorer.score(anchors, rels, entities[truth])
         if not np.isfinite(own).all():
             raise NonFiniteTableError("query scores overflow the float range")
-        lo_bound, hi_bound = scorer.bounds(anchors, rels, entities)
+        lo_bound, hi_bound = scorer.bounds(anchors, rels, entities, entity_sq)
         higher = lo_bound > own[:, None]
         band = ~(higher | (hi_bound < own[:, None]))  # NaN bounds land in the band
 

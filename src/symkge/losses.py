@@ -22,11 +22,12 @@ import numpy as np
 from .config import BINARY_CROSS_ENTROPY, MARGIN_RANKING, TrainConfig
 from .errors import DegenerateVectorError, KMismatchError
 from .mining import PositiveDict, sample_positives
-from .model import SCORERS, EmbeddingTable, ScorerKind, score_batch
+from .model import SCORERS, EmbeddingTable, ScorerKind
 
 NORM_EPS = 1e-12
-# Floats per dense array in the alignment step; bounds its temporary memory.
+# Floats per dense array in a block of the alignment or the task step.
 _ALIGN_BLOCK_FLOATS = 1 << 19
+_TASK_BLOCK_FLOATS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -38,10 +39,23 @@ class LossBreakdown:
 
 @dataclass
 class Gradients:
-    """Dense gradient tables matching the embedding table shapes."""
+    """Row-sparse: entity[i] is the gradient of entity row entity_rows[i] (sorted,
+    distinct), likewise for relations; every other row's gradient is +0.0."""
 
+    entity_rows: np.ndarray
     entity: np.ndarray
+    relation_rows: np.ndarray
     relation: np.ndarray
+
+
+def _ordered_sum(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ids, and for each the sum of the rows carrying it, added in
+    order from +0.0 as bincount does: bit-identical to np.add.at into zeros."""
+    distinct, slot = np.unique(ids, return_inverse=True)
+    dim = rows.shape[1]
+    flat = (slot[:, None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(flat, weights=rows.ravel(), minlength=len(distinct) * dim)
+    return distinct, sums.reshape(len(distinct), dim)
 
 
 def positive_sample_seed(seed: int, epoch: int, anchor: int) -> int:
@@ -106,9 +120,7 @@ def task_loss(
     margin_ranking: mean over pairs of max(0, margin - s_pos + s_neg).
     binary_cross_entropy: mean over pairs of -log s(s_pos) - log s(-s_neg).
     """
-    batch = np.asarray(batch, dtype=np.int64)
-    negatives = np.asarray(negatives, dtype=np.int64)
-    return _task_forward_backward(table, kind, batch, negatives, cfg, None)
+    return _combined(table, kind, batch, negatives, None, cfg, 0, False)[0].task
 
 
 # ---------------------------------------------------------------------------
@@ -116,23 +128,19 @@ def task_loss(
 # ---------------------------------------------------------------------------
 
 
-def _add_score_grads(
-    table: EmbeddingTable,
-    kind: ScorerKind,
-    h_idx: np.ndarray,
-    r_idx: np.ndarray,
-    t_idx: np.ndarray,
-    coeff: np.ndarray,
-    grads: Gradients,
-) -> None:
-    """Scatter-add coeff[i] * d score_i / d vec into the gradient tables."""
-    d_h, d_r, d_t = SCORERS[kind].partials(
-        table.entity_vecs[h_idx], table.relation_vecs[r_idx], table.entity_vecs[t_idx]
-    )
-    c = coeff[:, None]
-    np.add.at(grads.entity, h_idx, d_h * c)
-    np.add.at(grads.relation, r_idx, d_r * c)
-    np.add.at(grads.entity, t_idx, d_t * c)
+def _pair_terms(pos: np.ndarray, neg: np.ndarray, cfg: TrainConfig, n_pairs: int):
+    """Per-pair loss terms, and d loss / d score of positives (B,) and negatives (B, N)."""
+    if cfg.task_loss == MARGIN_RANKING:
+        hinge = cfg.margin - pos[:, None] + neg
+        active = hinge > 0.0
+        d_pos = -active.sum(axis=1).astype(np.float64) / n_pairs
+        return np.maximum(0.0, hinge), d_pos, active.astype(np.float64) / n_pairs
+    if cfg.task_loss == BINARY_CROSS_ENTROPY:
+        per_pair = -_log_sigmoid(pos)[:, None] - _log_sigmoid(-neg)
+        # d/ds_pos of -log s(s_pos) = s(s_pos) - 1, repeated over its negatives.
+        d_pos = (_sigmoid(pos) - 1.0) * (neg.shape[1] / n_pairs)
+        return per_pair, d_pos, _sigmoid(neg) / n_pairs
+    raise ValueError(f"unknown task loss {cfg.task_loss!r}")
 
 
 def _task_forward_backward(
@@ -141,42 +149,53 @@ def _task_forward_backward(
     batch: np.ndarray,
     negatives: np.ndarray,
     cfg: TrainConfig,
-    grads: Gradients | None,
-) -> float:
-    pos_scores = score_batch(table, kind, batch[:, 0], batch[:, 1], batch[:, 2])
+    backward: bool,
+    then: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[float, Gradients | None]:
+    """Mean task loss over (positive, negative) pairs, and with backward its gradients.
+
+    Each block of positives and their negatives gathers its rows once. Scaled
+    partials land in slots in the order one scatter of the batch adds them:
+    positive heads, positive tails, negative heads, negative tails, then the
+    (ids, rows) in then. A pair with coefficient exactly 0 would add +-0 to
+    sums that start at +0.0, changing no bit while partials are finite: skipped.
+    """
+    scorer = SCORERS[kind]
+    n_pos, n_neg = negatives.shape[:2]
+    n_pairs = n_pos * n_neg
     flat = negatives.reshape(-1, 3)
-    neg_scores = score_batch(table, kind, flat[:, 0], flat[:, 1], flat[:, 2]).reshape(
-        negatives.shape[0], negatives.shape[1]
-    )
-    n_pairs = neg_scores.size
-
-    if cfg.task_loss == MARGIN_RANKING:
-        hinge = cfg.margin - pos_scores[:, None] + neg_scores
-        active = hinge > 0.0
-        value = float(np.maximum(0.0, hinge).mean())
-        if grads is not None:
-            d_pos = -active.sum(axis=1).astype(np.float64) / n_pairs
-            d_neg = active.astype(np.float64) / n_pairs
-            _add_score_grads(table, kind, batch[:, 0], batch[:, 1], batch[:, 2], d_pos, grads)
-            _add_score_grads(
-                table, kind, flat[:, 0], flat[:, 1], flat[:, 2], d_neg.reshape(-1), grads
-            )
-        return value
-
-    if cfg.task_loss == BINARY_CROSS_ENTROPY:
-        per_pair = -_log_sigmoid(pos_scores)[:, None] - _log_sigmoid(-neg_scores)
-        value = float(per_pair.mean())
-        if grads is not None:
-            # d/ds_pos of -log s(s_pos) = s(s_pos) - 1, repeated over its negatives.
-            d_pos = (_sigmoid(pos_scores) - 1.0) * (negatives.shape[1] / n_pairs)
-            d_neg = _sigmoid(neg_scores) / n_pairs
-            _add_score_grads(table, kind, batch[:, 0], batch[:, 1], batch[:, 2], d_pos, grads)
-            _add_score_grads(
-                table, kind, flat[:, 0], flat[:, 1], flat[:, 2], d_neg.reshape(-1), grads
-            )
-        return value
-
-    raise ValueError(f"unknown task loss {cfg.task_loss!r}")
+    per_pair = np.empty((n_pos, n_neg))
+    if backward:
+        then_ids, then_rows = then or (np.empty(0, np.int64), np.empty((0, table.dim)))
+        ent_ids = np.concatenate([batch[:, 0], batch[:, 2], flat[:, 0], flat[:, 2], then_ids])
+        ent_slots = np.zeros((len(ent_ids), table.dim))
+        ent_slots[len(ent_ids) - len(then_rows) :] = then_rows
+        rel_slots = np.zeros((n_pos + n_pairs, table.dim))
+    chunk = max(1, _TASK_BLOCK_FLOATS // ((1 + n_neg) * table.dim))
+    for lo in range(0, n_pos, chunk):
+        n = min(chunk, n_pos - lo)
+        h, r, t = np.concatenate([batch[lo : lo + n], flat[lo * n_neg : (lo + n) * n_neg]]).T
+        scores, scaled_partials = scorer.forward(
+            table.entity_vecs[h], table.relation_vecs[r], table.entity_vecs[t]
+        )
+        per_pair[lo : lo + n], d_pos, d_neg = _pair_terms(
+            scores[:n], scores[n:].reshape(n, n_neg), cfg, n_pairs
+        )
+        if backward:
+            coeff = np.concatenate([d_pos, d_neg.ravel()])
+            keep = np.flatnonzero(coeff)
+            d_h, d_r, d_t = scaled_partials(keep, coeff[keep])
+            # Pair index: positives 0..n_pos, then negatives in flat order.
+            is_pos = keep < n
+            pair = np.where(is_pos, lo + keep, n_pos + lo * n_neg + keep - n)
+            rel_slots[pair] = d_r
+            ent_slots[np.where(is_pos, pair, pair + n_pos)] = d_h
+            ent_slots[np.where(is_pos, pair + n_pos, pair + n_pos + n_pairs)] = d_t
+    value = float(per_pair.mean())
+    if not backward:
+        return value, None
+    rel_ids = np.concatenate([batch[:, 1], flat[:, 1]])
+    return value, Gradients(*_ordered_sum(ent_ids, ent_slots), *_ordered_sum(rel_ids, rel_slots))
 
 
 def _contrastive_forward_backward(
@@ -185,16 +204,15 @@ def _contrastive_forward_backward(
     pos_dict: PositiveDict | None,
     cfg: TrainConfig,
     epoch: int,
-    grad_entity: np.ndarray | None,
-) -> float:
-    """Mean alignment loss over anchor occurrences with nonempty positives.
-
-    With grad_entity given, cfg.alpha times the loss gradient is added into
-    it; the term never touches relations. Every sum runs in the order of a
-    loop over occurrences, so results are bit-identical to that loop.
+    backward: bool,
+) -> tuple[float, tuple[np.ndarray, np.ndarray] | None]:
+    """Mean alignment loss over anchor occurrences with nonempty positives and,
+    with backward, cfg.alpha times its gradient: touched entity rows, sorted,
+    and their gradients. Every sum runs in the order of a loop over
+    occurrences, so results are bit-identical to that loop.
     """
     if pos_dict is None:
-        return 0.0
+        return 0.0, None
     # The positive stream depends on the anchor, not the occurrence.
     uniq, occ = np.unique(anchors, return_inverse=True)
     sampled = [
@@ -204,15 +222,13 @@ def _contrastive_forward_backward(
     counts = np.array([len(p) for p in sampled], dtype=np.int64)
     occ = occ[counts[occ] > 0]
     if occ.size == 0:
-        return 0.0
+        return 0.0, None
     # Distinct anchor u's positives are flat[first[u] : first[u] + counts[u]].
     flat = np.fromiter(itertools.chain.from_iterable(sampled), np.int64, int(counts.sum()))
     first = np.cumsum(counts) - counts
 
     n_occ, dim = occ.size, table.entity_vecs.shape[1]
-    if grad_entity is not None:
-        rows = np.unique(np.concatenate([uniq[counts > 0], flat]))
-        compact = np.zeros((len(rows), dim))
+    grad_ids, grad_rows = [], []
     total = 0.0
     chunk = max(1, _ALIGN_BLOCK_FLOATS // ((1 + cfg.m) * dim))
     for lo in range(0, n_occ, chunk):
@@ -239,28 +255,25 @@ def _contrastive_forward_backward(
             p_hat = p / p_norms[:, :, None]
             diff = a_hat - p_hat
             per_anchor[group] = (diff * diff).sum(axis=-1).mean(axis=1)
-            if grad_entity is not None:
+            if backward:
                 cos = (p_hat * a_hat).sum(axis=-1)[:, :, None]
                 w = 2.0 / (n_occ * m_a)
                 grad[slots[:, 0]] = (-w / a_norm)[:, None] * (p_hat - cos * a_hat).sum(axis=1)
                 grad[slots[:, 1:]] = -w / p_norms[:, :, None] * (a_hat - cos * p_hat)
         for value in per_anchor[local].tolist():
             total += value
-        if grad_entity is not None:
+        if backward:
             # The chunk's occurrences' blocks, back to back in occurrence order.
             lengths = lengths[local]
             ends = np.cumsum(lengths)
             gather = np.arange(ends[-1]) + np.repeat(start[local] - (ends - lengths), lengths)
-            np.add.at(compact, np.searchsorted(rows, ids[gather]), grad[gather])
-    if grad_entity is not None:
-        compact *= cfg.alpha
-        grad_entity[rows] += compact
-    return total / n_occ
-
-
-def _batch_anchors(batch: np.ndarray) -> np.ndarray:
-    """Both endpoints of every batch triple act as anchor occurrences."""
-    return np.concatenate([batch[:, 0], batch[:, 2]])
+            grad_ids.append(ids[gather])
+            grad_rows.append(grad[gather])
+    if not backward:
+        return total / n_occ, None
+    rows, compact = _ordered_sum(np.concatenate(grad_ids), np.concatenate(grad_rows))
+    compact *= cfg.alpha
+    return total / n_occ, (rows, compact)
 
 
 def _check_dict(pos_dict: PositiveDict | None, cfg: TrainConfig) -> None:
@@ -268,6 +281,20 @@ def _check_dict(pos_dict: PositiveDict | None, cfg: TrainConfig) -> None:
         raise KMismatchError(
             f"dictionary mined with hop bound {pos_dict.hop_bound}, config wants {cfg.k}"
         )
+
+
+def _combined(table, kind, batch, negatives, pos_dict, cfg, epoch, backward):
+    _check_dict(pos_dict, cfg)
+    batch = np.asarray(batch, dtype=np.int64)
+    negatives = np.asarray(negatives, dtype=np.int64)
+    # Both endpoints of every triple are anchor occurrences. With alpha == 0
+    # the term is still reported but adds nothing to train on.
+    contrastive, alignment = _contrastive_forward_backward(
+        table, np.concatenate([batch[:, 0], batch[:, 2]]), pos_dict, cfg, epoch,
+        backward and cfg.alpha != 0.0,
+    )
+    task, grads = _task_forward_backward(table, kind, batch, negatives, cfg, backward, alignment)
+    return LossBreakdown(task, contrastive, task + cfg.alpha * contrastive), grads
 
 
 def combined_loss(
@@ -280,14 +307,7 @@ def combined_loss(
     epoch: int = 0,
 ) -> LossBreakdown:
     """task + alpha * alignment over one batch; deterministic given cfg.seed."""
-    _check_dict(pos_dict, cfg)
-    batch = np.asarray(batch, dtype=np.int64)
-    negatives = np.asarray(negatives, dtype=np.int64)
-    task = _task_forward_backward(table, kind, batch, negatives, cfg, None)
-    contrastive = _contrastive_forward_backward(
-        table, _batch_anchors(batch), pos_dict, cfg, epoch, None
-    )
-    return LossBreakdown(task, contrastive, task + cfg.alpha * contrastive)
+    return _combined(table, kind, batch, negatives, pos_dict, cfg, epoch, False)[0]
 
 
 def combined_gradients(
@@ -299,18 +319,5 @@ def combined_gradients(
     cfg: TrainConfig,
     epoch: int = 0,
 ) -> tuple[LossBreakdown, Gradients]:
-    """Analytic gradients of combined_loss w.r.t. every touched embedding."""
-    _check_dict(pos_dict, cfg)
-    batch = np.asarray(batch, dtype=np.int64)
-    negatives = np.asarray(negatives, dtype=np.int64)
-    grads = Gradients(
-        entity=np.zeros_like(table.entity_vecs),
-        relation=np.zeros_like(table.relation_vecs),
-    )
-    task = _task_forward_backward(table, kind, batch, negatives, cfg, grads)
-    # With alpha == 0 the term is still reported but adds nothing to train on.
-    contrastive = _contrastive_forward_backward(
-        table, _batch_anchors(batch), pos_dict, cfg, epoch,
-        grads.entity if cfg.alpha != 0.0 else None,
-    )
-    return LossBreakdown(task, contrastive, task + cfg.alpha * contrastive), grads
+    """Analytic gradients of combined_loss, row-sparse over the touched rows."""
+    return _combined(table, kind, batch, negatives, pos_dict, cfg, epoch, True)

@@ -19,6 +19,11 @@ _UNIT = np.finfo(np.float64).eps / 2  # unit roundoff u
 _ABS_SLACK = 8.0 * np.finfo(np.float64).smallest_subnormal
 
 
+def squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's squared L2 norm, for bounds(), whose slack covers any order."""
+    return np.einsum("ij,ij->i", rows, rows)
+
+
 def _slack(dim: int) -> float:
     """Relative error allowance for bounds() over dim-long rows.
 
@@ -79,26 +84,29 @@ class TransE:
 
     @staticmethod
     def score(h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-        delta = h + r - t
-        return -np.sqrt((delta * delta).sum(axis=-1))
+        return TransE.forward(h, r, t)[0]
 
     @staticmethod
-    def partials(h: np.ndarray, r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    def forward(h: np.ndarray, r: np.ndarray, t: np.ndarray):
         delta = h + r - t
-        norms = np.sqrt((delta * delta).sum(axis=-1, keepdims=True))
-        # Zero distance has no defined direction; use the zero subgradient.
-        unit = delta / np.where(norms > 0.0, norms, 1.0)
-        return -unit, -unit, unit
+        dist = np.sqrt((delta * delta).sum(axis=-1))
+
+        def scaled_partials(rows: np.ndarray, coeff: np.ndarray) -> tuple[np.ndarray, ...]:
+            # Zero distance has no defined direction; use the zero subgradient.
+            norms = dist[rows]
+            d_t = delta[rows] / np.where(norms > 0.0, norms, 1.0)[:, None] * coeff[:, None]
+            d_h = -d_t  # negation is exact: -(unit * c) == (-unit) * c
+            return d_h, d_h, d_t
+        return -dist, scaled_partials
 
     @staticmethod
     def inverse(r: np.ndarray) -> np.ndarray:
         return -r
 
     @staticmethod
-    def bounds(h: np.ndarray, r: np.ndarray, entities: np.ndarray) -> tuple[np.ndarray, ...]:
+    def bounds(h: np.ndarray, r: np.ndarray, entities: np.ndarray, e_sq: np.ndarray):
         q = h + r  # the rows score() subtracts each tail from
-        q_sq = np.einsum("ij,ij->i", q, q)
-        e_sq = np.einsum("ij,ij->i", entities, entities)
+        q_sq = squared_norms(q)
         dist_sq = (-2.0 * q) @ entities.T  # power-of-two scaling is exact
         dist_sq += q_sq[:, None]
         dist_sq += e_sq[None, :]
@@ -122,36 +130,40 @@ class DistMult:
         return (h * r * t).sum(axis=-1)
 
     @staticmethod
-    def partials(h: np.ndarray, r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
-        return r * t, h * t, h * r
+    def forward(h: np.ndarray, r: np.ndarray, t: np.ndarray):
+        def scaled_partials(rows: np.ndarray, coeff: np.ndarray) -> tuple[np.ndarray, ...]:
+            c, h_, r_, t_ = coeff[:, None], h[rows], r[rows], t[rows]
+            return r_ * t_ * c, h_ * t_ * c, h_ * r_ * c
+        return DistMult.score(h, r, t), scaled_partials
 
     @staticmethod
     def inverse(r: np.ndarray) -> np.ndarray:
         return r
 
     @staticmethod
-    def bounds(h: np.ndarray, r: np.ndarray, entities: np.ndarray) -> tuple[np.ndarray, ...]:
+    def bounds(h: np.ndarray, r: np.ndarray, entities: np.ndarray, e_sq: np.ndarray):
         w = h * r  # the rows score() multiplies each tail by
         products = w @ entities.T
         # Any summation order errs by at most gamma * sum |w_k e_k|, and
         # sum |w_k e_k| <= ||w|| ||e||. The padding keeps the norms upper
         # bounds where squares underflow.
         pad = _ABS_SLACK * w.shape[-1]
-        w_norm = np.sqrt(np.einsum("ij,ij->i", w, w) + pad) * _slack(w.shape[-1])
-        e_norm = np.sqrt(np.einsum("ij,ij->i", entities, entities) + pad)
+        w_norm = np.sqrt(squared_norms(w) + pad) * _slack(w.shape[-1])
+        e_norm = np.sqrt(e_sq + pad)
         err = np.multiply.outer(w_norm, e_norm)
         err += pad
         return products - err, np.add(products, err, out=products)
 
 
 # The only place scoring math lives. Each scorer works on rows and broadcasts:
-# score(h, r, t) is higher for more plausible triples; partials(h, r, t) gives
-# the rows of d score / d h, d r, d t; score(t, inverse(r), h) equals
+# score(h, r, t) is higher for more plausible triples; forward(h, r, t) gives
+# those scores and a function of (rows, c) giving, for the rows selected, the
+# rows of c * d score / d h, d r, d t; score(t, inverse(r), h) equals
 # score(h, r, t), so a head query is scored as a tail query of the inverse
-# relation. bounds(h, r, entities) gives, for B query rows and N candidate
-# tails, (B, N) arrays lo and hi with lo <= score(h[i], r[i], entities[j]) <=
-# hi exactly as score() computes it, or a non-finite bound.
-# score() and partials() reduce with ndarray.sum (pairwise, single-threaded,
+# relation. bounds(h, r, entities, squared_norms(entities)) gives, for B query
+# rows and N candidate tails, (B, N) arrays lo and hi with lo <= score(h[i],
+# r[i], entities[j]) <= hi exactly as score() computes it, or a non-finite bound.
+# score() and forward() reduce with ndarray.sum (pairwise, single-threaded,
 # each row on its own) rather than BLAS, so results are bit-stable across
 # thread counts. bounds() is the only BLAS product in the package: its error
 # bound holds for any summation order, so ranking, which decides only clear
@@ -168,12 +180,6 @@ def score(table: EmbeddingTable, kind: ScorerKind, triple: Triple | tuple[int, i
     return float(
         SCORERS[kind].score(table.entity_vecs[h], table.relation_vecs[r], table.entity_vecs[t])
     )
-
-
-def score_batch(
-    table: EmbeddingTable, kind: ScorerKind, h: np.ndarray, r: np.ndarray, t: np.ndarray
-) -> np.ndarray:
-    return SCORERS[kind].score(table.entity_vecs[h], table.relation_vecs[r], table.entity_vecs[t])
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,17 @@ from .model import EmbeddingTable, init_embeddings
 from .graph import UnionGraph
 
 
+# Floats per array in a block of Adam's update, small enough to stay in cache.
+_ADAM_BLOCK_FLOATS = 1 << 15
+
+
 class Adam:
     """Dense Adam over the two embedding matrices (beta1=0.9, beta2=0.999).
 
-    Updates in place, in the operation order of params -= lr * (m / bc1) /
-    (sqrt(v / bc2) + eps). Its two scratch buffers live for one step: kept,
-    they would add two tables to the gradient computation's peak memory.
+    Updates every row in place, a block of rows at a time, in the operation
+    order of params -= lr * (m / bc1) / (sqrt(v / bc2) + eps). A block's rows
+    of the row-sparse gradient go into a zeroed buffer, so the result is
+    bit-identical to one pass over whole tables and a dense gradient.
     """
 
     def __init__(self, table: EmbeddingTable, lr: float, beta1: float = 0.9,
@@ -44,18 +49,25 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for params, grad, m, v in (
-            (table.entity_vecs, grads.entity, self.m_e, self.v_e),
-            (table.relation_vecs, grads.relation, self.m_r, self.v_r),
+        for all_params, rows, values, all_m, all_v in (
+            (table.entity_vecs, grads.entity_rows, grads.entity, self.m_e, self.v_e),
+            (table.relation_vecs, grads.relation_rows, grads.relation, self.m_r, self.v_r),
         ):
-            step, denom = np.empty_like(params), np.empty_like(params)
-            m *= self.beta1
-            m += np.multiply(grad, 1.0 - self.beta1, out=step)
-            v *= self.beta2
-            v += np.multiply(np.multiply(grad, 1.0 - self.beta2, out=step), grad, out=step)
-            np.multiply(np.divide(m, bc1, out=step), self.lr, out=step)
-            np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), self.eps, out=denom)
-            params -= np.divide(step, denom, out=step)
+            size = max(1, _ADAM_BLOCK_FLOATS // all_params.shape[1])
+            scratch = np.empty((3, size, all_params.shape[1]))
+            for lo in range(0, len(all_params), size):
+                params, m, v = (a[lo : lo + size] for a in (all_params, all_m, all_v))
+                grad, step, denom = scratch[:, : len(params)]
+                grad.fill(0.0)
+                inside = slice(*np.searchsorted(rows, [lo, lo + size]))
+                grad[rows[inside] - lo] = values[inside]
+                m *= self.beta1
+                m += np.multiply(grad, 1.0 - self.beta1, out=step)
+                v *= self.beta2
+                v += np.multiply(np.multiply(grad, 1.0 - self.beta2, out=step), grad, out=step)
+                np.multiply(np.divide(m, bc1, out=step), self.lr, out=step)
+                np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), self.eps, out=denom)
+                params -= np.divide(step, denom, out=step)
 
 
 def _stream_seed(seed: int, epoch: int, tag: int) -> int:
@@ -159,8 +171,8 @@ def train(
                     batch_index=batch_index,
                 )
             optimizer.step(table, grads)
-            # Kept, this batch's gradients would add a table to the next
-            # batch's peak while combined_gradients builds its own.
+            # Kept, this batch's gradient rows would add to the next batch's
+            # peak while combined_gradients builds its own.
             del grads
             if cfg.renormalize:
                 norms = np.sqrt((table.entity_vecs**2).sum(axis=1, keepdims=True))

@@ -9,9 +9,10 @@ import numpy as np
 from symkge.errors import UnknownEntityError
 from symkge.evaluation import HEAD
 from symkge.graph import SignedRelation, UnionGraph
-from symkge.losses import _checked_norms, positive_sample_seed
+from symkge.config import BINARY_CROSS_ENTROPY, MARGIN_RANKING
+from symkge.losses import Gradients, _checked_norms, _log_sigmoid, _sigmoid, positive_sample_seed
 from symkge.mining import HalfSequence, _check_hop_bound, sample_positives
-from symkge.model import SCORERS
+from symkge.model import SCORERS, ScorerKind
 
 
 def _step_relations(graph: UnionGraph, u: int, v: int) -> list[SignedRelation]:
@@ -159,3 +160,77 @@ def rank_one(table, kind, triple, corrupt_side, known_here):
     higher = int((kept_scores > s_star).sum())
     equal_others = int((kept_scores == s_star).sum()) - 1
     return 1.0 + higher + equal_others / 2.0
+
+
+def dense_gradients(grads: Gradients, table) -> tuple[np.ndarray, np.ndarray]:
+    """Row-sparse gradients as full entity and relation tables, +0.0 elsewhere."""
+    entity = np.zeros_like(table.entity_vecs)
+    relation = np.zeros_like(table.relation_vecs)
+    entity[grads.entity_rows] = grads.entity
+    relation[grads.relation_rows] = grads.relation
+    return entity, relation
+
+
+def row_sparse(entity: np.ndarray, relation: np.ndarray, entity_rows=None,
+               relation_rows=None) -> Gradients:
+    """Gradients holding the given sorted rows (default: all) of dense tables."""
+    def rows_of(table, rows):
+        return np.arange(len(table)) if rows is None else np.asarray(rows, dtype=np.int64)
+
+    e_rows, r_rows = rows_of(entity, entity_rows), rows_of(relation, relation_rows)
+    return Gradients(e_rows, entity[e_rows], r_rows, relation[r_rows])
+
+
+def _partials(kind, h, r, t):
+    """d score / d h, d r, d t, written out once more for the reference."""
+    if kind is ScorerKind.TRANSE:
+        delta = h + r - t
+        norms = np.sqrt((delta * delta).sum(axis=-1, keepdims=True))
+        unit = delta / np.where(norms > 0.0, norms, 1.0)
+        return -unit, -unit, unit
+    return r * t, h * t, h * r
+
+
+def task_forward_backward_dense(table, kind, batch, negatives, cfg):
+    """The task loss and its gradients as dense tables, scattered with np.add.at.
+
+    Scores every positive, then every negative, gathering rows again for the
+    partials. The reference for the blocked, row-sparse task step.
+    """
+    scorer = SCORERS[kind]
+    grad_e = np.zeros_like(table.entity_vecs)
+    grad_r = np.zeros_like(table.relation_vecs)
+
+    def scores(triples):
+        h, r, t = triples.T
+        return scorer.score(table.entity_vecs[h], table.relation_vecs[r], table.entity_vecs[t])
+
+    def add_grads(triples, coeff):
+        h, r, t = triples.T
+        d_h, d_r, d_t = _partials(
+            kind, table.entity_vecs[h], table.relation_vecs[r], table.entity_vecs[t]
+        )
+        c = coeff[:, None]
+        np.add.at(grad_e, h, d_h * c)
+        np.add.at(grad_r, r, d_r * c)
+        np.add.at(grad_e, t, d_t * c)
+
+    flat = negatives.reshape(-1, 3)
+    pos_scores = scores(batch)
+    neg_scores = scores(flat).reshape(negatives.shape[0], negatives.shape[1])
+    n_pairs = neg_scores.size
+    if cfg.task_loss == MARGIN_RANKING:
+        hinge = cfg.margin - pos_scores[:, None] + neg_scores
+        active = hinge > 0.0
+        value = float(np.maximum(0.0, hinge).mean())
+        d_pos = -active.sum(axis=1).astype(np.float64) / n_pairs
+        d_neg = active.astype(np.float64) / n_pairs
+    else:
+        assert cfg.task_loss == BINARY_CROSS_ENTROPY
+        per_pair = -_log_sigmoid(pos_scores)[:, None] - _log_sigmoid(-neg_scores)
+        value = float(per_pair.mean())
+        d_pos = (_sigmoid(pos_scores) - 1.0) * (negatives.shape[1] / n_pairs)
+        d_neg = _sigmoid(neg_scores) / n_pairs
+    add_grads(batch, d_pos)
+    add_grads(flat, d_neg.reshape(-1))
+    return value, grad_e, grad_r

@@ -262,6 +262,17 @@ def test_experiment_json_deterministic(kg_files, capsys):
     assert payload["ttest_mrr"] is not None
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_experiment_refuses_seed_in_config(tmp_path, capsys, seed):
+    """A config file's seed would be reported but not used, like --seed."""
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"k=1\nseed={seed}\n", encoding="utf-8")
+    argv = ["experiment", "--train", "x", "--test", "y", "--config", str(config)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--base-seed" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["train"]) == 1  # missing required flags
     assert main(["mine", "--train", "x", "--k", "not_an_int", "--out", "y"]) == 1

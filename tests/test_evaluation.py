@@ -226,12 +226,12 @@ def _adversarial_bounds(cls, rngs):
     """
     real_bounds = cls.bounds
 
-    def bounds(h, r, entities):
+    def bounds(h, r, entities, e_sq):
         rng = rngs[-1]
         n_q, n_e = len(h), len(entities)
         rows, ids = np.repeat(np.arange(n_q), n_e), np.tile(np.arange(n_e), n_q)
         s = cls.score(h[rows], r[rows], entities[ids]).reshape(n_q, n_e)
-        real_lo, real_hi = real_bounds(h, r, entities)
+        real_lo, real_hi = real_bounds(h, r, entities, e_sq)
         snap_lo, snap_hi = s.copy(), s.copy()
         for i, row in enumerate(s):
             ordered = np.sort(row)

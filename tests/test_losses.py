@@ -11,7 +11,6 @@ from symkge import losses
 from symkge.config import BINARY_CROSS_ENTROPY, MARGIN_RANKING, TrainConfig
 from symkge.errors import DegenerateVectorError
 from symkge.losses import (
-    Gradients,
     _contrastive_forward_backward,
     _task_forward_backward,
     combined_gradients,
@@ -21,9 +20,14 @@ from symkge.losses import (
     task_loss,
 )
 from symkge.mining import PositiveDict, sample_positives
-from symkge.model import EmbeddingTable, ScorerKind, init_embeddings
+from symkge.model import SCORERS, EmbeddingTable, ScorerKind, init_embeddings
 
-from oracles import contrastive_forward_backward_loop, contrastive_loss_cosine_form
+from oracles import (
+    contrastive_forward_backward_loop,
+    contrastive_loss_cosine_form,
+    dense_gradients,
+    task_forward_backward_dense,
+)
 
 
 def _dict_of(targets, k=2):
@@ -262,31 +266,74 @@ def test_batched_alignment_equals_per_anchor_loop(m, seed, chunked, monkeypatch)
     base = rng.normal(size=(n, dim))
     base[::3] = 0.0
     grad = base.copy()
-    value = _contrastive_forward_backward(table, anchors, pos_dict, cfg, 5, grad)
+    value, (rows, values) = _contrastive_forward_backward(table, anchors, pos_dict, cfg, 5, True)
+    grad[rows] += values
     reference = np.zeros_like(base)
     assert value == contrastive_forward_backward_loop(table, anchors, pos_dict, cfg, 5, reference)
     assert np.array_equal(grad, base + cfg.alpha * reference)
-    assert value == _contrastive_forward_backward(table, anchors, pos_dict, cfg, 5, None)
+    assert (value, None) == _contrastive_forward_backward(table, anchors, pos_dict, cfg, 5, False)
 
     empty_only = anchors[[len(targets[a]) == 0 for a in anchors.tolist()]]
-    grad = base.copy()
-    assert _contrastive_forward_backward(table, empty_only, pos_dict, cfg, 5, grad) == 0.0
-    assert np.array_equal(grad, base)
+    assert _contrastive_forward_backward(table, empty_only, pos_dict, cfg, 5, True) == (0.0, None)
+
+
+@pytest.mark.parametrize("kind", list(ScorerKind))
+@pytest.mark.parametrize("task", [MARGIN_RANKING, BINARY_CROSS_ENTROPY])
+@pytest.mark.parametrize("chunked", [False, True])
+def test_blocked_task_step_equals_dense_scatter(kind, task, chunked, monkeypatch):
+    """Same loss and gradient bits as scoring the whole batch and np.add.at.
+
+    tobytes() compares signs of zeros, which array_equal cannot see.
+    """
+    n_pos, n_neg, dim = 24, 4, 6
+    if chunked:  # three positives and their negatives per block
+        monkeypatch.setattr(losses, "_TASK_BLOCK_FLOATS", 3 * (1 + n_neg) * dim)
+    rng = np.random.default_rng(3)
+    table = init_embeddings(9, 3, dim, seed=5)  # 9 entities: rows repeat across the batch
+    # Tail 1 sits exactly at head 0 translated by relation 0: zero TransE distance.
+    table.entity_vecs[1] = table.entity_vecs[0] + table.relation_vecs[0]
+    batch = np.stack([rng.integers(0, 9, n_pos), rng.integers(0, 3, n_pos),
+                      rng.integers(0, 9, n_pos)], axis=1)
+    batch[:2] = [0, 0, 1]
+    negatives = np.repeat(batch[:, None, :], n_neg, axis=1)
+    side = rng.integers(0, 2, (n_pos, n_neg)) * 2
+    negatives[np.arange(n_pos)[:, None], np.arange(n_neg), side] = rng.integers(0, 9, (n_pos, n_neg))
+    negatives[5, 0] = [0, 0, 1]
+    cfg = TrainConfig(k=1, dim=dim, margin=0.3, scorer=kind, task_loss=task)
+
+    value, grads = _task_forward_backward(table, kind, batch, negatives, cfg, True)
+    ref_value, ref_entity, ref_relation = task_forward_backward_dense(
+        table, kind, batch, negatives, cfg
+    )
+    assert value == ref_value
+    entity, relation = dense_gradients(grads, table)
+    assert entity.tobytes() == ref_entity.tobytes()
+    assert relation.tobytes() == ref_relation.tobytes()
+    touched = np.concatenate([batch[:, [0, 2]].ravel(), negatives[:, :, [0, 2]].ravel()])
+    assert np.array_equal(grads.entity_rows, np.unique(touched))
+    assert _task_forward_backward(table, kind, batch, negatives, cfg, False) == (value, None)
+    if task == MARGIN_RANKING:  # inactive hinges, whose partials are skipped, and active ones
+        scores = SCORERS[kind].score(table.entity_vecs[negatives[..., 0]],
+                                     table.relation_vecs[negatives[..., 1]],
+                                     table.entity_vecs[negatives[..., 2]])
+        own = SCORERS[kind].score(table.entity_vecs[batch[:, 0]],
+                                  table.relation_vecs[batch[:, 1]], table.entity_vecs[batch[:, 2]])
+        hinge = cfg.margin - own[:, None] + scores
+        assert (hinge > 0.0).any() and (hinge <= 0.0).any()
 
 
 @pytest.mark.parametrize("kind", list(ScorerKind))
 def test_gradients_without_alignment_equal_task_gradients(kind):
     table, cfg, batch, negatives, pos_dict = _small_setup(alpha=0.5, kind=kind)
-    task_only = Gradients(np.zeros_like(table.entity_vecs), np.zeros_like(table.relation_vecs))
-    _task_forward_backward(table, kind, batch, negatives, cfg, task_only)
+    _, task_only = _task_forward_backward(table, kind, batch, negatives, cfg, True)
     _, no_dict = combined_gradients(table, kind, batch, negatives, None, cfg)
     breakdown, no_alpha = combined_gradients(
         table, kind, batch, negatives, pos_dict, replace(cfg, alpha=0.0)
     )
     assert breakdown.contrastive > 0.0  # still reported
     for grads in (no_dict, no_alpha):
-        assert np.array_equal(grads.entity, task_only.entity)
-        assert np.array_equal(grads.relation, task_only.relation)
+        for field in ("entity_rows", "entity", "relation_rows", "relation"):
+            assert np.array_equal(getattr(grads, field), getattr(task_only, field))
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +361,7 @@ def _finite_difference_check(table, cfg, batch, negatives, pos_dict, epoch=0,
     _, grads = combined_gradients(
         table, cfg.scorer, batch, negatives, pos_dict, cfg, epoch
     )
+    grad_entity, grad_relation = dense_gradients(grads, table)
 
     def loss_at(t):
         return combined_loss(t, cfg.scorer, batch, negatives, pos_dict, cfg, epoch).total
@@ -322,7 +370,7 @@ def _finite_difference_check(table, cfg, batch, negatives, pos_dict, epoch=0,
     worst = 0.0
     for kind, rows in (("entity", entities), ("relation", relations)):
         vecs = table.entity_vecs if kind == "entity" else table.relation_vecs
-        analytic = grads.entity if kind == "entity" else grads.relation
+        analytic = grad_entity if kind == "entity" else grad_relation
         for row in rows:
             for j in range(vecs.shape[1]):
                 original = vecs[row, j]
@@ -383,6 +431,6 @@ def test_contrastive_gradient_zero_at_alignment():
     # isolate the contrastive part: alpha=0 run removes it
     cfg0 = TrainConfig(k=1, m=1, alpha=0.0, dim=3, task_loss=MARGIN_RANKING)
     _, grads0 = combined_gradients(table, ScorerKind.TRANSE, batch, negatives, pos_dict, cfg0)
-    contrastive_part = grads.entity - grads0.entity
+    contrastive_part = dense_gradients(grads, table)[0] - dense_gradients(grads0, table)[0]
     assert np.allclose(contrastive_part[0], 0.0, atol=1e-12)
     assert np.allclose(contrastive_part[1], 0.0, atol=1e-12)

@@ -2,11 +2,14 @@
 
 Ranks and trajectories must not depend on the BLAS thread count, so the only
 BLAS products allowed are the scorers' bounds() in model.py, whose error
-bounds hold for any summation order; and scoring math stays in model.py, so
-the loss and ranking code never branch on a scorer.
+bounds hold for any summation order, and the squared norms that only bounds()
+reads; scoring math stays in model.py, so
+the loss and ranking code never branch on a scorer; and gradient rows are
+summed by one ordered helper, never by a ufunc's unbuffered .at().
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import symkge
@@ -14,7 +17,8 @@ from symkge.model import ScorerKind
 
 SRC = Path(symkge.__file__).parent
 BLAS_FUNCTIONS = {"dot", "vdot", "inner", "matmul", "multi_dot", "einsum", "tensordot"}
-ALLOWED = {("model.py", "TransE.bounds"), ("model.py", "DistMult.bounds")}
+ALLOWED = {("model.py", "TransE.bounds"), ("model.py", "DistMult.bounds"),
+           ("model.py", "squared_norms")}
 
 
 def _blas_products(path: Path) -> list[tuple[str, int]]:
@@ -56,3 +60,28 @@ def test_loss_and_ranking_name_no_scorer():
         named = [(node.lineno, node.attr) for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and node.attr in members]
         assert not named, f"{name} names scorer kinds: {named}"
+
+
+def _ufunc_at_calls(source: str) -> list[int]:
+    """Lines calling .at() on anything, as in np.add.at(table, rows, values)."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "at"]
+
+
+def test_no_ufunc_at_in_src():
+    assert _ufunc_at_calls("np.add.at(table, rows, values)") == [1]  # the detector works
+    for path in sorted(SRC.glob("*.py")):
+        lines = _ufunc_at_calls(path.read_text(encoding="utf-8"))
+        assert not lines, f"{path.name}:{lines}: ufunc.at scatter; use losses._ordered_sum"
+
+
+def test_bench_span_targets_resolve():
+    """Every name the benchmark wraps by name still exists in the program."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    with spans.tracing() as tracer:
+        assert tracer.missing == []

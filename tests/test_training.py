@@ -8,12 +8,13 @@ import pytest
 from symkge.config import MARGIN_RANKING, TrainConfig
 from symkge.errors import KMismatchError, NonFiniteLossError
 from symkge.graph import intern_graph
-from symkge.losses import Gradients
 from symkge.mining import mine_positive_dict
 from symkge.model import ScorerKind, init_embeddings
+from symkge import training
 from symkge.training import Adam, sample_negatives, train
 
 from conftest import planted_kg_triples, random_graph
+from oracles import row_sparse
 
 
 def _toy_cfg(**overrides) -> TrainConfig:
@@ -129,10 +130,9 @@ def test_adam_moves_toward_gradient_descent_direction():
     table = init_embeddings(3, 2, 4, seed=0)
     before = table.entity_vecs.copy()
     opt = Adam(table, lr=0.1)
-    grads = Gradients(entity=np.zeros_like(table.entity_vecs),
-                      relation=np.zeros_like(table.relation_vecs))
-    grads.entity[0] = 1.0
-    opt.step(table, grads)
+    grad_entity = np.zeros_like(table.entity_vecs)
+    grad_entity[0] = 1.0
+    opt.step(table, row_sparse(grad_entity, np.zeros_like(table.relation_vecs), [0]))
     # first Adam step with constant gradient is -lr * g / (|g| + eps) elementwise
     assert np.allclose(table.entity_vecs[0], before[0] - 0.1, atol=1e-6)
     assert np.array_equal(table.entity_vecs[1:], before[1:])
@@ -145,11 +145,11 @@ def test_adam_in_place_matches_reference_formula():
     opt = Adam(table, lr=0.05)
     rng = np.random.default_rng(2)
     for t in range(1, 10):
-        grads = Gradients(rng.normal(size=(7, 5)), rng.normal(size=(3, 5)))
-        grads.entity[::2] = 0.0
-        opt.step(table, grads)
+        grads = (rng.normal(size=(7, 5)), rng.normal(size=(3, 5)))
+        grads[0][::2] = 0.0
+        opt.step(table, row_sparse(*grads, entity_rows=[1, 3, 5]))
         bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
-        for p, (m, v), g in zip(params, moments, (grads.entity, grads.relation)):
+        for p, (m, v), g in zip(params, moments, grads):
             m *= 0.9
             m += (1.0 - 0.9) * g
             v *= 0.999
@@ -160,6 +160,44 @@ def test_adam_in_place_matches_reference_formula():
     state = [(opt.m_e, opt.v_e), (opt.m_r, opt.v_r)]
     for (m, v), (ref_m, ref_v) in zip(state, moments):
         assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
+
+
+def test_blocked_adam_matches_dense_formula_bits(monkeypatch):
+    """Blocks of two rows, row-sparse gradients: the bits of one dense pass.
+
+    Entity 2's first moment decays from a tiny negative gradient into the
+    negative subnormals, and a relation parameter is exactly -0.0.
+    tobytes() compares signs of zeros.
+    """
+    monkeypatch.setattr(training, "_ADAM_BLOCK_FLOATS", 2 * 4)
+    table = init_embeddings(7, 3, 4, seed=6)
+    table.relation_vecs[1, 2] = -0.0
+    params = [table.entity_vecs.copy(), table.relation_vecs.copy()]
+    moments = [[np.zeros_like(p), np.zeros_like(p)] for p in params]
+    opt = Adam(table, lr=0.05)
+    rng = np.random.default_rng(4)
+    for t in range(1, 121):
+        grads = [np.zeros((7, 4)), np.zeros((3, 4))]
+        entity_rows = [2] if t == 1 else sorted(rng.choice([0, 1, 3, 4, 5, 6], 2, replace=False))
+        grads[0][entity_rows] = rng.normal(size=(len(entity_rows), 4))
+        if t == 1:
+            grads[0][2] = -1e-305
+        grads[1][0] = rng.normal(size=4)
+        opt.step(table, row_sparse(*grads, entity_rows=entity_rows, relation_rows=[0]))
+        bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+        for p, (m, v), g in zip(params, moments, grads):
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * g * g
+            p -= 0.05 * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+    assert -np.finfo(np.float64).tiny < opt.m_e[2, 0] < 0.0
+    assert np.signbit(table.relation_vecs[1, 2])
+    assert table.entity_vecs.tobytes() == params[0].tobytes()
+    assert table.relation_vecs.tobytes() == params[1].tobytes()
+    state = [(opt.m_e, opt.v_e), (opt.m_r, opt.v_r)]
+    for (m, v), (ref_m, ref_v) in zip(state, moments):
+        assert m.tobytes() == ref_m.tobytes() and v.tobytes() == ref_v.tobytes()
 
 
 # Recorded from the per-anchor alignment loop and out-of-place Adam that the
