@@ -120,7 +120,9 @@ def task_loss(
     margin_ranking: mean over pairs of max(0, margin - s_pos + s_neg).
     binary_cross_entropy: mean over pairs of -log s(s_pos) - log s(-s_neg).
     """
-    return _combined(table, kind, batch, negatives, None, cfg, 0, False)[0].task
+    batch = np.asarray(batch, dtype=np.int64)
+    negatives = np.asarray(negatives, dtype=np.int64)
+    return _task_forward_backward(table, kind, batch, negatives, cfg, False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +278,11 @@ def _contrastive_forward_backward(
     return total / n_occ, (rows, compact)
 
 
-def _check_dict(pos_dict: PositiveDict | None, cfg: TrainConfig) -> None:
+def _combined(table, kind, batch, negatives, pos_dict, cfg, epoch, backward):
     if pos_dict is not None and pos_dict.hop_bound != cfg.k:
         raise KMismatchError(
             f"dictionary mined with hop bound {pos_dict.hop_bound}, config wants {cfg.k}"
         )
-
-
-def _combined(table, kind, batch, negatives, pos_dict, cfg, epoch, backward):
-    _check_dict(pos_dict, cfg)
     batch = np.asarray(batch, dtype=np.int64)
     negatives = np.asarray(negatives, dtype=np.int64)
     # Both endpoints of every triple are anchor occurrences. With alpha == 0

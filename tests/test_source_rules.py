@@ -2,8 +2,7 @@
 
 Ranks and trajectories must not depend on the BLAS thread count, so the only
 BLAS products allowed are the scorers' bounds() in model.py, whose error
-bounds hold for any summation order, and the squared norms that only bounds()
-reads; scoring math stays in model.py, so
+bounds hold for any summation order; scoring math stays in model.py, so
 the loss and ranking code never branch on a scorer; and gradient rows are
 summed by one ordered helper, never by a ufunc's unbuffered .at().
 """
@@ -17,8 +16,7 @@ from symkge.model import ScorerKind
 
 SRC = Path(symkge.__file__).parent
 BLAS_FUNCTIONS = {"dot", "vdot", "inner", "matmul", "multi_dot", "einsum", "tensordot"}
-ALLOWED = {("model.py", "TransE.bounds"), ("model.py", "DistMult.bounds"),
-           ("model.py", "squared_norms")}
+ALLOWED = {("model.py", "TransE.bounds"), ("model.py", "DistMult.bounds")}
 
 
 def _blas_products(path: Path) -> list[tuple[str, int]]:
