@@ -21,7 +21,7 @@ _ABS_SLACK = 8.0 * np.finfo(np.float64).smallest_subnormal
 
 def squared_norms(rows: np.ndarray) -> np.ndarray:
     """Each row's squared L2 norm, for bounds(), whose slack covers any order."""
-    return (rows * rows).sum(axis=-1)
+    return np.einsum("ij,ij->i", rows, rows)
 
 
 def _slack(dim: int) -> float:
