@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import EmptyDatasetError, MalformedTripleError, UnknownEntityError
 
@@ -48,41 +50,44 @@ class LabelMaps:
 
 @dataclass(frozen=True)
 class UnionGraph:
-    """Immutable triple store plus a signed adjacency index.
+    """Immutable triple store plus a signed adjacency index in CSR form.
 
-    out_index[e] lists (SignedRelation, neighbor) pairs sorted by
-    (relation, sign, neighbor), containing one forward entry per triple with
-    head e and one inverse entry per triple with tail e. The graph is safe
-    for unrestricted concurrent reads.
+    The signed out-edges of entity e are the slice indptr[e]:indptr[e + 1] of
+    rel, sign and nbr, sorted by (relation, sign, neighbor): one forward entry
+    per triple with head e and one inverse entry per triple with tail e. The
+    arrays are read-only and derived from triples, so equality ignores them.
+    The graph is safe for unrestricted concurrent reads.
     """
 
     triples: tuple[Triple, ...]
-    out_index: tuple[tuple[tuple[SignedRelation, int], ...], ...]
     entity_count: int
     relation_count: int
+    indptr: np.ndarray = field(compare=False, repr=False)
+    rel: np.ndarray = field(compare=False, repr=False)
+    sign: np.ndarray = field(compare=False, repr=False)
+    nbr: np.ndarray = field(compare=False, repr=False)
 
     @property
     def signed_edge_count(self) -> int:
         return 2 * len(self.triples)
 
     def degree(self, e: int) -> int:
-        return len(self.out_index[e])
+        return int(self.indptr[e + 1] - self.indptr[e])
 
 
 def _union_graph(triples: tuple[Triple, ...], labels: LabelMaps) -> UnionGraph:
     """The union graph of triples over every entity and relation of labels."""
-    buckets: list[list[tuple[SignedRelation, int]]] = [[] for _ in labels.entity_labels]
-    forward = [SignedRelation(r, FORWARD) for r in range(len(labels.relation_labels))]
-    inverse = [SignedRelation(r, INVERSE) for r in range(len(labels.relation_labels))]
-    for h, r, t in triples:
-        buckets[h].append((forward[r], t))
-        buckets[t].append((inverse[r], h))
-    return UnionGraph(
-        triples=triples,
-        out_index=tuple(tuple(sorted(b)) for b in buckets),
-        entity_count=len(labels.entity_labels),
-        relation_count=len(labels.relation_labels),
-    )
+    # fromiter: np.asarray spends ~0.6 us per NamedTuple row
+    flat = np.fromiter(itertools.chain.from_iterable(triples), np.int64, 3 * len(triples))
+    h, r, t = flat.reshape(-1, 3).T
+    src, rel, nbr = np.concatenate([h, t]), np.concatenate([r, r]), np.concatenate([t, h])
+    sign = np.repeat(np.array([FORWARD, INVERSE], dtype=np.int64), len(h))
+    order = np.lexsort((nbr, sign, rel, src))
+    indptr = np.searchsorted(src[order], np.arange(len(labels.entity_labels) + 1))
+    arrays = [indptr, rel[order], sign[order], nbr[order]]
+    for a in arrays:
+        a.flags.writeable = False
+    return UnionGraph(triples, len(labels.entity_labels), len(labels.relation_labels), *arrays)
 
 
 def intern_graph(raw_triples: Iterable[RawTriple]) -> tuple[UnionGraph, LabelMaps]:
@@ -106,7 +111,9 @@ def signed_neighbors(graph: UnionGraph, e: int) -> tuple[tuple[SignedRelation, i
     """All signed out-edges of e in the union graph, sorted; empty if isolated."""
     if not 0 <= e < graph.entity_count:
         raise UnknownEntityError(f"entity id {e} outside [0, {graph.entity_count})")
-    return graph.out_index[e]
+    edges = slice(graph.indptr[e], graph.indptr[e + 1])
+    columns = (graph.rel[edges].tolist(), graph.sign[edges].tolist(), graph.nbr[edges].tolist())
+    return tuple((SignedRelation(r, s), nb) for r, s, nb in zip(*columns))
 
 
 def read_triple_file(path: str | os.PathLike[str]) -> list[RawTriple]:

@@ -5,11 +5,11 @@ through simple paths carrying the same signed relation sequence. Walking an
 edge against its direction flips its sign, so the sequence of the target half
 is compared in the target-to-pivot direction.
 
-The miner hashes half-paths into (pivot, sequence) groups and pairs group
-members, instead of enumerating full 2k-hop walks per anchor. Full-path
-simplicity still applies: a pair is only valid when the two halves can be
-spliced into a 2k walk that repeats no entity. The test suite checks the
-miner against an oracle that enumerates those walks directly.
+The miner lists every simple k-step half-path as an array row, grown through
+the graph's CSR adjacency. One join pairs rows at a shared pivot (and, for the
+dictionary, a shared sequence) whose starts and interiors have no entity in
+common: exactly the halves that splice into a 2k walk repeating no entity.
+structure_stats counts the same join. Tests check both against walk oracles.
 """
 
 from __future__ import annotations
@@ -18,18 +18,21 @@ import os
 import random
 import struct
 import zlib
-from collections import defaultdict
 from dataclasses import dataclass
 
-from .errors import CorruptDictFileError, HopBoundExceededError
+import numpy as np
+
+from .errors import CorruptDictFileError, DataError, HopBoundExceededError
 from .graph import SignedRelation, UnionGraph
 
 MAX_HOP_BOUND = 3
 
-HalfSequence = tuple[SignedRelation, ...]
+# The join tests candidate row pairs in blocks of whole members, starting a
+# new block at the first member past each multiple of this many pairs, so its
+# temporaries stay small whatever the group sizes.
+_JOIN_BLOCK_PAIRS = 1 << 16
 
-# groups[k][(pivot, seq)] -> {start_entity: set of frozen interior-entity sets}
-GroupTable = dict[tuple[int, HalfSequence], dict[int, set[frozenset[int]]]]
+HalfSequence = tuple[SignedRelation, ...]
 
 
 @dataclass(frozen=True)
@@ -84,80 +87,97 @@ def _check_hop_bound(k_max: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Group collection (bounded DFS over simple half-paths)
+# Half-paths and the join
 # ---------------------------------------------------------------------------
 
 
-def _collect_half_paths(
-    graph: UnionGraph,
-    start: int,
-    k_max: int,
-    groups: list[GroupTable],
-    max_degree: int | None = None,
-) -> None:
-    """Record every simple path of length 1..k_max leaving `start`.
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(s, s + c) over each start s and count c."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
-    groups[k][(pivot, seq)][start] accumulates the interior-entity sets of the
-    paths realizing that (pivot, sequence) pair; those sets drive the
-    full-path simplicity check during pairing.
 
-    With max_degree set, nodes with more signed edges than the cap are
-    neither recorded as pivots nor walked through, which bounds the quadratic
-    fan-out around hubs on very large graphs (approximation; keep it off when
-    exactness matters).
+def _key_starts(*columns: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose key (the columns together) differs from the row before."""
+    mask = np.arange(len(columns[0])) == 0
+    for column in columns:
+        mask[1:] |= column[1:] != column[:-1]
+    return mask
+
+
+def _half_paths(graph: UnionGraph, k_max: int, max_degree: int | None):
+    """Check k_max, then yield (k, nodes, seq) for k = 1..k_max, one row per half-path.
+
+    nodes[i] holds the path's start, its k - 1 interiors and its pivot. seq[i]
+    packs its steps, each as 2 * relation + sign, in base 2R with the first
+    step most significant, so numeric order is HalfSequence order.
+
+    With max_degree set, nodes with more signed edges than the cap are neither
+    pivots nor interiors, which bounds the fan-out around hubs on very large
+    graphs (approximation; keep it off when exactness matters).
     """
-    path = [start]
-    seq: list[SignedRelation] = []
-
-    def walk(node: int, depth: int) -> None:
-        for sr, nb in graph.out_index[node]:
-            if nb in path:
-                continue
-            capped = max_degree is not None and len(graph.out_index[nb]) > max_degree
-            path.append(nb)
-            seq.append(sr)
-            if not capped:
-                key = (nb, tuple(seq))
-                interiors = groups[depth + 1].setdefault(key, {}).setdefault(start, set())
-                interiors.add(frozenset(path[1:-1]))
-                if depth + 1 < k_max:
-                    walk(nb, depth + 1)
-            path.pop()
-            seq.pop()
-
-    walk(start, 0)
-
-
-def _half_path_groups(
-    graph: UnionGraph, k_max: int, max_degree: int | None = None
-) -> list[GroupTable]:
-    groups: list[GroupTable] = [dict() for _ in range(k_max + 1)]
-    for start in range(graph.entity_count):
-        _collect_half_paths(graph, start, k_max, groups, max_degree)
-    return groups
+    _check_hop_bound(k_max)
+    base = 2 * graph.relation_count
+    if base**k_max > np.iinfo(np.int64).max:
+        raise DataError(f"{graph.relation_count} relations are too many to pack "
+                        f"{k_max}-step sequences in 64 bits; mine at a lower hop bound")
+    degree = np.diff(graph.indptr)
+    walkable = degree <= (len(graph.nbr) if max_degree is None else max_degree)
+    step_codes = 2 * graph.rel + graph.sign
+    nodes = np.arange(graph.entity_count, dtype=np.int64)[:, None]
+    seq = np.zeros(graph.entity_count, dtype=np.int64)
+    for k in range(1, k_max + 1):
+        last = nodes[:, -1]
+        row = np.repeat(np.arange(len(nodes)), degree[last])
+        edge = _ranges(graph.indptr[last], degree[last])
+        nb = graph.nbr[edge]
+        keep = walkable[nb] & (nodes[row] != nb[:, None]).all(axis=1)
+        row, edge = row[keep], edge[keep]
+        nodes = np.column_stack([nodes[row], graph.nbr[edge]])
+        seq = seq[row] * base + step_codes[edge]
+        yield k, nodes, seq
 
 
-def _compatible(
-    interiors_a: set[frozenset[int]],
-    interiors_t: set[frozenset[int]],
-    a: int,
-    t: int,
-) -> bool:
-    """Can two half-paths be spliced into one simple 2k walk?
+def _joined(nodes: np.ndarray, seq: np.ndarray, by_seq: bool):
+    """Yield every distinct structure the half-path rows form, block by block.
 
-    Requires some pair of realizations whose interiors are disjoint and avoid
-    the opposite endpoint. For 1-hop halves the interiors are empty and this
-    is trivially true.
+    Two rows pair when they share the pivot, and the sequence too with
+    by_seq, and their starts and interiors (nodes[:, :-1]) have no entity in
+    common, so the halves splice into one simple 2k walk between distinct
+    endpoints. The realizations of one member, a distinct (pivot, sequence,
+    start), collapse into one. Each block holds whole members and is an
+    (n, 5) array of (anchor, pivot, target, anchor sequence, target
+    sequence), one row per distinct ordered member pair.
     """
-    for ia in interiors_a:
-        if t in ia:
-            continue
-        for it in interiors_t:
-            if a in it:
-                continue
-            if ia.isdisjoint(it):
-                return True
-    return False
+    order = np.lexsort((nodes[:, 0], seq, nodes[:, -1]))
+    nodes, seq = nodes[order], seq[order]
+    start, pivot = nodes[:, 0], nodes[:, -1]
+    new_member = _key_starts(pivot, seq, start)
+    member = np.cumsum(new_member) - 1
+    new_group = _key_starts(pivot, seq) if by_seq else _key_starts(pivot)
+    bounds = np.append(np.flatnonzero(new_group), len(seq))
+    group = np.cumsum(new_group) - 1
+    lo, size = bounds[group], np.diff(bounds)[group]
+    first = np.flatnonzero(new_member)
+
+    left_rows = np.flatnonzero(size > 1)
+    heads = np.flatnonzero(new_member[left_rows])
+    window = (np.cumsum(size[left_rows]) - size[left_rows])[heads] // _JOIN_BLOCK_PAIRS
+    cuts = np.append(heads[_key_starts(window)], len(left_rows)).tolist()
+    for block in (left_rows[i:j] for i, j in zip(cuts, cuts[1:])):
+        left = np.repeat(block, size[block])
+        right = _ranges(lo[block], size[block])
+        apart = (nodes[left, :-1, None] != nodes[right, None, :-1]).all(axis=(1, 2))
+        # Sorted, not np.unique: its hashing is slow on these strided codes.
+        pairs = np.sort(member[left[apart]] * len(first) + member[right[apart]])
+        pairs = pairs[_key_starts(pairs)]
+        i, j = (first[m] for m in np.divmod(pairs, len(first)))
+        yield np.column_stack([start[i], pivot[i], start[j], seq[i], seq[j]])
+
+
+def _unpacked(code: int, k: int, base: int) -> HalfSequence:
+    """The k signed relations packed in a sequence code, first step first."""
+    steps = (code // base**i % base for i in reversed(range(k)))
+    return tuple(SignedRelation(step // 2, step % 2) for step in steps)
 
 
 # ---------------------------------------------------------------------------
@@ -174,37 +194,27 @@ def mine_positive_dict(
     """Mine all symmetric structures with half length k = 1..k_max.
 
     Returns the per-entity positive dictionary and the structure list, one
-    entry per ordered (anchor, pivot, target, sequence) combination. The
-    optional degree cap skips hub pivots entirely (see _collect_half_paths);
-    it is an approximation for very large graphs and must stay off for
-    correctness checks.
+    entry per ordered (anchor, pivot, target, sequence) combination, sorted
+    by (k, anchor, pivot, target, sequence). The optional degree cap skips
+    hub pivots and interiors (see _half_paths); it is an approximation for
+    very large graphs and must stay off for correctness checks.
 
     Mining always runs in one process; `workers` is accepted and not read.
     It stays only because the benchmark harness still passes it. Once the
     harness stops passing it, the keyword is removed.
     """
-    _check_hop_bound(k_max)
-    groups = _half_path_groups(graph, k_max, max_degree)
-    targets: list[set[int]] = [set() for _ in range(graph.entity_count)]
     structures: list[SymmetricStructure] = []
-
-    for k in range(1, k_max + 1):
-        for pivot, seq in sorted(groups[k].keys()):
-            members = groups[k][(pivot, seq)]
-            if len(members) < 2:
-                continue
-            names = sorted(members)
-            for i, a in enumerate(names):
-                for t in names[i + 1 :]:
-                    if _compatible(members[a], members[t], a, t):
-                        targets[a].add(t)
-                        targets[t].add(a)
-                        structures.append(SymmetricStructure(a, pivot, t, seq, k))
-                        structures.append(SymmetricStructure(t, pivot, a, seq, k))
-
-    structures.sort(key=lambda s: (s.k, s.anchor, s.pivot, s.target, s.half_sequence))
-    pos = PositiveDict(targets=tuple(frozenset(s) for s in targets), hop_bound=k_max)
-    return pos, structures
+    for k, nodes, seq in _half_paths(graph, k_max, max_degree):
+        blocks = _joined(nodes, seq, by_seq=True)
+        anchor, pivot, target, code, _ = np.concatenate([np.empty((0, 5), np.int64), *blocks]).T
+        order = np.lexsort((code, target, pivot, anchor))
+        halves = {c: _unpacked(c, k, 2 * graph.relation_count) for c in set(code.tolist())}
+        columns = (c[order].tolist() for c in (anchor, pivot, target, code))
+        structures += [SymmetricStructure(a, p, t, halves[s], k) for a, p, t, s in zip(*columns)]
+    targets: list[set[int]] = [set() for _ in range(graph.entity_count)]
+    for s in structures:
+        targets[s.anchor].add(s.target)
+    return PositiveDict(tuple(frozenset(t) for t in targets), hop_bound=k_max), structures
 
 
 # ---------------------------------------------------------------------------
@@ -223,28 +233,12 @@ def structure_stats(
     sequence) tuple realized by at least one simple 2k walk with the pivot at
     the midpoint; distinct sequence-half pairs count separately.
     """
-    _check_hop_bound(k_max)
-    groups = _half_path_groups(graph, k_max, max_degree)
     per_hop = []
-    for k in range(1, k_max + 1):
-        by_pivot: dict[int, dict[HalfSequence, dict[int, set[frozenset[int]]]]] = defaultdict(dict)
-        for (pivot, seq), members in groups[k].items():
-            by_pivot[pivot][seq] = members
-        total = 0
-        rs = 0
-        for pivot in sorted(by_pivot):
-            seq_table = by_pivot[pivot]
-            seqs = sorted(seq_table)
-            for s1 in seqs:
-                for s2 in seqs:
-                    for a, ints_a in seq_table[s1].items():
-                        for t, ints_t in seq_table[s2].items():
-                            if a == t:
-                                continue
-                            if _compatible(ints_a, ints_t, a, t):
-                                total += 1
-                                if s1 == s2:
-                                    rs += 1
+    for k, nodes, seq in _half_paths(graph, k_max, max_degree):
+        rs = total = 0
+        for found in _joined(nodes, seq, by_seq=False):
+            rs += int(np.count_nonzero(found[:, 3] == found[:, 4]))
+            total += len(found)
         per_hop.append(HopStats(k=k, rs_count=rs, total_count=total))
     return StructureStats(hop_bound=k_max, per_hop=tuple(per_hop))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainConfig
-from .errors import DataError, KMismatchError, NonFiniteLossError
+from .errors import DataError, NonFiniteLossError
 from .losses import Gradients, LossBreakdown, combined_gradients
 from .mining import PositiveDict
 from .model import EmbeddingTable, init_embeddings
@@ -126,13 +126,11 @@ def train(
     """Run the full training loop; returns the table and per-epoch losses.
 
     pos_dict=None trains the plain task objective (the contrastive term is 0).
+    A dictionary mined at a hop bound other than cfg.k fails the first batch,
+    before any update, with KMismatchError.
     log_fn, when given, receives (epoch, LossBreakdown) after each epoch.
     """
     if pos_dict is not None:
-        if pos_dict.hop_bound != cfg.k:
-            raise KMismatchError(
-                f"dictionary mined with hop bound {pos_dict.hop_bound}, config wants {cfg.k}"
-            )
         # Every train entity needs a (possibly empty) row; padding past the
         # train split is fine, past the graph is not.
         highest = max((max(h, t) for h, _, t in graph.triples), default=-1)

@@ -8,7 +8,7 @@ import numpy as np
 
 from symkge.errors import UnknownEntityError
 from symkge.evaluation import HEAD
-from symkge.graph import SignedRelation, UnionGraph
+from symkge.graph import SignedRelation, UnionGraph, signed_neighbors
 from symkge.config import BINARY_CROSS_ENTROPY, MARGIN_RANKING
 from symkge.losses import Gradients, _checked_norms, _log_sigmoid, _sigmoid, positive_sample_seed
 from symkge.mining import HalfSequence, _check_hop_bound, sample_positives
@@ -16,7 +16,7 @@ from symkge.model import SCORERS, ScorerKind
 
 
 def _step_relations(graph: UnionGraph, u: int, v: int) -> list[SignedRelation]:
-    return [sr for sr, nb in graph.out_index[u] if nb == v]
+    return [sr for sr, nb in signed_neighbors(graph, u) if nb == v]
 
 
 def relation_sequences(graph: UnionGraph, path: list[int]) -> list[HalfSequence]:
@@ -57,6 +57,35 @@ def brute_force_oracle(graph: UnionGraph, anchor: int, k_max: int) -> set[int]:
     return found
 
 
+def structure_stats_oracle(
+    graph: UnionGraph, k: int, max_degree: int | None = None
+) -> tuple[int, int]:
+    """Exhaustive reference for one hop of structure_stats: (rs_count, total_count).
+
+    Enumerates every simple walk of length 2k, splits it at the midpoint
+    pivot, and collects each distinct (anchor, pivot, target, s1, s2), where
+    s1 is an anchor-to-pivot and s2 a target-to-pivot signed sequence that
+    some combination of parallel edges realizes. With max_degree set, walks
+    whose pivot or interiors have more signed edges than the cap are skipped.
+    rs_count counts the tuples with s1 == s2.
+    """
+    found = set()
+    for anchor in range(graph.entity_count):
+        for path in _simple_walks(graph, anchor, 2 * k):
+            if max_degree is not None and any(
+                len(signed_neighbors(graph, e)) > max_degree for e in path[1:-1]
+            ):
+                continue
+            step_sets = [_step_relations(graph, u, v) for u, v in zip(path, path[1:])]
+            back_sets = [
+                [sr.flipped() for sr in step_sets[i]] for i in range(2 * k - 1, k - 1, -1)
+            ]
+            for s1 in itertools.product(*step_sets[:k]):
+                for s2 in itertools.product(*back_sets):
+                    found.add((anchor, path[k], path[2 * k], s1, s2))
+    return sum(1 for *_, s1, s2 in found if s1 == s2), len(found)
+
+
 def _simple_walks(graph: UnionGraph, start: int, length: int):
     """Yield every simple entity path of exactly `length` edges from start."""
     path = [start]
@@ -65,7 +94,7 @@ def _simple_walks(graph: UnionGraph, start: int, length: int):
         if remaining == 0:
             yield list(path)
             return
-        neighbors = sorted({nb for _, nb in graph.out_index[node]})
+        neighbors = sorted({nb for _, nb in signed_neighbors(graph, node)})
         for nb in neighbors:
             if nb in path:
                 continue

@@ -66,7 +66,7 @@ def test_every_forward_edge_has_inverse():
     rng = random.Random(7)
     graph, _ = intern_graph(random_raw_triples(rng, 20, 60, 5))
     edges = {
-        (e, sr, nb) for e in range(graph.entity_count) for sr, nb in graph.out_index[e]
+        (e, sr, nb) for e in range(graph.entity_count) for sr, nb in signed_neighbors(graph, e)
     }
     for e, sr, nb in edges:
         assert (nb, sr.flipped(), e) in edges
@@ -83,7 +83,7 @@ def test_out_index_sorted():
     rng = random.Random(11)
     graph, _ = intern_graph(random_raw_triples(rng, 15, 70, 4))
     for e in range(graph.entity_count):
-        entries = graph.out_index[e]
+        entries = signed_neighbors(graph, e)
         assert list(entries) == sorted(entries)
 
 
@@ -143,13 +143,13 @@ def test_load_dataset_vocab_spans_all_splits(tmp_path):
     assert ds.labels.entity_ids["c"] == solo_labels.entity_ids["c"]
     assert solo_graph.triples == ds.graph.triples
     # test-only entity has no train edges
-    assert ds.graph.out_index[ds.labels.entity_ids["d"]] == ()
+    assert signed_neighbors(ds.graph, ds.labels.entity_ids["d"]) == ()
 
 
 def test_self_loop_kept():
     graph, _ = intern_graph([("a", "r", "a"), ("a", "r", "b")])
     assert len(graph.triples) == 2
-    assert len(graph.out_index[0]) == 3  # loop contributes forward and inverse
+    assert len(signed_neighbors(graph, 0)) == 3  # loop contributes forward and inverse
 
 
 def _write_split(path, rows):
@@ -176,8 +176,9 @@ def test_load_dataset_matches_interning_splits_in_order(tmp_path):
         assert ds.graph.entity_count == len(all_labels.entity_labels)
         assert ds.graph.relation_count == len(all_labels.relation_labels)
         n_train = train_graph.entity_count
-        assert ds.graph.out_index[:n_train] == train_graph.out_index
-        assert all(edges == () for edges in ds.graph.out_index[n_train:])
+        out_index = [signed_neighbors(ds.graph, e) for e in range(ds.graph.entity_count)]
+        assert out_index[:n_train] == [signed_neighbors(train_graph, e) for e in range(n_train)]
+        assert all(edges == () for edges in out_index[n_train:])
         late_entities += ds.graph.entity_count - n_train
         late_relations += ds.graph.relation_count - train_graph.relation_count
 

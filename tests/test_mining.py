@@ -1,12 +1,18 @@
 """Miner correctness against the brute-force oracle, plus dictionary plumbing."""
 
+import dataclasses
+import importlib.util
+import json
 import multiprocessing
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from symkge.errors import CorruptDictFileError, HopBoundExceededError, KMismatchError
-from symkge.graph import FORWARD, INVERSE, SignedRelation, intern_graph
+from symkge import mining
+from symkge.errors import CorruptDictFileError, DataError, HopBoundExceededError, KMismatchError
+from symkge.graph import FORWARD, INVERSE, SignedRelation, intern_graph, load_dataset
 from symkge.mining import (
     PositiveDict,
     load_dict,
@@ -17,7 +23,7 @@ from symkge.mining import (
 )
 
 from conftest import random_graph
-from oracles import brute_force_oracle, relation_sequences
+from oracles import brute_force_oracle, relation_sequences, structure_stats_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +236,72 @@ def test_miner_matches_oracle(seed, n_e, n_t, n_r, k):
         assert pos[anchor] == brute_force_oracle(graph, anchor, k), (
             f"anchor {anchor} differs on graph seed={seed} k={k}"
         )
+
+
+@pytest.mark.parametrize("max_degree", [None, 4])
+@pytest.mark.parametrize("seed,n_e,n_t,n_r,k", _battery_specs())
+def test_stats_match_oracle(seed, n_e, n_t, n_r, k, max_degree):
+    graph, _ = random_graph(seed, n_e, n_t, n_r)
+    stats = structure_stats(graph, k, max_degree=max_degree)
+    for hop in stats.per_hop:
+        assert (hop.rs_count, hop.total_count) == structure_stats_oracle(
+            graph, hop.k, max_degree
+        ), f"k={hop.k} differs on graph seed={seed}"
+
+
+@pytest.mark.parametrize("pairs", [1, 7])
+def test_join_blocks_do_not_change_results(monkeypatch, pairs):
+    # The join tests candidate pairs in blocks; any block size gives the
+    # same dictionary, structure list and statistics.
+    def outputs(graph, k, cap):
+        pos, structures = mine_positive_dict(graph, k, max_degree=cap)
+        return pos, structures, structure_stats(graph, k, max_degree=cap)
+
+    graphs = [(random_graph(*spec[:4])[0], spec[4]) for spec in _battery_specs()]
+    whole = [outputs(g, k, cap) for g, k in graphs for cap in (None, 2)]
+    monkeypatch.setattr(mining, "_JOIN_BLOCK_PAIRS", pairs)
+    assert [outputs(g, k, cap) for g, k in graphs for cap in (None, 2)] == whole
+
+
+def test_sequence_codes_that_overflow_are_refused():
+    # Sequences pack into int64 in base 2R, so (2R)^k must fit.
+    graph, _ = random_graph(40, 10, 25, 3)
+    wide = dataclasses.replace(graph, relation_count=2 * 10**6)
+    assert mine_positive_dict(wide, 2) == mine_positive_dict(graph, 2)
+    for run in (mine_positive_dict, structure_stats):
+        with pytest.raises(DataError, match="too many to pack") as refused:
+            run(wide, 3)
+        assert "\n" not in str(refused.value)
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench_module(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["planted", "fb237shape"])
+def test_bench_inputs_mine_to_recorded_outputs(tmp_path, monkeypatch, name):
+    """The benchmark's full seed-0 inputs mine to the outputs it records."""
+    workloads = _bench_module("workloads", monkeypatch)
+    checks = _bench_module("checks", monkeypatch)
+    recorded = json.loads((BENCH / "expected.json").read_text())[f"full/{name}/0"]
+    workload = workloads.FULL[name]
+    paths = workloads.write_inputs(workload.generate(0), tmp_path)
+    graph = load_dataset(paths["train"], paths["valid"], paths["test"]).graph
+    k = workload.train_config["k"]
+    pos, structures = mine_positive_dict(graph, k)
+    stats = structure_stats(graph, k)
+    pairs, digest = checks.pairs_digest(pos.targets)
+    assert (pairs, digest, len(structures)) == (
+        recorded["pairs"], recorded["pairs_digest"], recorded["structures"]
+    )
+    assert [[h.rs_count, h.total_count] for h in stats.per_hop] == recorded["stats"]
 
 
 def test_oracle_isolated_anchor():
