@@ -150,7 +150,7 @@ def cmd_mine(args) -> int:
     pos, structures = mine_positive_dict(graph, args.k, max_degree=args.max_degree)
     elapsed = time.perf_counter() - started
     save_dict(pos, args.out)
-    pairs = sum(len(s) for s in pos.targets)
+    pairs = len(pos.indices)
     if args.json:
         print(json.dumps({
             "entities": graph.entity_count,

@@ -16,7 +16,7 @@ from .errors import (
     SingleClassError,
     UnknownEntityError,
 )
-from .graph import Triple
+from .graph import Triple, triple_keys
 from .model import SCORERS, EmbeddingTable, ScorerKind, squared_norms
 
 HEAD = "head"
@@ -35,34 +35,20 @@ class RankingReport:
 _RANK_BLOCK_FLOATS = 1 << 20
 
 
-def _filter_keys(h, r, t, corrupt_head, entity_count: int, relation_count: int) -> np.ndarray:
-    """Key of the known-triple group that filters each query.
-
-    A head query on (r, t) drops the heads of known (., r, t) and a tail
-    query on (h, r) the tails of known (h, r, .); the two key ranges do not
-    overlap.
-    """
-    tail_keys = entity_count * relation_count + h * relation_count + r
-    return np.where(corrupt_head, r * entity_count + t, tail_keys)
-
-
-def _known_csr(
+def _known_keys(
     known: Iterable[tuple[int, int, int]], entity_count: int, relation_count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted filter keys of the known triples, with the candidate each drops.
+) -> np.ndarray:
+    """Sorted triple_keys of the known triples (h, r, t) and of their inverses
+    (t, r + relation_count, h): a query's filter is one run of keys.
 
     Triples outside the table are dropped: they name no candidate, and their
     keys could collide with valid ones.
     """
-    flat = np.fromiter(itertools.chain.from_iterable(known), dtype=np.int64)
-    h, r, t = flat.reshape(-1, 3).T
-    inside = (h >= 0) & (h < entity_count) & (t >= 0) & (t < entity_count)
-    inside &= (r >= 0) & (r < relation_count)
-    h, r, t = h[inside], r[inside], t[inside]
-    keys = np.concatenate([_filter_keys(h, r, t, side, entity_count, relation_count)
-                           for side in (True, False)])
-    order = np.argsort(keys, kind="stable")
-    return keys[order], np.concatenate([h, t])[order]
+    triples = np.fromiter(itertools.chain.from_iterable(known), dtype=np.int64).reshape(-1, 3)
+    inside = ((triples >= 0) & (triples < [entity_count, relation_count, entity_count])).all(1)
+    h, r, t = triples[inside].T
+    inverse_r = r + relation_count
+    return np.sort(triple_keys(np.r_[h, t], np.r_[r, inverse_r], np.r_[t, h], entity_count))
 
 
 def _filtered_ranks(
@@ -96,8 +82,9 @@ def _filtered_ranks(
     entities = table.entity_vecs
     anchor_ids = np.where(corrupt_head, t, h)
     true_ids = np.where(corrupt_head, h, t)
-    known_keys, known_ids = _known_csr(known, n_e, n_r)
-    filter_keys = _filter_keys(h, r, t, corrupt_head, n_e, n_r)
+    known_keys = _known_keys(known, n_e, n_r)
+    # Query i's known candidates are the keys in [run_keys[i], run_keys[i] + n_e).
+    run_keys = triple_keys(anchor_ids, np.where(corrupt_head, r + n_r, r), 0, n_e)
     entity_sq = squared_norms(entities)
 
     ranks = np.empty(len(triples), dtype=np.float64)
@@ -115,14 +102,13 @@ def _filtered_ranks(
         higher = lo_bound > own[:, None]
         band = ~(higher | (hi_bound < own[:, None]))  # NaN bounds land in the band
 
-        # Known candidates and the query itself do not compete. Query i's
-        # known candidates are known_ids[first[i] : first[i] + counts[i]].
-        first = np.searchsorted(known_keys, filter_keys[part], side="left")
-        counts = np.searchsorted(known_keys, filter_keys[part], side="right") - first
+        # Known candidates and the query itself do not compete.
+        first = np.searchsorted(known_keys, run_keys[part])
+        counts = np.searchsorted(known_keys, run_keys[part] + n_e) - first
         run_starts = np.repeat(first - np.cumsum(counts) + counts, counts)
         excluded = (
             np.concatenate([rows, np.repeat(rows, counts)]),
-            np.concatenate([truth, known_ids[run_starts + np.arange(counts.sum())]]),
+            np.concatenate([truth, known_keys[run_starts + np.arange(counts.sum())] % n_e]),
         )
         higher[excluded] = False
         band[excluded] = False

@@ -112,7 +112,7 @@ def run_experiment(
     if spec.ablation in (CONTRASTIVE_ARM, "both"):
         pos_dict, _ = mine_positive_dict(dataset.graph, spec.config.k)
         if progress is not None:
-            mined = sum(len(s) for s in pos_dict.targets)
+            mined = len(pos_dict.indices)
             progress(f"mined positive dictionary: {mined} directed pairs")
 
     known = set(dataset.train) | set(dataset.valid) | set(dataset.test)

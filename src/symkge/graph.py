@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import EmptyDatasetError, MalformedTripleError, UnknownEntityError
+from .errors import DataError, EmptyDatasetError, MalformedTripleError, UnknownEntityError
 
 FORWARD = 0
 INVERSE = 1
@@ -88,6 +88,19 @@ def _union_graph(triples: tuple[Triple, ...], labels: LabelMaps) -> UnionGraph:
     for a in arrays:
         a.flags.writeable = False
     return UnionGraph(triples, len(labels.entity_labels), len(labels.relation_labels), *arrays)
+
+
+def triple_keys(h: np.ndarray, r: np.ndarray, t: np.ndarray, entity_count: int) -> np.ndarray:
+    """One int64 key per triple, (r * E + h) * E + t, for ids inside their counts.
+
+    The tails of (h, r, .) are the keys in [triple_keys(h, r, 0), + E). Relation
+    ids whose keys would not fit in 64 bits are refused with a DataError.
+    """
+    relations = int(np.max(r, initial=-1)) + 1
+    if relations * entity_count**2 - 1 > np.iinfo(np.int64).max:
+        raise DataError(f"{entity_count} entities and {relations} relations are too many "
+                        f"to key triples in 64 bits")
+    return (r * entity_count + h) * entity_count + t
 
 
 def intern_graph(raw_triples: Iterable[RawTriple]) -> tuple[UnionGraph, LabelMaps]:

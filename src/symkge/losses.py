@@ -14,7 +14,6 @@ differences in the test suite; keep both in sync when touching formulas.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +55,6 @@ def _ordered_sum(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     flat = (slot[:, None] * dim + np.arange(dim)).ravel()
     sums = np.bincount(flat, weights=rows.ravel(), minlength=len(distinct) * dim)
     return distinct, sums.reshape(len(distinct), dim)
-
-
-def positive_sample_seed(seed: int, epoch: int, anchor: int) -> int:
-    """Stable per-(run, epoch, anchor) stream id for positive resampling."""
-    return (seed * 1_000_003 + epoch) * 1_000_003 + anchor
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +209,13 @@ def _contrastive_forward_backward(
     """
     if pos_dict is None:
         return 0.0, None
-    # The positive stream depends on the anchor, not the occurrence.
+    # The positive draw depends on the anchor, not the occurrence.
     uniq, occ = np.unique(anchors, return_inverse=True)
-    sampled = [
-        sample_positives(pos_dict, a, cfg.m, positive_sample_seed(cfg.seed, epoch, a))
-        for a in uniq.tolist()
-    ]
-    counts = np.array([len(p) for p in sampled], dtype=np.int64)
+    counts, flat = sample_positives(pos_dict, uniq, cfg.m, cfg.seed, epoch)
     occ = occ[counts[occ] > 0]
     if occ.size == 0:
         return 0.0, None
     # Distinct anchor u's positives are flat[first[u] : first[u] + counts[u]].
-    flat = np.fromiter(itertools.chain.from_iterable(sampled), np.int64, int(counts.sum()))
     first = np.cumsum(counts) - counts
 
     n_occ, dim = occ.size, table.entity_vecs.shape[1]

@@ -15,7 +15,6 @@ structure_stats counts the same join. Tests check both against walk oracles.
 from __future__ import annotations
 
 import os
-import random
 import struct
 import zlib
 from dataclasses import dataclass
@@ -44,19 +43,48 @@ class SymmetricStructure:
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PositiveDict:
-    """Per-entity positive target sets, plus the hop bound they were mined at."""
+    """Per-entity positive targets in CSR form, plus the hop bound they were mined at.
 
-    targets: tuple[frozenset[int], ...]
+    Entity e's targets are indices[indptr[e] : indptr[e + 1]], ascending. Both
+    arrays are read-only; equality compares them and the hop bound.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
     hop_bound: int
+
+    def __post_init__(self) -> None:
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
 
     @property
     def entity_count(self) -> int:
-        return len(self.targets)
+        return len(self.indptr) - 1
+
+    @property
+    def targets(self) -> tuple[frozenset[int], ...]:
+        """Every entity's targets, for callers that enumerate them."""
+        ids, bounds = self.indices.tolist(), self.indptr.tolist()
+        return tuple(frozenset(ids[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
     def __getitem__(self, entity: int) -> frozenset[int]:
-        return self.targets[entity]
+        return frozenset(self.indices[self.indptr[entity] : self.indptr[entity + 1]].tolist())
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, PositiveDict) and self.hop_bound == other.hop_bound
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
+
+
+def _from_pairs(entity_count: int, anchor: np.ndarray, target: np.ndarray,
+                hop_bound: int) -> PositiveDict:
+    """The dictionary holding each (anchor, target) pair once."""
+    order = np.lexsort((target, anchor))
+    anchor, target = anchor[order], target[order]
+    first = _key_starts(anchor, target)
+    indptr = np.searchsorted(anchor[first], np.arange(entity_count + 1))
+    return PositiveDict(indptr, target[first], hop_bound)
 
 
 @dataclass(frozen=True)
@@ -204,6 +232,7 @@ def mine_positive_dict(
     harness stops passing it, the keyword is removed.
     """
     structures: list[SymmetricStructure] = []
+    pairs = [np.empty((0, 2), np.int64)]
     for k, nodes, seq in _half_paths(graph, k_max, max_degree):
         blocks = _joined(nodes, seq, by_seq=True)
         anchor, pivot, target, code, _ = np.concatenate([np.empty((0, 5), np.int64), *blocks]).T
@@ -211,10 +240,9 @@ def mine_positive_dict(
         halves = {c: _unpacked(c, k, 2 * graph.relation_count) for c in set(code.tolist())}
         columns = (c[order].tolist() for c in (anchor, pivot, target, code))
         structures += [SymmetricStructure(a, p, t, halves[s], k) for a, p, t, s in zip(*columns)]
-    targets: list[set[int]] = [set() for _ in range(graph.entity_count)]
-    for s in structures:
-        targets[s.anchor].add(s.target)
-    return PositiveDict(tuple(frozenset(t) for t in targets), hop_bound=k_max), structures
+        pairs.append(np.column_stack([anchor, target]))
+    anchor, target = np.concatenate(pairs).T
+    return _from_pairs(graph.entity_count, anchor, target, k_max), structures
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +276,41 @@ def structure_stats(
 # ---------------------------------------------------------------------------
 
 
-def sample_positives(pos: PositiveDict, anchor: int, m: int, seed: int) -> list[int]:
-    """Sample up to m distinct positives for an anchor, uniformly, seeded.
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer: a bijection of uint64 arrays with full avalanche."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
-    Returns the whole (sorted) target set when it has fewer than m entries.
+
+def sample_positives(pos: PositiveDict, anchors, m: int, seed: int,
+                     epoch: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Up to m distinct positives per anchor, drawn uniformly: (counts, flat).
+
+    Anchor i's positives are the counts[i] ids of flat after those of the
+    anchors before it, ascending. A row with at most m targets is taken whole.
+    Otherwise each target gets a 40-bit key, a hash of the counter (anchor,
+    target) keyed by (seed, epoch) as in counter-based generators (Salmon et
+    al., SC'11), and the m smallest keys win, ties to the lower id: a uniform
+    m-subset that depends on (seed, epoch, anchor) alone, not on the batch.
     """
     if m < 1:
         raise ValueError(f"sampling number must be >= 1, got {m}")
-    candidates = sorted(pos.targets[anchor])
-    if len(candidates) <= m:
-        return candidates
-    return random.Random(seed).sample(candidates, m)
+    anchors = np.asarray(anchors, dtype=np.int64).reshape(-1)
+    if len(anchors) >= 1 << 23:
+        raise ValueError(f"{len(anchors)} anchors are too many to sort in one draw")
+    lo = pos.indptr[anchors]
+    sizes = pos.indptr[anchors + 1] - lo
+    row = np.repeat(np.arange(len(anchors)), sizes)
+    targets = pos.indices[_ranges(lo, sizes)]
+    key = _mix(np.array([seed % (1 << 64), epoch % (1 << 64)], dtype=np.uint64))
+    counter = (anchors[row] * pos.entity_count + targets).astype(np.uint64)
+    keys = _mix(_mix(counter ^ key[0]) + key[1]) >> np.uint64(24)
+    # Rows ascend already, so a stable sort by (row, key) runs fast.
+    by_key = np.argsort(row << 40 | keys.astype(np.int64), kind="stable")
+    keep = np.empty(len(targets), dtype=bool)
+    keep[by_key] = np.arange(len(by_key)) - (np.cumsum(sizes) - sizes)[row[by_key]] < m
+    return np.minimum(sizes, m), targets[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +328,8 @@ def save_dict(pos: PositiveDict, path: str | os.PathLike[str]) -> None:
     hop bound u32, entity count u64, and per entity a u64 count followed by
     that many u64 target ids, then CRC32 of the payload as u32.
     """
-    parts = [struct.pack("<IIQ", _DICT_VERSION, pos.hop_bound, pos.entity_count)]
-    for targets in pos.targets:
-        ordered = sorted(targets)
-        parts.append(struct.pack("<Q", len(ordered)))
-        parts.append(struct.pack(f"<{len(ordered)}Q", *ordered))
-    payload = b"".join(parts)
+    words = np.insert(pos.indices, pos.indptr[:-1], np.diff(pos.indptr)).astype("<u8")
+    payload = struct.pack("<IIQ", _DICT_VERSION, pos.hop_bound, pos.entity_count) + words.tobytes()
     with open(path, "wb") as fh:
         fh.write(_DICT_MAGIC)
         fh.write(payload)
@@ -296,7 +344,8 @@ def load_dict(path: str | os.PathLike[str]) -> PositiveDict:
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < len(_DICT_MAGIC) + 4 + struct.calcsize("<IIQ"):
+    header = struct.calcsize("<IIQ")
+    if len(blob) < len(_DICT_MAGIC) + 4 + header:
         raise CorruptDictFileError(f"{path}: truncated file")
     if blob[:4] != _DICT_MAGIC:
         raise CorruptDictFileError(f"{path}: bad magic {blob[:4]!r}")
@@ -306,28 +355,32 @@ def load_dict(path: str | os.PathLike[str]) -> PositiveDict:
     version, hop_bound, entity_count = struct.unpack_from("<IIQ", payload, 0)
     if version != _DICT_VERSION:
         raise CorruptDictFileError(f"{path}: unsupported version {version}")
-    offset = struct.calcsize("<IIQ")
-    targets: list[frozenset[int]] = []
+    words = np.frombuffer(payload, "<u8", (len(payload) - header) // 8, header)
+    # Each count says where the next one is, so the walk over them is sequential;
+    # a memoryview reads one word as a Python int fastest.
+    counts, heads, at, end = memoryview(words.astype("=u8", copy=False)), [], 0, len(words)
     for _ in range(entity_count):
-        if offset + 8 > len(payload):
+        if at >= end:
             raise CorruptDictFileError(f"{path}: truncated entity table")
-        (count,) = struct.unpack_from("<Q", payload, offset)
-        offset += 8
-        end = offset + 8 * count
-        if end > len(payload):
+        heads.append(at)
+        at += 1 + counts[at]
+        if at > end:
             raise CorruptDictFileError(f"{path}: truncated target list")
-        targets.append(frozenset(struct.unpack_from(f"<{count}Q", payload, offset)))
-        offset = end
-    if offset != len(payload):
+    if header + 8 * at != len(payload):
         raise CorruptDictFileError(f"{path}: trailing bytes in payload")
-    for a, row in enumerate(targets):
-        for t in row:
-            if t >= entity_count:
-                raise CorruptDictFileError(
-                    f"{path}: entity {a} has target {t}, outside the {entity_count} entities"
-                )
-            if t == a:
-                raise CorruptDictFileError(f"{path}: entity {a} is paired with itself")
-            if a not in targets[t]:
-                raise CorruptDictFileError(f"{path}: pair ({a}, {t}) has no reverse ({t}, {a})")
-    return PositiveDict(targets=tuple(targets), hop_bound=hop_bound)
+    targets = np.delete(words[:at], heads)
+    anchors = np.repeat(np.arange(entity_count), words[heads].astype(np.int64))
+
+    def refuse(bad: np.ndarray, problem: str) -> None:
+        if bad.any():
+            a, t = anchors[bad.argmax()], targets[bad.argmax()]
+            raise CorruptDictFileError(f"{path}: " + problem.format(a=a, t=t, n=entity_count))
+
+    refuse(targets >= entity_count, "entity {a} has target {t}, outside the {n} entities")
+    targets = targets.astype(np.int64)
+    refuse(anchors == targets, "entity {a} is paired with itself")
+    pos = _from_pairs(entity_count, anchors, targets, hop_bound)
+    anchors, targets = np.repeat(np.arange(entity_count), np.diff(pos.indptr)), pos.indices
+    reverse = np.isin(targets * entity_count + anchors, anchors * entity_count + targets)
+    refuse(~reverse, "pair ({a}, {t}) has no reverse ({t}, {a})")
+    return pos

@@ -17,7 +17,7 @@ from .errors import DataError, NonFiniteLossError
 from .losses import Gradients, LossBreakdown, combined_gradients
 from .mining import PositiveDict
 from .model import EmbeddingTable, init_embeddings
-from .graph import UnionGraph
+from .graph import UnionGraph, triple_keys
 
 
 # Floats per array in a block of Adam's update, small enough to stay in cache.
@@ -80,35 +80,34 @@ def sample_negatives(
     batch: np.ndarray,
     n_negatives: int,
     entity_count: int,
-    known: set[tuple[int, int, int]],
+    known: np.ndarray,
 ) -> np.ndarray:
     """Corrupt head or tail (coin flip) uniformly, avoiding known triples.
 
-    Rejection-samples each corruption; if a slot is saturated (every candidate
-    entity forms a known triple) the enumeration fallback picks from the exact
-    complement, or keeps the last draw when no candidate exists at all.
+    known holds the sorted triple_keys of the triples to avoid. Every slot
+    draws its coin, then its entity; only rejected slots redraw, for up to 100
+    rounds. A slot still rejected then picks from its exact complement, or
+    keeps its last draw when every candidate forms a known triple.
     """
-    out = np.empty((len(batch), n_negatives, 3), dtype=np.int64)
-    for i, (h, r, t) in enumerate(batch.tolist()):
-        for j in range(n_negatives):
-            corrupt_head = bool(rng.integers(0, 2))
-            candidate = (h, r, t)
-            for _ in range(100):
-                e = int(rng.integers(0, entity_count))
-                candidate = (e, r, t) if corrupt_head else (h, r, e)
-                if candidate not in known:
-                    break
-            else:
-                pool = [
-                    e
-                    for e in range(entity_count)
-                    if ((e, r, t) if corrupt_head else (h, r, e)) not in known
-                ]
-                if pool:
-                    e = pool[int(rng.integers(0, len(pool)))]
-                    candidate = (e, r, t) if corrupt_head else (h, r, e)
-            out[i, j] = candidate
-    return out
+    def rejected(triples):
+        keys = triple_keys(*triples.T, entity_count)
+        return np.searchsorted(known, keys, "right") > np.searchsorted(known, keys, "left")
+
+    out = np.repeat(np.asarray(batch, dtype=np.int64), n_negatives, axis=0)
+    column = 2 - 2 * rng.integers(0, 2, len(out))  # heads (column 0) on a 1
+    pending = np.arange(len(out))
+    for _ in range(100):
+        out[pending, column[pending]] = rng.integers(0, entity_count, len(pending))
+        pending = pending[rejected(out[pending])]
+        if pending.size == 0:
+            break
+    for slot in pending.tolist():
+        candidates = np.repeat(out[slot : slot + 1], entity_count, axis=0)
+        candidates[:, column[slot]] = np.arange(entity_count)
+        pool = np.flatnonzero(~rejected(candidates))
+        if pool.size:
+            out[slot, column[slot]] = pool[rng.integers(0, pool.size)]
+    return out.reshape(len(batch), n_negatives, 3)
 
 
 @dataclass
@@ -130,10 +129,12 @@ def train(
     before any update, with KMismatchError.
     log_fn, when given, receives (epoch, LossBreakdown) after each epoch.
     """
+    train_triples = np.asarray(graph.triples, dtype=np.int64).reshape(-1, 3)
+    known = np.sort(triple_keys(*train_triples.T, graph.entity_count))
     if pos_dict is not None:
         # Every train entity needs a (possibly empty) row; padding past the
         # train split is fine, past the graph is not.
-        highest = max((max(h, t) for h, _, t in graph.triples), default=-1)
+        highest = int(train_triples[:, ::2].max(initial=-1))
         if not highest < pos_dict.entity_count <= graph.entity_count:
             raise DataError(
                 f"dictionary covers {pos_dict.entity_count} entities, but the train "
@@ -142,8 +143,6 @@ def train(
             )
     table = init_embeddings(graph.entity_count, graph.relation_count, cfg.dim, cfg.seed)
     optimizer = Adam(table, lr=cfg.lr)
-    train_triples = np.asarray(graph.triples, dtype=np.int64)
-    known = {(int(h), int(r), int(t)) for h, r, t in graph.triples}
 
     epoch_log: list[LossBreakdown] = []
     for epoch in range(1, cfg.epochs + 1):

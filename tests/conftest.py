@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from symkge.graph import intern_graph
+from symkge.mining import PositiveDict
 
 
 def random_raw_triples(rng: random.Random, n_entities: int, n_triples: int, n_relations: int):
@@ -23,6 +25,13 @@ def random_graph(seed: int, n_entities: int, n_triples: int, n_relations: int):
     rng = random.Random(seed)
     graph, labels = intern_graph(random_raw_triples(rng, n_entities, n_triples, n_relations))
     return graph, labels
+
+
+def positive_dict(rows, hop_bound: int = 1) -> PositiveDict:
+    """A dictionary holding the target rows as given, valid or not."""
+    rows = [sorted(row) for row in rows]
+    indices = np.array([t for row in rows for t in row], dtype=np.int64)
+    return PositiveDict(np.cumsum([0] + [len(row) for row in rows]), indices, hop_bound)
 
 
 def planted_kg_triples(seed: int = 0, n_pivots: int = 10, members_per_pivot: int = 8,

@@ -10,7 +10,7 @@ from symkge.errors import UnknownEntityError
 from symkge.evaluation import HEAD
 from symkge.graph import SignedRelation, UnionGraph, signed_neighbors
 from symkge.config import BINARY_CROSS_ENTROPY, MARGIN_RANKING
-from symkge.losses import Gradients, _checked_norms, _log_sigmoid, _sigmoid, positive_sample_seed
+from symkge.losses import Gradients, _checked_norms, _log_sigmoid, _sigmoid
 from symkge.mining import HalfSequence, _check_hop_bound, sample_positives
 from symkge.model import SCORERS, ScorerKind
 
@@ -127,9 +127,7 @@ def contrastive_forward_backward_loop(table, anchors, pos_dict, cfg, epoch, grad
         return 0.0
     sampled = []
     for anchor in np.asarray(anchors).tolist():
-        positives = sample_positives(
-            pos_dict, anchor, cfg.m, positive_sample_seed(cfg.seed, epoch, anchor)
-        )
+        positives = sample_positives(pos_dict, [anchor], cfg.m, cfg.seed, epoch)[1].tolist()
         if positives:
             sampled.append((anchor, positives))
     if not sampled:

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from symkge.cli import main
-from symkge.mining import PositiveDict, load_dict, save_dict
+from symkge.mining import load_dict, save_dict
 from symkge.model import load_checkpoint, save_checkpoint
 
-from conftest import planted_kg_triples, write_split_files
+from conftest import planted_kg_triples, positive_dict, write_split_files
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +148,7 @@ def test_train_refuses_corrupt_dict_content(kg_files, tmp_path, capsys):
     _, paths = kg_files
     bad = tmp_path / "bad.symd"
     rows = ({1, 99}, {0}, {2})  # valid checksum, impossible pairs
-    save_dict(PositiveDict(targets=tuple(map(frozenset, rows)), hop_bound=1), bad)
+    save_dict(positive_dict(rows, 1), bad)
     assert _train_with_dict(paths, bad, tmp_path / "m.syme") == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1

@@ -16,12 +16,12 @@ from symkge.losses import (
     combined_gradients,
     combined_loss,
     contrastive_loss,
-    positive_sample_seed,
     task_loss,
 )
-from symkge.mining import PositiveDict, sample_positives
+from symkge.mining import sample_positives
 from symkge.model import SCORERS, EmbeddingTable, ScorerKind, init_embeddings
 
+from conftest import positive_dict
 from oracles import (
     contrastive_forward_backward_loop,
     contrastive_loss_cosine_form,
@@ -31,7 +31,7 @@ from oracles import (
 
 
 def _dict_of(targets, k=2):
-    return PositiveDict(targets=tuple(frozenset(t) for t in targets), hop_bound=k)
+    return positive_dict(targets, k)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +205,7 @@ def test_combined_loss_matches_straight_line_recompute():
 
     anchor_terms = []
     for anchor in [row[0] for row in batch.tolist()] + [row[2] for row in batch.tolist()]:
-        chosen = sample_positives(
-            pos_dict, anchor, cfg.m, positive_sample_seed(cfg.seed, 4, anchor)
-        )
+        chosen = sample_positives(pos_dict, [anchor], cfg.m, cfg.seed, 4)[1].tolist()
         if not chosen:
             continue
         a = table.entity_vecs[anchor]
@@ -348,10 +346,8 @@ def _touched_indices(batch, negatives, pos_dict, cfg, epoch):
     if pos_dict is not None:
         for anchor in batch[:, 0].tolist() + batch[:, 2].tolist():
             entities.add(anchor)
-            entities.update(
-                sample_positives(pos_dict, anchor, cfg.m,
-                                 positive_sample_seed(cfg.seed, epoch, anchor))
-            )
+            _, drawn = sample_positives(pos_dict, [anchor], cfg.m, cfg.seed, epoch)
+            entities.update(drawn.tolist())
     relations = set(batch[:, 1].tolist()) | set(flat[:, 1].tolist())
     return sorted(entities), sorted(relations)
 

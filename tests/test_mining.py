@@ -2,19 +2,20 @@
 
 import dataclasses
 import importlib.util
+import itertools
 import json
 import multiprocessing
 import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from symkge import mining
 from symkge.errors import CorruptDictFileError, DataError, HopBoundExceededError, KMismatchError
 from symkge.graph import FORWARD, INVERSE, SignedRelation, intern_graph, load_dataset
 from symkge.mining import (
-    PositiveDict,
     load_dict,
     mine_positive_dict,
     sample_positives,
@@ -22,7 +23,7 @@ from symkge.mining import (
     structure_stats,
 )
 
-from conftest import random_graph
+from conftest import positive_dict, random_graph
 from oracles import brute_force_oracle, relation_sequences, structure_stats_oracle
 
 
@@ -416,34 +417,105 @@ def test_stats_rs_count_matches_miner_structures():
 
 
 def _dict_of(targets, k=1):
-    return PositiveDict(targets=tuple(frozenset(t) for t in targets), hop_bound=k)
+    return positive_dict(targets, k)
+
+
+def _draw(pos, anchor, m, seed):
+    """One anchor's positives, as a list."""
+    return sample_positives(pos, [anchor], m, seed)[1].tolist()
 
 
 def test_sample_fewer_candidates_than_m():
     pos = _dict_of([{1}, set()])
-    assert sample_positives(pos, 0, 6, seed=0) == [1]
+    assert _draw(pos, 0, 6, seed=0) == [1]
 
 
 def test_sample_empty():
     pos = _dict_of([set(), set()])
-    assert sample_positives(pos, 0, 4, seed=0) == []
+    assert _draw(pos, 0, 4, seed=0) == []
 
 
 def test_sample_deterministic():
     pos = _dict_of([set(range(1, 101)), set()])
-    first = sample_positives(pos, 0, 10, seed=42)
+    first = _draw(pos, 0, 10, seed=42)
     assert len(first) == 10
     assert len(set(first)) == 10
-    assert first == sample_positives(pos, 0, 10, seed=42)
-    assert first != sample_positives(pos, 0, 10, seed=43)
+    assert first == _draw(pos, 0, 10, seed=42)
+    assert first != _draw(pos, 0, 10, seed=43)
 
 
 def test_sample_uniform_coverage():
     pos = _dict_of([set(range(1, 21))])
     seen = set()
     for seed in range(60):
-        seen.update(sample_positives(pos, 0, 5, seed=seed))
+        seen.update(_draw(pos, 0, 5, seed=seed))
     assert seen == set(range(1, 21))
+
+
+def _chi_square(counts, expected):
+    counts = np.asarray(counts, dtype=np.float64)
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
+def test_sample_subsets_uniform_over_seeds_and_epochs():
+    # Every 3-subset of 6 targets, over 200 seeds x 20 epochs: 20 cells of
+    # 200 expected draws each. 43.82 is the chi-square 0.999 quantile at 19
+    # degrees of freedom.
+    pos = _dict_of([set(range(1, 7))] + [set()] * 6)
+    subsets = {s: 0 for s in itertools.combinations(range(1, 7), 3)}
+    for seed in range(200):
+        for epoch in range(20):
+            subsets[tuple(sample_positives(pos, [0], 3, seed, epoch)[1].tolist())] += 1
+    assert _chi_square(list(subsets.values()), 4000 / 20) < 43.82
+
+
+def test_sample_targets_uniform_in_a_batch():
+    # Each of 30 targets of 50 anchors in one draw, 60 epochs: 50 * 60 * 7
+    # picks over 30 targets. 58.30 is the 0.999 quantile at 29 degrees of freedom.
+    n = 31
+    pos = _dict_of([set(range(n)) - {a} for a in range(n)])
+    anchors = np.arange(n)
+    hits = np.zeros(n)
+    for epoch in range(60):
+        counts, flat = sample_positives(pos, anchors, 7, seed=5, epoch=epoch)
+        assert counts.tolist() == [7] * n
+        owner = np.repeat(anchors, counts)
+        # Rank each pick among its anchor's targets, so every anchor's
+        # 30 candidates map onto the same 30 cells.
+        hits += np.bincount(flat - (flat > owner), minlength=n)
+    assert hits[n - 1] == 0
+    assert _chi_square(hits[: n - 1], n * 60 * 7 / (n - 1)) < 58.30
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_draws_are_distinct_sorted_and_whole_when_small(seed):
+    rng = np.random.default_rng(seed)
+    n = 40
+    rows = [set(rng.choice(np.delete(np.arange(n), e), int(rng.integers(0, 16)),
+                           replace=False).tolist()) for e in range(n)]
+    pos = _dict_of(rows)
+    anchors = rng.integers(0, n, 60)  # repeats included
+    counts, flat = sample_positives(pos, anchors, 6, seed, epoch=3)
+    assert counts.tolist() == [min(len(rows[a]), 6) for a in anchors.tolist()]
+    for a, drawn in zip(anchors.tolist(), np.split(flat, np.cumsum(counts)[:-1])):
+        drawn = drawn.tolist()
+        assert drawn == sorted(set(drawn))  # distinct, ascending
+        assert set(drawn) <= rows[a]
+        if len(rows[a]) <= 6:
+            assert drawn == sorted(rows[a])
+
+
+def test_sample_draw_does_not_depend_on_the_batch():
+    rng = np.random.default_rng(9)
+    n = 60
+    pos = _dict_of([set(range(n)) - {e} for e in range(n)])
+    batch = np.unique(rng.integers(0, n, 25))
+    counts, flat = sample_positives(pos, batch, 5, seed=11, epoch=2)
+    per_anchor = np.split(flat, np.cumsum(counts)[:-1])
+    for a, drawn in zip(batch.tolist(), per_anchor):
+        assert drawn.tolist() == sample_positives(pos, [a], 5, seed=11, epoch=2)[1].tolist()
+    reordered = sample_positives(pos, batch[::-1], 5, seed=11, epoch=2)[1]
+    assert np.array_equal(np.concatenate(per_anchor[::-1]), reordered)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Ranks and trajectories must not depend on the BLAS thread count, so the only
 BLAS products allowed are the scorers' bounds() in model.py, whose error
 bounds hold for any summation order, and model.squared_norms, whose result
 only bounds() may read; scoring math stays in model.py, so the loss and
-ranking code never branch on a scorer; and gradient rows are summed by one
-ordered helper, never by a ufunc's unbuffered .at().
+ranking code never branch on a scorer; gradient rows are summed by one
+ordered helper, never by a ufunc's unbuffered .at(); and every random stream
+is NumPy's, derived from the config seed, never the stdlib random module's.
 """
 
 import ast
@@ -99,6 +100,23 @@ def test_no_ufunc_at_in_src():
     for path in sorted(SRC.glob("*.py")):
         lines = _ufunc_at_calls(path.read_text(encoding="utf-8"))
         assert not lines, f"{path.name}:{lines}: ufunc.at scatter; use losses._ordered_sum"
+
+
+def _random_imports(source: str) -> list[int]:
+    """Lines importing the stdlib random module or a name from it."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.Import)
+                and any(a.name.split(".")[0] == "random" for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.module == "random")]
+
+
+def test_no_stdlib_random_in_src():
+    """Every stream is NumPy's and derives from the config seed."""
+    assert _random_imports("import random\nfrom random import Random") == [1, 2]
+    assert _random_imports("from numpy import random\nimport numpy.random") == []
+    for path in sorted(SRC.glob("*.py")):
+        lines = _random_imports(path.read_text(encoding="utf-8"))
+        assert not lines, f"{path.name}:{lines}: stdlib random; derive a NumPy stream from the seed"
 
 
 def test_bench_span_targets_resolve():

@@ -1,13 +1,14 @@
 """Training loop behavior: determinism, progress, failure modes."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 from symkge.config import MARGIN_RANKING, TrainConfig
-from symkge.errors import KMismatchError, NonFiniteLossError
-from symkge.graph import intern_graph
+from symkge.errors import DataError, KMismatchError, NonFiniteLossError
+from symkge.graph import intern_graph, triple_keys
 from symkge.mining import mine_positive_dict
 from symkge.model import ScorerKind, init_embeddings
 from symkge import training
@@ -102,12 +103,18 @@ def test_trained_table_is_finite():
     assert result.table.all_finite()
 
 
+def _keys(triples, graph):
+    """Sorted triple keys of the triples, as train() gives the negative sampler."""
+    return np.sort(triple_keys(*np.asarray(triples, dtype=np.int64).reshape(-1, 3).T,
+                               graph.entity_count))
+
+
 def test_negative_sampler_avoids_known_triples():
     graph, _ = random_graph(9, 8, 30, 2)
     known = {(int(h), int(r), int(t)) for h, r, t in graph.triples}
     batch = np.asarray(graph.triples[:10], dtype=np.int64)
     rng = np.random.default_rng(0)
-    negatives = sample_negatives(rng, batch, 4, graph.entity_count, known)
+    negatives = sample_negatives(rng, batch, 4, graph.entity_count, _keys(graph.triples, graph))
     assert negatives.shape == (10, 4, 3)
     for i, (h, r, t) in enumerate(batch.tolist()):
         for nh, nr, nt in negatives[i].tolist():
@@ -119,11 +126,81 @@ def test_negative_sampler_avoids_known_triples():
 
 def test_negative_sampler_deterministic():
     graph, _ = random_graph(10, 12, 25, 3)
-    known = set()
+    known = np.empty(0, dtype=np.int64)
     batch = np.asarray(graph.triples[:5], dtype=np.int64)
     a = sample_negatives(np.random.default_rng(5), batch, 3, graph.entity_count, known)
     b = sample_negatives(np.random.default_rng(5), batch, 3, graph.entity_count, known)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_negative_sampler_corrupts_one_side_into_an_unknown_triple(seed):
+    # 12 entities and 60 triples over 2 relations: many draws hit a known
+    # triple and redraw, and every slot still has free candidates.
+    graph, _ = random_graph(seed, 12, 60, 2)
+    known = {(int(h), int(r), int(t)) for h, r, t in graph.triples}
+    batch = np.asarray(graph.triples, dtype=np.int64)
+    negatives = sample_negatives(np.random.default_rng(seed), batch, 8, graph.entity_count,
+                                 _keys(graph.triples, graph))
+    heads = 0
+    for (h, r, t), row in zip(batch.tolist(), negatives.tolist()):
+        for nh, nr, nt in row:
+            assert (nh, nr, nt) not in known
+            assert nr == r
+            assert (nh != h) + (nt != t) == 1
+            heads += nh != h
+    assert 0.4 < heads / negatives[..., 0].size < 0.6  # a fair coin picks the side
+
+
+def _saturated(entity_count, free_heads, free_tails):
+    """Known keys of (e, 0, 1) and (0, 0, e) for every e but the free ones."""
+    e = np.arange(entity_count)
+    heads = np.column_stack([e, 0 * e, 0 * e + 1])[~np.isin(e, free_heads)]
+    tails = np.column_stack([0 * e, 0 * e, e])[~np.isin(e, free_tails)]
+    return np.unique(triple_keys(*np.concatenate([heads, tails]).T, entity_count))
+
+
+@pytest.mark.parametrize("free_heads,free_tails,n_negatives", [([3], [2], 4), ([3, 7], [2, 5], 24)])
+def test_negative_sampler_falls_back_to_the_free_entities(
+    free_heads, free_tails, n_negatives, monkeypatch
+):
+    # With 1 or 2 free entities in 100,000, 100 rejection rounds almost never
+    # find one, so each slot draws from its enumerated complement.
+    n = 100_000
+    lengths = []
+
+    def spy(h, r, t, entity_count):
+        lengths.append(len(h))
+        return triple_keys(h, r, t, entity_count)
+
+    monkeypatch.setattr(training, "triple_keys", spy)
+    batch = np.array([[0, 0, 1]])
+    negatives = sample_negatives(np.random.default_rng(0), batch, n_negatives, n,
+                                 _saturated(n, free_heads, free_tails))
+    assert lengths.count(n) == n_negatives  # every slot took the fallback
+    free = {(e, 0, 1) for e in free_heads} | {(0, 0, e) for e in free_tails}
+    assert {tuple(row) for row in negatives[0].tolist()} == free  # each free entity drawn
+
+
+def test_negative_sampler_keeps_a_known_triple_when_no_entity_is_free():
+    n = 6
+    negatives = sample_negatives(np.random.default_rng(1), np.array([[0, 0, 1]]), 8, n,
+                                 _saturated(n, [], []))
+    known = {(e, 0, 1) for e in range(n)} | {(0, 0, e) for e in range(n)}
+    assert {tuple(row) for row in negatives[0].tolist()} <= known
+
+
+def test_triple_keys_that_overflow_are_refused():
+    # Keys are (r * E + h) * E + t in int64, so the largest, E^2 * R - 1, must fit.
+    graph, _ = random_graph(40, 10, 25, 3)
+    huge = dataclasses.replace(graph, entity_count=2**31)
+    with pytest.raises(DataError, match="too many to key") as refused:
+        train(huge, None, _toy_cfg())
+    assert "\n" not in str(refused.value)
+    edge = np.array([2**30 - 1])
+    assert triple_keys(edge, np.array([7]), edge, 2**30) == 2**63 - 1
+    with pytest.raises(DataError):
+        triple_keys(edge, np.array([8]), edge, 2**30)  # 9 relations
 
 
 def test_adam_moves_toward_gradient_descent_direction():
@@ -200,10 +277,10 @@ def test_blocked_adam_matches_dense_formula_bits(monkeypatch):
         assert m.tobytes() == ref_m.tobytes() and v.tobytes() == ref_v.tobytes()
 
 
-# Recorded from the per-anchor alignment loop and out-of-place Adam that the
-# batched alignment and in-place Adam replaced. A change that alters
+# Recorded when the whole-batch samplers replaced the per-slot negative loop
+# and the per-anchor random.Random positive draw. A change that alters
 # trajectories on purpose re-records it and says so in CHANGES.md.
-GOLDEN_TRAJECTORY_SHA256 = "c47f22c41db9cebe652d8f04a47e2f9f544ca48f8a783ec47f3a4c065c5c7392"
+GOLDEN_TRAJECTORY_SHA256 = "36f942a43a26977b5bc0d28ed7f9627d744db97d5ae871315be546d2d65c29d9"
 
 
 def test_golden_trajectory():
