@@ -11,12 +11,13 @@ import numpy as np
 
 from .errors import (
     DimMismatchError,
+    EmptyDatasetError,
     InsufficientSamplesError,
     NonFiniteTableError,
     SingleClassError,
     UnknownEntityError,
 )
-from .graph import Triple, triple_keys
+from .graph import Triple, _ranges, triple_keys
 from .model import SCORERS, EmbeddingTable, ScorerKind, squared_norms
 
 HEAD = "head"
@@ -105,10 +106,9 @@ def _filtered_ranks(
         # Known candidates and the query itself do not compete.
         first = np.searchsorted(known_keys, run_keys[part])
         counts = np.searchsorted(known_keys, run_keys[part] + n_e) - first
-        run_starts = np.repeat(first - np.cumsum(counts) + counts, counts)
         excluded = (
             np.concatenate([rows, np.repeat(rows, counts)]),
-            np.concatenate([truth, known_keys[run_starts + np.arange(counts.sum())] % n_e]),
+            np.concatenate([truth, known_keys[_ranges(first, counts)] % n_e]),
         )
         higher[excluded] = False
         band[excluded] = False
@@ -159,7 +159,7 @@ def evaluate_split(
 ) -> RankingReport:
     """Filtered MRR and Hits@{1,3,10}; every triple queries both sides."""
     if len(split) == 0:
-        raise ValueError("split is empty")
+        raise EmptyDatasetError("split is empty")
     # Query 2i corrupts the head of split[i], query 2i + 1 its tail.
     triples = np.repeat(np.asarray(split, dtype=np.int64).reshape(-1, 3), 2, axis=0)
     corrupt_head = np.tile([True, False], len(split))
@@ -198,6 +198,15 @@ class ProbeReport:
     per_class: dict[int, tuple[int, int]]  # class -> (correct, total)
 
 
+def _entity_rows(table: EmbeddingTable, entity_ids) -> np.ndarray:
+    """The entity ids' rows, refusing ids outside the table."""
+    ids = np.asarray(entity_ids, dtype=np.int64)
+    outside = (ids < 0) | (ids >= table.entity_count)
+    if outside.any():
+        raise UnknownEntityError(f"entity id {ids[outside][0]} outside [0, {table.entity_count})")
+    return table.entity_vecs[ids]
+
+
 def _probe_logits(weights: ProbeWeights, features: np.ndarray) -> np.ndarray:
     # (N, C, d) broadcast keeps the reduction out of BLAS; probe sets are small.
     return (features[:, None, :] * weights.weight[None, :, :]).sum(axis=2) + weights.bias
@@ -215,7 +224,6 @@ def train_probe(
     """
     if not labeled:
         raise SingleClassError("no labeled entities")
-    ids = np.asarray([e for e, _ in labeled], dtype=np.int64)
     y = np.asarray([c for _, c in labeled], dtype=np.int64)
     if y.min() < 0:
         raise ValueError("class ids must be non-negative")
@@ -223,8 +231,8 @@ def train_probe(
     if len(np.unique(y)) < 2:
         raise SingleClassError("probe needs at least two distinct classes")
 
-    features = table.entity_vecs[ids]
-    n = len(ids)
+    features = _entity_rows(table, [e for e, _ in labeled])
+    n = len(y)
     weights = ProbeWeights(
         weight=np.zeros((n_classes, table.dim)), bias=np.zeros(n_classes)
     )
@@ -249,7 +257,7 @@ def classify(weights: ProbeWeights, table: EmbeddingTable, entity_ids: Sequence[
         raise DimMismatchError(
             f"probe dim {weights.weight.shape[1]} != table dim {table.dim}"
         )
-    features = table.entity_vecs[np.asarray(entity_ids, dtype=np.int64)]
+    features = _entity_rows(table, entity_ids)
     return np.argmax(_probe_logits(weights, features), axis=1)
 
 

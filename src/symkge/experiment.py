@@ -8,7 +8,7 @@ import os
 from dataclasses import dataclass, replace
 
 from .config import TrainConfig, config_as_dict
-from .errors import DataError, SymkgeError
+from .errors import DataError, EmptyDatasetError, SymkgeError
 from .evaluation import evaluate_split, students_t_test
 from .graph import Dataset, Triple, load_dataset
 from .mining import PositiveDict, mine_positive_dict
@@ -103,9 +103,9 @@ def run_experiment(
     Each run is fully isolated (own seed-derived rng streams), so the report
     is identical whatever the worker count.
     """
-    if not spec.test_path:
-        raise DataError("experiment needs a test split for evaluation")
     dataset = load_dataset(spec.train_path, spec.valid_path, spec.test_path)
+    if not dataset.test:
+        raise EmptyDatasetError(f"{spec.test_path}: no test triples to evaluate on")
 
     arms: dict[str, object] = {}
     pos_dict = None

@@ -90,6 +90,11 @@ def _union_graph(triples: tuple[Triple, ...], labels: LabelMaps) -> UnionGraph:
     return UnionGraph(triples, len(labels.entity_labels), len(labels.relation_labels), *arrays)
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(s, s + c) over each start s and count c."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
 def triple_keys(h: np.ndarray, r: np.ndarray, t: np.ndarray, entity_count: int) -> np.ndarray:
     """One int64 key per triple, (r * E + h) * E + t, for ids inside their counts.
 

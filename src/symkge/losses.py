@@ -20,6 +20,7 @@ import numpy as np
 
 from .config import BINARY_CROSS_ENTROPY, MARGIN_RANKING, TrainConfig
 from .errors import DegenerateVectorError, KMismatchError
+from .graph import _ranges
 from .mining import PositiveDict, sample_positives
 from .model import SCORERS, EmbeddingTable, ScorerKind
 
@@ -69,6 +70,22 @@ def _checked_norms(vecs: np.ndarray, what: str) -> np.ndarray:
     return norms
 
 
+def _alignment(a: np.ndarray, p: np.ndarray, w: float | None = None):
+    """Alignment loss of each anchor row of a (g, d) with its positives p (g, m, d)
+    and, given w, the gradients of w times it by a and by p: (loss, grads or None)."""
+    a_norm = _checked_norms(a, "anchor")
+    p_norms = _checked_norms(p, "positive")
+    a_hat = (a / a_norm[:, None])[:, None, :]
+    p_hat = p / p_norms[:, :, None]
+    diff = a_hat - p_hat
+    loss = (diff * diff).sum(axis=-1).mean(axis=1)
+    if w is None:
+        return loss, None
+    cos = (p_hat * a_hat).sum(axis=-1)[:, :, None]
+    grad_a = (-w / a_norm)[:, None] * (p_hat - cos * a_hat).sum(axis=1)
+    return loss, (grad_a, -w / p_norms[:, :, None] * (a_hat - cos * p_hat))
+
+
 def contrastive_loss(anchor_vec: np.ndarray, positive_vecs: np.ndarray | list) -> float:
     """Mean squared distance between the normalized anchor and positives.
 
@@ -78,10 +95,7 @@ def contrastive_loss(anchor_vec: np.ndarray, positive_vecs: np.ndarray | list) -
     if positives.size == 0:
         return 0.0
     anchor = np.asarray(anchor_vec, dtype=np.float64)
-    a_norm = _checked_norms(anchor[None, :], "anchor")[0]
-    p_norms = _checked_norms(positives, "positive")
-    diff = anchor / a_norm - positives / p_norms[:, None]
-    return float((diff * diff).sum(axis=1).mean())
+    return float(_alignment(anchor[None, :], positives[None])[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +218,8 @@ def _contrastive_forward_backward(
 ) -> tuple[float, tuple[np.ndarray, np.ndarray] | None]:
     """Mean alignment loss over anchor occurrences with nonempty positives and,
     with backward, cfg.alpha times its gradient: touched entity rows, sorted,
-    and their gradients. Every sum runs in the order of a loop over
-    occurrences, so results are bit-identical to that loop.
+    and their gradients. Each distinct anchor's terms are computed once, and
+    every sum runs in occurrence order: bit-identical to a loop over occurrences.
     """
     if pos_dict is None:
         return 0.0, None
@@ -215,56 +229,34 @@ def _contrastive_forward_backward(
     occ = occ[counts[occ] > 0]
     if occ.size == 0:
         return 0.0, None
-    # Distinct anchor u's positives are flat[first[u] : first[u] + counts[u]].
-    first = np.cumsum(counts) - counts
-
-    n_occ, dim = occ.size, table.entity_vecs.shape[1]
-    grad_ids, grad_rows = [], []
-    total = 0.0
-    chunk = max(1, _ALIGN_BLOCK_FLOATS // ((1 + cfg.m) * dim))
-    for lo in range(0, n_occ, chunk):
-        part, local = np.unique(occ[lo : lo + chunk], return_inverse=True)
-        # Distinct anchor i of the chunk owns rows start[i]..start[i] + its
-        # count of ids and grad: the anchor, then its positives.
-        lengths = 1 + counts[part]
-        start = np.cumsum(lengths) - lengths
-        ids = np.empty(int(lengths.sum()), dtype=np.int64)
-        grad = np.empty((ids.size, dim))
-        per_anchor = np.empty(len(part))
-        # One block per positive count: padding would change the mean's sum.
-        for m_a in sorted(set(counts[part].tolist())):
-            group = np.flatnonzero(counts[part] == m_a)
-            slots = start[group][:, None] + np.arange(1 + m_a)
-            u = part[group]
-            ids[slots[:, 0]] = uniq[u]
-            ids[slots[:, 1:]] = flat[first[u][:, None] + np.arange(m_a)]
-            a = table.entity_vecs[ids[slots[:, 0]]]
-            p = table.entity_vecs[ids[slots[:, 1:]]]
-            a_norm = _checked_norms(a, "anchor")
-            p_norms = _checked_norms(p, "positive")
-            a_hat = (a / a_norm[:, None])[:, None, :]
-            p_hat = p / p_norms[:, :, None]
-            diff = a_hat - p_hat
-            per_anchor[group] = (diff * diff).sum(axis=-1).mean(axis=1)
+    # Distinct anchor u owns rows start[u] : start[u] + lengths[u] of ids and
+    # grad: the anchor, then its positives.
+    ids = np.insert(flat, np.cumsum(counts) - counts, uniq)
+    lengths = 1 + counts
+    start = np.cumsum(lengths) - lengths
+    n_occ, dim = occ.size, table.dim
+    grad = np.empty((ids.size, dim)) if backward else None
+    per_anchor = np.empty(len(uniq))
+    # One block per positive count: padding would change the mean's sum.
+    for m_a in np.unique(counts[counts > 0]).tolist():
+        group = np.flatnonzero(counts == m_a)
+        w = 2.0 / (n_occ * m_a) if backward else None
+        step = max(1, _ALIGN_BLOCK_FLOATS // ((1 + m_a) * dim))
+        for lo in range(0, len(group), step):
+            block = group[lo : lo + step]
+            slots = start[block][:, None] + np.arange(1 + m_a)
+            vecs = table.entity_vecs[ids[slots]]
+            per_anchor[block], grads = _alignment(vecs[:, 0], vecs[:, 1:], w)
             if backward:
-                cos = (p_hat * a_hat).sum(axis=-1)[:, :, None]
-                w = 2.0 / (n_occ * m_a)
-                grad[slots[:, 0]] = (-w / a_norm)[:, None] * (p_hat - cos * a_hat).sum(axis=1)
-                grad[slots[:, 1:]] = -w / p_norms[:, :, None] * (a_hat - cos * p_hat)
-        for value in per_anchor[local].tolist():
-            total += value
-        if backward:
-            # The chunk's occurrences' blocks, back to back in occurrence order.
-            lengths = lengths[local]
-            ends = np.cumsum(lengths)
-            gather = np.arange(ends[-1]) + np.repeat(start[local] - (ends - lengths), lengths)
-            grad_ids.append(ids[gather])
-            grad_rows.append(grad[gather])
+                grad[slots[:, 0]], grad[slots[:, 1:]] = grads
+    # cumsum adds left to right, as the loop over occurrences does.
+    value = float(np.cumsum(per_anchor[occ])[-1]) / n_occ
     if not backward:
-        return total / n_occ, None
-    rows, compact = _ordered_sum(np.concatenate(grad_ids), np.concatenate(grad_rows))
+        return value, None
+    gather = _ranges(start[occ], lengths[occ])
+    rows, compact = _ordered_sum(ids[gather], grad[gather])
     compact *= cfg.alpha
-    return total / n_occ, (rows, compact)
+    return value, (rows, compact)
 
 
 def _combined(table, kind, batch, negatives, pos_dict, cfg, epoch, backward):

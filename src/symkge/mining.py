@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorruptDictFileError, DataError, HopBoundExceededError
-from .graph import SignedRelation, UnionGraph
+from .graph import SignedRelation, UnionGraph, _ranges
 
 MAX_HOP_BOUND = 3
 
@@ -117,11 +117,6 @@ def _check_hop_bound(k_max: int) -> None:
 # ---------------------------------------------------------------------------
 # Half-paths and the join
 # ---------------------------------------------------------------------------
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The concatenation of arange(s, s + c) over each start s and count c."""
-    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
 
 def _key_starts(*columns: np.ndarray) -> np.ndarray:

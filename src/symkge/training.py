@@ -22,10 +22,11 @@ from .graph import UnionGraph, triple_keys
 
 # Floats per array in a block of Adam's update, small enough to stay in cache.
 _ADAM_BLOCK_FLOATS = 1 << 15
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Dense Adam over the two embedding matrices (beta1=0.9, beta2=0.999).
+    """Dense Adam over the two embedding matrices, with fixed BETA1, BETA2 and EPS.
 
     Updates every row in place, a block of rows at a time, in the operation
     order of params -= lr * (m / bc1) / (sqrt(v / bc2) + eps). A block's rows
@@ -33,12 +34,8 @@ class Adam:
     bit-identical to one pass over whole tables and a dense gradient.
     """
 
-    def __init__(self, table: EmbeddingTable, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, table: EmbeddingTable, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m_e = np.zeros_like(table.entity_vecs)
         self.v_e = np.zeros_like(table.entity_vecs)
@@ -47,8 +44,8 @@ class Adam:
 
     def step(self, table: EmbeddingTable, grads: Gradients) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for all_params, rows, values, all_m, all_v in (
             (table.entity_vecs, grads.entity_rows, grads.entity, self.m_e, self.v_e),
             (table.relation_vecs, grads.relation_rows, grads.relation, self.m_r, self.v_r),
@@ -61,12 +58,12 @@ class Adam:
                 grad.fill(0.0)
                 inside = slice(*np.searchsorted(rows, [lo, lo + size]))
                 grad[rows[inside] - lo] = values[inside]
-                m *= self.beta1
-                m += np.multiply(grad, 1.0 - self.beta1, out=step)
-                v *= self.beta2
-                v += np.multiply(np.multiply(grad, 1.0 - self.beta2, out=step), grad, out=step)
+                m *= BETA1
+                m += np.multiply(grad, 1.0 - BETA1, out=step)
+                v *= BETA2
+                v += np.multiply(np.multiply(grad, 1.0 - BETA2, out=step), grad, out=step)
                 np.multiply(np.divide(m, bc1, out=step), self.lr, out=step)
-                np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), self.eps, out=denom)
+                np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), EPS, out=denom)
                 params -= np.divide(step, denom, out=step)
 
 

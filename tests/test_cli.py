@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from symkge import experiment
 from symkge.cli import main
 from symkge.mining import load_dict, save_dict
-from symkge.model import load_checkpoint, save_checkpoint
+from symkge.model import ScorerKind, init_embeddings, load_checkpoint, save_checkpoint
 
 from conftest import planted_kg_triples, positive_dict, write_split_files
 
@@ -215,6 +216,74 @@ def test_probe_with_held_out_labels(kg_files, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert sum(v["total"] for v in payload["per_class"].values()) == 2
+
+
+def _three_entity_checkpoint(tmp_path):
+    ckpt = tmp_path / "three.syme"
+    save_checkpoint(init_embeddings(3, 1, 4, seed=0), ScorerKind.TRANSE, ckpt)
+    return ckpt
+
+
+@pytest.mark.parametrize("bad_id", ["7", "-1"])
+@pytest.mark.parametrize("held_out", [False, True])
+def test_probe_refuses_ids_outside_the_table(tmp_path, capsys, bad_id, held_out):
+    """Without --train, ids index the table: 7 would crash, -1 would probe entity 2."""
+    ckpt = _three_entity_checkpoint(tmp_path)
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("0\tA\n1\tB\n", encoding="utf-8")
+    bad = tmp_path / "bad.tsv"
+    bad.write_text(f"0\tA\n{bad_id}\tB\n", encoding="utf-8")
+    argv = ["probe", "--ckpt", str(ckpt), "--labels", str(labels if held_out else bad)]
+    rc = main(argv + ["--test-labels", str(bad)] if held_out else argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and "data error" in err and bad_id in err
+
+
+def test_probe_reads_crlf_labels(tmp_path, capsys):
+    """A CRLF labels file names the same classes as an LF held-out file: text-mode
+    reading turns CRLF into LF, so no class name keeps a trailing CR."""
+    ckpt = _three_entity_checkpoint(tmp_path)
+    lf = tmp_path / "lf.tsv"
+    lf.write_text("0\tA\n1\tB\n2\tB\n", encoding="utf-8")
+    crlf = tmp_path / "crlf.tsv"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    payloads = []
+    for labels in (lf, crlf):
+        assert main(["probe", "--ckpt", str(ckpt), "--labels", str(labels),
+                     "--test-labels", str(lf), "--json"]) == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+    assert payloads[1] == payloads[0]
+    assert payloads[0]["accuracy"] > 0.0
+
+
+def test_eval_refuses_empty_test_split(kg_files, tmp_path, capsys):
+    _, paths = kg_files
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("# no triples\n", encoding="utf-8")
+    rc = main(["eval", "--ckpt", str(_three_entity_checkpoint(tmp_path)),
+               "--train", str(paths["train"]), "--test", str(empty)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and "data error" in err
+
+
+def test_experiment_refuses_empty_test_split_before_mining(kg_files, tmp_path, capsys,
+                                                          monkeypatch):
+    _, paths = kg_files
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("# no triples\n", encoding="utf-8")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("mined or trained before checking the test split")
+
+    monkeypatch.setattr(experiment, "mine_positive_dict", unreachable)
+    monkeypatch.setattr(experiment, "train", unreachable)
+    rc = main(["experiment", "--train", str(paths["train"]), "--test", str(empty),
+               "--runs", "1", "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and "data error" in err and "empty.tsv" in err
 
 
 def test_experiment_out_file(kg_files, tmp_path, capsys):

@@ -275,6 +275,21 @@ def test_batched_alignment_equals_per_anchor_loop(m, seed, chunked, monkeypatch)
     assert _contrastive_forward_backward(table, empty_only, pos_dict, cfg, 5, True) == (0.0, None)
 
 
+@pytest.mark.parametrize("n_pos", [1, 2, 7])
+@pytest.mark.parametrize("extra_m", [0, 3])
+def test_contrastive_loss_equals_one_anchor_training_term(n_pos, extra_m):
+    """The public loss and the training step's term share one formula, bit for bit."""
+    rng = np.random.default_rng(n_pos + 10 * extra_m)
+    vecs = rng.normal(size=(1 + n_pos, 5)) * rng.uniform(0.01, 30.0, size=(1 + n_pos, 1))
+    table = EmbeddingTable(vecs, np.ones((1, 5)))
+    # Anchor 0 holds every other entity, so the draw takes them all, ascending.
+    pos_dict = _dict_of([set(range(1, 1 + n_pos))] + [set()] * n_pos, k=1)
+    cfg = TrainConfig(k=1, m=n_pos + extra_m, dim=5)
+    value, _ = _contrastive_forward_backward(table, np.array([0]), pos_dict, cfg, 0, False)
+    assert value == contrastive_loss(vecs[0], vecs[1:])
+    assert type(value) is float
+
+
 @pytest.mark.parametrize("kind", list(ScorerKind))
 @pytest.mark.parametrize("task", [MARGIN_RANKING, BINARY_CROSS_ENTROPY])
 @pytest.mark.parametrize("chunked", [False, True])
