@@ -14,6 +14,7 @@ import sys
 import time
 
 from . import __version__
+from .artifact import write_atomic
 from .config import TrainConfig, parse_config, read_config_file
 from .errors import (
     BadValueError,
@@ -209,7 +210,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     table, kind = load_checkpoint(args.ckpt)
     dataset = load_dataset(args.train, args.valid, args.test)
-    known = set(dataset.train) | set(dataset.valid) | set(dataset.test)
+    known = dataset.train + dataset.valid + dataset.test
     report = evaluate_split(table, kind, dataset.test, known)
     if args.json:
         print(json.dumps({
@@ -325,8 +326,7 @@ def cmd_experiment(args) -> int:
                             progress=None if args.quiet else lambda m: _say(args, m))
     encoded = report_to_json(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(encoded)
+        write_atomic(args.out, encoded.encode("utf-8"))
         _say(args, f"wrote {args.out}")
     if args.json:
         sys.stdout.write(encoded)
@@ -367,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"{where}: numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (DataError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (DataError, OSError) as exc:
         print(f"{where}: data error: {exc}", file=sys.stderr)
         return 2
     except SymkgeError as exc:

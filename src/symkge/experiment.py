@@ -53,7 +53,7 @@ def _mean_metrics(entries: list[dict[str, object]]) -> dict[str, float]:
 
 # (dataset, spec, pos_dict, known) in each pool worker, set once by the pool's
 # initializer, so that run tasks carry only (arm, run_index, with_positives).
-_RUN_INPUTS: tuple[Dataset, ExperimentSpec, PositiveDict | None, set[Triple]] | None = None
+_RUN_INPUTS: tuple[Dataset, ExperimentSpec, PositiveDict | None, tuple[Triple, ...]] | None = None
 
 
 def _init_run_worker(*inputs) -> None:
@@ -115,7 +115,7 @@ def run_experiment(
             mined = len(pos_dict.indices)
             progress(f"mined positive dictionary: {mined} directed pairs")
 
-    known = set(dataset.train) | set(dataset.valid) | set(dataset.test)
+    known = dataset.train + dataset.valid + dataset.test
     inputs = (dataset, spec, pos_dict, known)
     run_pool = None
     if workers > 1 and spec.runs > 1:

@@ -143,7 +143,7 @@ def read_triple_file(path: str | os.PathLike[str]) -> list[RawTriple]:
     rows: list[RawTriple] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
+            line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
                 continue
             fields = line.split("\t")

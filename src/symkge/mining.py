@@ -15,12 +15,11 @@ structure_stats counts the same join. Tests check both against walk oracles.
 from __future__ import annotations
 
 import os
-import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifact import read_framed, write_framed
 from .errors import CorruptDictFileError, DataError, HopBoundExceededError
 from .graph import SignedRelation, UnionGraph, _ranges
 
@@ -313,58 +312,41 @@ def sample_positives(pos: PositiveDict, anchors, m: int, seed: int,
 # ---------------------------------------------------------------------------
 
 _DICT_MAGIC = b"SYMD"
-_DICT_VERSION = 1
+_DICT_HEADER = "<IIQ"
+_DICT_VERSION = 2
 
 
 def save_dict(pos: PositiveDict, path: str | os.PathLike[str]) -> None:
-    """Write the positive dictionary in the binary SYMD format.
+    """Write the positive dictionary as a SYMD frame (see symkge.artifact).
 
-    Layout, little-endian: magic "SYMD", then a payload of version u32,
-    hop bound u32, entity count u64, and per entity a u64 count followed by
-    that many u64 target ids, then CRC32 of the payload as u32.
+    Header: version u32, hop bound u32, entity count u64. Body: the CSR arrays
+    as u64 words, every entity's target count, then every target id.
     """
-    words = np.insert(pos.indices, pos.indptr[:-1], np.diff(pos.indptr)).astype("<u8")
-    payload = struct.pack("<IIQ", _DICT_VERSION, pos.hop_bound, pos.entity_count) + words.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(_DICT_MAGIC)
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+    words = np.concatenate((np.diff(pos.indptr), pos.indices)).astype("<u8")
+    write_framed(path, _DICT_MAGIC, _DICT_HEADER,
+                 (_DICT_VERSION, pos.hop_bound, pos.entity_count), words)
 
 
 def load_dict(path: str | os.PathLike[str]) -> PositiveDict:
-    """Read a SYMD dictionary, validating magic, version, checksum and pairs.
+    """Read a SYMD dictionary, validating the frame, the counts and the pairs.
 
     Every target id must be below the entity count, no entity may be paired
     with itself, and every pair must appear in both directions.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    header = struct.calcsize("<IIQ")
-    if len(blob) < len(_DICT_MAGIC) + 4 + header:
-        raise CorruptDictFileError(f"{path}: truncated file")
-    if blob[:4] != _DICT_MAGIC:
-        raise CorruptDictFileError(f"{path}: bad magic {blob[:4]!r}")
-    payload, (crc,) = blob[4:-4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(payload) != crc:
-        raise CorruptDictFileError(f"{path}: checksum mismatch")
-    version, hop_bound, entity_count = struct.unpack_from("<IIQ", payload, 0)
-    if version != _DICT_VERSION:
-        raise CorruptDictFileError(f"{path}: unsupported version {version}")
-    words = np.frombuffer(payload, "<u8", (len(payload) - header) // 8, header)
-    # Each count says where the next one is, so the walk over them is sequential;
-    # a memoryview reads one word as a Python int fastest.
-    counts, heads, at, end = memoryview(words.astype("=u8", copy=False)), [], 0, len(words)
-    for _ in range(entity_count):
-        if at >= end:
-            raise CorruptDictFileError(f"{path}: truncated entity table")
-        heads.append(at)
-        at += 1 + counts[at]
-        if at > end:
-            raise CorruptDictFileError(f"{path}: truncated target list")
-    if header + 8 * at != len(payload):
-        raise CorruptDictFileError(f"{path}: trailing bytes in payload")
-    targets = np.delete(words[:at], heads)
-    anchors = np.repeat(np.arange(entity_count), words[heads].astype(np.int64))
+    (hop_bound, entity_count), body = read_framed(
+        path, _DICT_MAGIC, _DICT_HEADER, _DICT_VERSION, CorruptDictFileError)
+    words = np.frombuffer(body, "<u8", len(body) // 8)
+    if len(body) % 8 or entity_count > len(words):
+        raise CorruptDictFileError(
+            f"{path}: {len(body)} body bytes are not {entity_count} u64 counts and u64 targets")
+    stored = len(words) - entity_count
+    # A count of 2**63 or more turns negative here, and a running sum that
+    # passes 2**63 wraps below the sum before it: either makes indptr fall.
+    indptr = np.concatenate(([0], np.cumsum(words[:entity_count].astype(np.int64))))
+    if indptr[-1] != stored or (indptr[1:] < indptr[:-1]).any():
+        raise CorruptDictFileError(f"{path}: entity counts do not add up to the {stored} targets")
+    targets = words[entity_count:]
+    anchors = np.repeat(np.arange(entity_count), np.diff(indptr))
 
     def refuse(bad: np.ndarray, problem: str) -> None:
         if bad.any():

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import enum
 import os
-import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifact import read_framed, write_framed
 from .errors import CorruptCheckpointError, UnknownEntityError
 from .graph import Triple
 
@@ -187,57 +186,34 @@ def score(table: EmbeddingTable, kind: ScorerKind, triple: Triple | tuple[int, i
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"SYME"
+_CKPT_HEADER = "<IIQQI"
 _CKPT_VERSION = 1
 _SCORER_CODES = {ScorerKind.TRANSE: 0, ScorerKind.DISTMULT: 1}
 _SCORER_FROM_CODE = {v: k for k, v in _SCORER_CODES.items()}
 
 
 def save_checkpoint(table: EmbeddingTable, kind: ScorerKind, path: str | os.PathLike[str]) -> None:
-    """Write embeddings as 32-bit floats with a trailing CRC32.
+    """Write embeddings as 32-bit floats in a SYME frame (see symkge.artifact).
 
-    Layout, little-endian: magic "SYME", then a payload of version u32,
-    dim u32, entity count u64, relation count u64, scorer code u32, the
-    entity matrix then the relation matrix row-major f32, then CRC32 of the
-    payload as u32.
+    Header: version u32, dim u32, entity count u64, relation count u64, scorer
+    code u32. Body: the entity matrix then the relation matrix, row-major f32.
     """
-    header = struct.pack(
-        "<IIQQI",
-        _CKPT_VERSION,
-        table.dim,
-        table.entity_count,
-        table.relation_count,
-        _SCORER_CODES[kind],
-    )
-    body = (
-        np.ascontiguousarray(table.entity_vecs, dtype="<f4").tobytes()
-        + np.ascontiguousarray(table.relation_vecs, dtype="<f4").tobytes()
-    )
-    payload = header + body
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+    fields = (_CKPT_VERSION, table.dim, table.entity_count, table.relation_count,
+              _SCORER_CODES[kind])
+    body = np.concatenate((table.entity_vecs, table.relation_vecs), dtype="<f4")
+    write_framed(path, _CKPT_MAGIC, _CKPT_HEADER, fields, body)
 
 
 def load_checkpoint(path: str | os.PathLike[str]) -> tuple[EmbeddingTable, ScorerKind]:
     """Read a SYME checkpoint back into a float64 table."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    header_size = struct.calcsize("<IIQQI")
-    if len(blob) < 4 + header_size + 4 or blob[:4] != _CKPT_MAGIC:
-        raise CorruptCheckpointError(f"{path}: not a checkpoint file")
-    payload, (crc,) = blob[4:-4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(payload) != crc:
-        raise CorruptCheckpointError(f"{path}: checksum mismatch")
-    version, dim, entity_count, relation_count, scorer_code = struct.unpack_from("<IIQQI", payload, 0)
-    if version != _CKPT_VERSION:
-        raise CorruptCheckpointError(f"{path}: unsupported version {version}")
+    (dim, entity_count, relation_count, scorer_code), body = read_framed(
+        path, _CKPT_MAGIC, _CKPT_HEADER, _CKPT_VERSION, CorruptCheckpointError)
     if scorer_code not in _SCORER_FROM_CODE:
         raise CorruptCheckpointError(f"{path}: unknown scorer code {scorer_code}")
-    expected = header_size + 4 * dim * (entity_count + relation_count)
-    if len(payload) != expected:
-        raise CorruptCheckpointError(f"{path}: payload size {len(payload)} != expected {expected}")
-    data = np.frombuffer(payload, dtype="<f4", offset=header_size)
+    expected = 4 * dim * (entity_count + relation_count)
+    if len(body) != expected:
+        raise CorruptCheckpointError(f"{path}: body size {len(body)} != expected {expected}")
+    data = np.frombuffer(body, dtype="<f4")
     entity = data[: entity_count * dim].reshape(entity_count, dim).astype(np.float64)
     relation = data[entity_count * dim :].reshape(relation_count, dim).astype(np.float64)
     return EmbeddingTable(entity, relation), _SCORER_FROM_CODE[scorer_code]

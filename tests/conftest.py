@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -32,6 +34,12 @@ def positive_dict(rows, hop_bound: int = 1) -> PositiveDict:
     rows = [sorted(row) for row in rows]
     indices = np.array([t for row in rows for t in row], dtype=np.int64)
     return PositiveDict(np.cumsum([0] + [len(row) for row in rows]), indices, hop_bound)
+
+
+def symd_bytes(version: int, entity_count: int, words, hop_bound: int = 1) -> bytes:
+    """A SYMD file built by hand: any version and u64 body words, valid checksum."""
+    payload = struct.pack(f"<IIQ{len(words)}Q", version, hop_bound, entity_count, *words)
+    return b"SYMD" + payload + struct.pack("<I", zlib.crc32(payload))
 
 
 def planted_kg_triples(seed: int = 0, n_pivots: int = 10, members_per_pivot: int = 8,

@@ -12,7 +12,7 @@ from symkge.cli import main
 from symkge.mining import load_dict, save_dict
 from symkge.model import ScorerKind, init_embeddings, load_checkpoint, save_checkpoint
 
-from conftest import planted_kg_triples, positive_dict, write_split_files
+from conftest import planted_kg_triples, positive_dict, symd_bytes, write_split_files
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +31,15 @@ def test_mine_writes_dict(kg_files, capsys):
     assert pos.hop_bound == 1
     assert any(pos.targets)
     assert "wrote" in capsys.readouterr().out
+
+
+def test_mine_out_in_missing_directory(kg_files, tmp_path, capsys):
+    _, paths = kg_files
+    out = tmp_path / "missing" / "x.symd"
+    assert main(["mine", "--train", str(paths["train"]), "--k", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "data error" in err and "x.symd" in err
+    assert not out.parent.exists()
 
 
 def test_eval_rejects_entities_missing_from_checkpoint(kg_files, tmp_path, capsys):
@@ -154,6 +163,16 @@ def test_train_refuses_corrupt_dict_content(kg_files, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "bad.symd" in err
+
+
+def test_train_refuses_version_1_dict(kg_files, tmp_path, capsys):
+    _, paths = kg_files
+    old = tmp_path / "old.symd"
+    old.write_bytes(symd_bytes(1, 2, [1, 1, 1, 0]))
+    assert _train_with_dict(paths, old, tmp_path / "m.syme") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "old.symd" in err and "version 1" in err
 
 
 def test_train_epoch_log_lines(kg_files, capsys):

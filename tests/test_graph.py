@@ -118,6 +118,10 @@ def test_read_triple_file_skips_comments_and_blanks(tmp_path):
                     encoding="utf-8")
     rows = read_triple_file(path)
     assert rows == [("Bob", "play", "Basketball"), ("Jones", "play", "Basketball")]
+    # Text mode turns CRLF into LF, so a CRLF file gives the same rows.
+    crlf = tmp_path / "crlf.tsv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_triple_file(crlf) == rows
 
 
 def test_read_triple_file_rejects_bad_rows(tmp_path):

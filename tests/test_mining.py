@@ -23,7 +23,7 @@ from symkge.mining import (
     structure_stats,
 )
 
-from conftest import positive_dict, random_graph
+from conftest import positive_dict, random_graph, symd_bytes
 from oracles import brute_force_oracle, relation_sequences, structure_stats_oracle
 
 
@@ -577,6 +577,38 @@ def test_dict_flipped_bit(tmp_path):
     (tmp_path / "bad.symd").write_bytes(bytes(blob))
     with pytest.raises(CorruptDictFileError):
         load_dict(tmp_path / "bad.symd")
+
+
+def test_dict_version_1_refused(tmp_path):
+    # Version 1 put each entity's count in front of its targets.
+    rows = ({1, 2}, {0}, {0})
+    old = symd_bytes(1, 3, [2, 1, 2, 1, 0, 1, 0])
+    path = tmp_path / "old.symd"
+    path.write_bytes(old)
+    with pytest.raises(CorruptDictFileError, match="version 1"):
+        load_dict(path)
+    # Version 2 stores the same words, counts first, so the size is unchanged.
+    save_dict(positive_dict(rows), path)
+    assert path.read_bytes()[4:8] == (2).to_bytes(4, "little")
+    assert path.stat().st_size == len(old)
+
+
+@pytest.mark.parametrize(
+    "entity_count,words",
+    [
+        (5, [1, 0]),  # fewer words than counts
+        (2, [2, 1, 0]),  # counts ask for more targets than stored
+        (2, [0, 0, 1]),  # a target no count covers
+        (2, [2**64 - 1, 2, 1]),  # counts whose u64 sum wraps to the stored 1
+        (2, [2**63, 2**63 + 1, 1]),  # the same, through two huge counts
+    ],
+    ids=["short_table", "short_targets", "extra_target", "wrapping_sum", "huge_counts"],
+)
+def test_dict_bad_counts_rejected(tmp_path, entity_count, words):
+    path = tmp_path / "bad.symd"
+    path.write_bytes(symd_bytes(2, entity_count, words))
+    with pytest.raises(CorruptDictFileError, match="bad.symd"):
+        load_dict(path)
 
 
 def test_hop_bound_mismatch_surfaces_in_training(tmp_path):

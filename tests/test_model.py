@@ -1,5 +1,7 @@
 """Embedding init, scorers, and checkpoint serialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,17 @@ def test_checkpoint_round_trip(tmp_path):
     # storage is float32, so the round trip matches the float32 cast exactly
     assert np.array_equal(loaded.entity_vecs, table.entity_vecs.astype(np.float32))
     assert np.array_equal(loaded.relation_vecs, table.relation_vecs.astype(np.float32))
+
+
+# SHA-256 of the SYME version 1 file of init_embeddings(5, 2, 3, seed=0) under
+# TransE, as first recorded; SYME keeps its bytes while its version stays 1.
+GOLDEN_SYME_SHA256 = "58e5121897e823f11e4d2e22aacea6cc4f67e802e775d52ef7fb6dc08d053434"
+
+
+def test_checkpoint_bytes_unchanged(tmp_path):
+    path = tmp_path / "model.syme"
+    save_checkpoint(init_embeddings(5, 2, 3, seed=0), ScorerKind.TRANSE, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SYME_SHA256
 
 
 def test_checkpoint_rejects_corruption(tmp_path):

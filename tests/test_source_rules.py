@@ -5,8 +5,9 @@ BLAS products allowed are the scorers' bounds() in model.py, whose error
 bounds hold for any summation order, and model.squared_norms, whose result
 only bounds() may read; scoring math stays in model.py, so the loss and
 ranking code never branch on a scorer; gradient rows are summed by one
-ordered helper, never by a ufunc's unbuffered .at(); and every random stream
-is NumPy's, derived from the config seed, never the stdlib random module's.
+ordered helper, never by a ufunc's unbuffered .at(); every random stream
+is NumPy's, derived from the config seed, never the stdlib random module's;
+and only artifact.py writes files or packs frames, so every write is atomic.
 """
 
 import ast
@@ -117,6 +118,45 @@ def test_no_stdlib_random_in_src():
     for path in sorted(SRC.glob("*.py")):
         lines = _random_imports(path.read_text(encoding="utf-8"))
         assert not lines, f"{path.name}:{lines}: stdlib random; derive a NumPy stream from the seed"
+
+
+FRAME_MODULES = {"struct", "zlib"}
+
+
+def _file_writes(source: str) -> list[int]:
+    """Lines that open a file in a write mode, call write_bytes or write_text,
+    or import struct or zlib, the frame's packing and checksum."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if _called_name(node) in ("write_bytes", "write_text"):
+            lines.append(node.lineno)
+        elif _called_name(node) == "open":
+            # open(path, mode) or path.open(mode). A mode that is not a constant
+            # may write, and so may any mode holding w, a, x or +.
+            given = node.args[1:2] if isinstance(node.func, ast.Name) else node.args[:1]
+            modes = given + [k.value for k in node.keywords if k.arg == "mode"]
+            if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                   for m in modes):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import) and {a.name for a in node.names} & FRAME_MODULES:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module in FRAME_MODULES:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_files_written_only_by_artifact():
+    """Every artifact gets the same frame and the same atomic replacement."""
+    detected = ('open(p, "wb")\nopen(p, mode=m)\np.open("a")\np.write_text(s)\n'
+                'p.write_bytes(b)\nimport zlib\nfrom struct import pack\n')
+    assert _file_writes(detected) == [1, 2, 3, 4, 5, 6, 7]
+    assert _file_writes('open(p)\nopen(p, "rb")\np.open("r", encoding="utf-8")') == []
+    for path in sorted(SRC.glob("*.py")):
+        lines = _file_writes(path.read_text(encoding="utf-8"))
+        if path.name == "artifact.py":
+            assert lines  # the detector still finds the writer's own uses
+        else:
+            assert not lines, f"{path.name}:{lines}: write files through symkge.artifact"
 
 
 def test_bench_span_targets_resolve():
