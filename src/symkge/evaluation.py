@@ -10,6 +10,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    BadValueError,
     DimMismatchError,
     EmptyDatasetError,
     InsufficientSamplesError,
@@ -187,10 +188,6 @@ class ProbeWeights:
     weight: np.ndarray  # (classes, dim)
     bias: np.ndarray  # (classes,)
 
-    @property
-    def n_classes(self) -> int:
-        return self.weight.shape[0]
-
 
 @dataclass(frozen=True)
 class ProbeReport:
@@ -303,26 +300,18 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        num = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        num = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 3e-12:
+        # One even then one odd step of the fraction, each a Lentz update.
+        for num in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                    -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + num * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + num / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            h *= d * c
+        if abs(d * c - 1.0) < 3e-12:
             break
     return h
 
@@ -350,10 +339,12 @@ def students_t_test(a: Sequence[float], b: Sequence[float]) -> TTestReport:
     """Two-sample pooled-variance t-test with a two-sided p-value.
 
     Both samples constant and equal is defined as t=0, p=1; constant but
-    different means gives p=0.
+    different means gives p=0. NaN and infinite values are refused.
     """
     sample_a = tuple(float(v) for v in a)
     sample_b = tuple(float(v) for v in b)
+    if not all(map(math.isfinite, sample_a + sample_b)):
+        raise BadValueError("t-test samples must hold finite numbers, not NaN or infinity")
     if len(sample_a) < 2 or len(sample_b) < 2:
         raise InsufficientSamplesError("each sample needs at least two values")
     na, nb = len(sample_a), len(sample_b)

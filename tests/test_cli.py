@@ -331,6 +331,18 @@ def test_ttest_files(tmp_path, capsys):
     assert payload["df"] == 4
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_ttest_refuses_non_finite_values(tmp_path, capsys, bad):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text(f"1, 2, {bad}\n", encoding="utf-8")
+    b.write_text("1 2 3\n", encoding="utf-8")
+    assert main(["ttest", "--a", str(a), "--b", str(b), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err and len(captured.err.strip().splitlines()) == 1
+
+
 def test_experiment_json_deterministic(kg_files, capsys):
     _, paths = kg_files
     argv = [

@@ -1,5 +1,6 @@
 """Filtered ranking against exhaustive enumeration, probe behavior, t-test values."""
 
+import math
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from symkge import evaluation
 from symkge.errors import (
+    BadValueError,
     DimMismatchError,
     InsufficientSamplesError,
     NonFiniteTableError,
@@ -505,6 +507,14 @@ def test_degenerate_constant_samples():
 def test_insufficient_samples_rejected():
     with pytest.raises(InsufficientSamplesError):
         students_t_test([1.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_samples_rejected(bad):
+    # A NaN t would otherwise clamp to p = 0, the most significant result.
+    for a, b in (([1.0, 2.0, bad], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [-bad, 2.0])):
+        with pytest.raises(BadValueError, match="finite"):
+            students_t_test(a, b)
 
 
 def test_incomplete_beta_endpoints():

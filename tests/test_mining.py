@@ -403,6 +403,30 @@ def test_stats_bounds(seed):
             assert 0.0 <= hop.proportion <= 1.0
 
 
+def test_structures_are_decoded_only_when_iterated(monkeypatch):
+    graph, _ = random_graph(21, 15, 40, 4)
+    pos, _ = mine_positive_dict(graph, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a structure object was built")
+
+    monkeypatch.setattr(mining, "SymmetricStructure", refuse)
+    lazy_pos, structures = mine_positive_dict(graph, 2)
+    assert lazy_pos == pos
+    assert len(structures) == sum(h.rs_count for h in structure_stats(graph, 2).per_hop) > 0
+    with pytest.raises(AssertionError, match="object was built"):
+        next(iter(structures))
+
+
+@pytest.mark.parametrize("seed,n_e,n_t,n_r,k", _battery_specs())
+def test_structures_come_in_join_order(seed, n_e, n_t, n_r, k):
+    graph, _ = random_graph(seed, n_e, n_t, n_r)
+    _, structures = mine_positive_dict(graph, k)
+    keys = [(s.k, s.pivot, s.half_sequence, s.anchor, s.target) for s in structures]
+    assert keys == sorted(keys)
+    assert len(set(keys)) == len(keys)
+
+
 def test_stats_rs_count_matches_miner_structures():
     graph, _ = random_graph(21, 15, 40, 4)
     _, structures = mine_positive_dict(graph, 2)

@@ -7,7 +7,9 @@ only bounds() may read; scoring math stays in model.py, so the loss and
 ranking code never branch on a scorer; gradient rows are summed by one
 ordered helper, never by a ufunc's unbuffered .at(); every random stream
 is NumPy's, derived from the config seed, never the stdlib random module's;
-and only artifact.py writes files or packs frames, so every write is atomic.
+only artifact.py writes files or packs frames, so every write is atomic; and
+mined structures stay array rows until a caller iterates them, so only the
+miner's view builds SymmetricStructure objects.
 """
 
 import ast
@@ -78,6 +80,19 @@ def test_blas_products_only_in_bounds():
 
 def test_squared_norms_feed_only_bounds():
     _assert_only_in(_uses_norms, NORM_CALLERS)
+
+
+def _builds_structures(node) -> bool:
+    # An alias would hide later calls from the name check, so it counts as a build.
+    return _called_name(node) == "SymmetricStructure" or (
+        isinstance(node, ast.alias) and node.name == "SymmetricStructure"
+        and node.asname is not None
+    )
+
+
+def test_structures_built_only_when_iterated():
+    """One object per structure is what ran mining out of memory at full density."""
+    _assert_only_in(_builds_structures, {("mining.py", "Structures.__iter__")})
 
 
 def test_loss_and_ranking_name_no_scorer():
