@@ -62,11 +62,12 @@ def _filtered_ranks(
 ) -> np.ndarray:
     """Filtered rank of each query (triples[i], side corrupt_head[i]).
 
-    Equal, bit for bit, to scoring every candidate with the scorer's score()
-    and counting: ties split evenly, known candidates other than the query
-    are excluded. A BLAS product only bounds the candidates; those whose
-    bounds do not settle their order against the query are re-scored with
-    score(), so ranks do not depend on the BLAS thread count.
+    Equal, bit for bit, to scoring every candidate of the table's float64
+    widening with the scorer's score() and counting: ties split evenly, known
+    candidates other than the query are excluded. A BLAS product only bounds
+    the candidates; those whose bounds do not settle their order against the
+    query are re-scored with score(), so ranks do not depend on the BLAS
+    thread count.
     """
     n_e, n_r = table.entity_count, table.relation_count
     h, r, t = triples.T
@@ -78,6 +79,9 @@ def _filtered_ranks(
     if not table.all_finite():
         raise NonFiniteTableError("embedding table holds NaN or infinite values")
 
+    # The bounds pad float64 rounding error, so a narrower table is ranked as
+    # its exact float64 widening. A float64 table is not copied.
+    table = table.astype(np.float64)
     # A head query is the tail query of the inverse relation, anchored at
     # the known tail.
     scorer = SCORERS[kind]

@@ -50,12 +50,13 @@ class Gradients:
 
 def _ordered_sum(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct ids, and for each the sum of the rows carrying it, added in
-    order from +0.0 as bincount does: bit-identical to np.add.at into zeros."""
+    order from +0.0 as bincount does: bit-identical to np.add.at into zeros.
+    bincount sums in float64; the sums are rounded once to the rows' dtype."""
     distinct, slot = np.unique(ids, return_inverse=True)
     dim = rows.shape[1]
     flat = (slot[:, None] * dim + np.arange(dim)).ravel()
     sums = np.bincount(flat, weights=rows.ravel(), minlength=len(distinct) * dim)
-    return distinct, sums.reshape(len(distinct), dim)
+    return distinct, sums.reshape(len(distinct), dim).astype(rows.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +170,21 @@ def _task_forward_backward(
     positive heads, positive tails, negative heads, negative tails, then the
     (ids, rows) in then. A pair with coefficient exactly 0 would add +-0 to
     sums that start at +0.0, changing no bit while partials are finite: skipped.
+    The slots are float64 whatever the table's dtype; Adam rounds their sums.
     """
     scorer = SCORERS[kind]
     n_pos, n_neg = negatives.shape[:2]
     n_pairs = n_pos * n_neg
     flat = negatives.reshape(-1, 3)
-    per_pair = np.empty((n_pos, n_neg))
+    per_pair = np.empty((n_pos, n_neg), np.float64)
     if backward:
-        then_ids, then_rows = then or (np.empty(0, np.int64), np.empty((0, table.dim)))
+        then_ids, then_rows = then or (
+            np.empty(0, np.int64), np.empty((0, table.dim), table.entity_vecs.dtype)
+        )
         ent_ids = np.concatenate([batch[:, 0], batch[:, 2], flat[:, 0], flat[:, 2], then_ids])
-        ent_slots = np.zeros((len(ent_ids), table.dim))
+        ent_slots = np.zeros((len(ent_ids), table.dim), np.float64)
         ent_slots[len(ent_ids) - len(then_rows) :] = then_rows
-        rel_slots = np.zeros((n_pos + n_pairs, table.dim))
+        rel_slots = np.zeros((n_pos + n_pairs, table.dim), np.float64)
     chunk = max(1, _TASK_BLOCK_FLOATS // ((1 + n_neg) * table.dim))
     for lo in range(0, n_pos, chunk):
         n = min(chunk, n_pos - lo)
@@ -235,8 +239,8 @@ def _contrastive_forward_backward(
     lengths = 1 + counts
     start = np.cumsum(lengths) - lengths
     n_occ, dim = occ.size, table.dim
-    grad = np.empty((ids.size, dim)) if backward else None
-    per_anchor = np.empty(len(uniq))
+    grad = np.empty((ids.size, dim), table.entity_vecs.dtype) if backward else None
+    per_anchor = np.empty(len(uniq), np.float64)
     # One block per positive count: padding would change the mean's sum.
     for m_a in np.unique(counts[counts > 0]).tolist():
         group = np.flatnonzero(counts == m_a)

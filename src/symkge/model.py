@@ -42,7 +42,8 @@ class ScorerKind(enum.Enum):
 
 @dataclass
 class EmbeddingTable:
-    """Dense entity/relation vectors, float64 while training."""
+    """Dense entity/relation vectors. train() works on a float32 copy and
+    returns its exact float64 widening; ranking widens any table to float64."""
 
     entity_vecs: np.ndarray  # (entity_count, dim)
     relation_vecs: np.ndarray  # (relation_count, dim)
@@ -62,20 +63,29 @@ class EmbeddingTable:
     def copy(self) -> "EmbeddingTable":
         return EmbeddingTable(self.entity_vecs.copy(), self.relation_vecs.copy())
 
+    def astype(self, dtype) -> "EmbeddingTable":
+        """Both matrices in dtype; a matrix already in it is not copied."""
+        return EmbeddingTable(self.entity_vecs.astype(dtype, copy=False),
+                              self.relation_vecs.astype(dtype, copy=False))
+
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.entity_vecs).all() and np.isfinite(self.relation_vecs).all())
 
 
 def init_embeddings(entity_count: int, relation_count: int, dim: int, seed: int) -> EmbeddingTable:
-    """Uniform init in [-6/sqrt(dim), +6/sqrt(dim)], reproducible from seed."""
+    """Uniform init in [-6/sqrt(dim), +6/sqrt(dim)], reproducible from seed.
+
+    The arrays are float64, but every value is a float32 rounded from the
+    draw, so train()'s float32 state starts from this table exactly.
+    """
     if entity_count < 1 or relation_count < 1 or dim < 1:
         raise ValueError("counts and dim must be >= 1")
     rng = np.random.default_rng(seed)
     bound = 6.0 / np.sqrt(dim)
-    return EmbeddingTable(
-        entity_vecs=rng.uniform(-bound, bound, size=(entity_count, dim)),
-        relation_vecs=rng.uniform(-bound, bound, size=(relation_count, dim)),
-    )
+    return EmbeddingTable(*(
+        rng.uniform(-bound, bound, size=(count, dim)).astype(np.float32).astype(np.float64)
+        for count in (entity_count, relation_count)
+    ))
 
 
 class TransE:
@@ -205,7 +215,10 @@ def save_checkpoint(table: EmbeddingTable, kind: ScorerKind, path: str | os.Path
 
 
 def load_checkpoint(path: str | os.PathLike[str]) -> tuple[EmbeddingTable, ScorerKind]:
-    """Read a SYME checkpoint back into a float64 table."""
+    """Read a SYME checkpoint back into a float64 table.
+
+    train() keeps its state in float32, so a trained table comes back exactly.
+    """
     (dim, entity_count, relation_count, scorer_code), body = read_framed(
         path, _CKPT_MAGIC, _CKPT_HEADER, _CKPT_VERSION, CorruptCheckpointError)
     if scorer_code not in _SCORER_FROM_CODE:

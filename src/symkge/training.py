@@ -1,5 +1,9 @@
 """Mini-batch training loop with a dense Adam optimizer.
 
+train() keeps the table and Adam's moments in float32. Gradient rows are
+summed in float64 and rounded once, into Adam's float32 buffer, and the
+result is the exact float64 widening of the float32 state.
+
 Reproducibility contract: given the same config (including seed), graph, and
 dictionary, two runs produce bit-identical loss logs and final tables. All
 rng streams are derived arithmetically from the config seed, and score math
@@ -31,7 +35,9 @@ class Adam:
     Updates every row in place, a block of rows at a time, in the operation
     order of params -= lr * (m / bc1) / (sqrt(v / bc2) + eps). A block's rows
     of the row-sparse gradient go into a zeroed buffer, so the result is
-    bit-identical to one pass over whole tables and a dense gradient.
+    bit-identical to one pass over whole tables and a dense gradient. The
+    moments and the buffer take the table's dtype, and the gradient rows are
+    rounded to it as they enter the buffer.
     """
 
     def __init__(self, table: EmbeddingTable, lr: float):
@@ -51,7 +57,7 @@ class Adam:
             (table.relation_vecs, grads.relation_rows, grads.relation, self.m_r, self.v_r),
         ):
             size = max(1, _ADAM_BLOCK_FLOATS // all_params.shape[1])
-            scratch = np.empty((3, size, all_params.shape[1]))
+            scratch = np.empty((3, size, all_params.shape[1]), all_params.dtype)
             for lo in range(0, len(all_params), size):
                 params, m, v = (a[lo : lo + size] for a in (all_params, all_m, all_v))
                 grad, step, denom = scratch[:, : len(params)]
@@ -138,7 +144,10 @@ def train(
                 f"split uses ids up to {highest} and the graph has {graph.entity_count}; "
                 f"was it mined from another train split?"
             )
-    table = init_embeddings(graph.entity_count, graph.relation_count, cfg.dim, cfg.seed)
+    # init_embeddings draws float32 values, so narrowing them is exact.
+    table = init_embeddings(
+        graph.entity_count, graph.relation_count, cfg.dim, cfg.seed
+    ).astype(np.float32)
     optimizer = Adam(table, lr=cfg.lr)
 
     epoch_log: list[LossBreakdown] = []
@@ -186,4 +195,4 @@ def train(
 
     if not table.all_finite():
         raise NonFiniteLossError("non-finite values in final embedding table")
-    return TrainResult(table=table, epoch_log=epoch_log)
+    return TrainResult(table=table.astype(np.float64), epoch_log=epoch_log)

@@ -219,6 +219,40 @@ def test_batched_ranks_match_oracle(monkeypatch, one_query_per_chunk):
     assert any(rescored), "no example exercised the re-scored band"
 
 
+@pytest.mark.parametrize("kind", list(ScorerKind))
+def test_float32_table_ranks_as_its_widening(kind):
+    """The bounds pad float64 rounding error, far too little for float32
+    arithmetic, so a float32 table must be ranked as its float64 widening.
+
+    Each of 40 base rows has 10 copies one float32 ulp away in one
+    coordinate, so the queries' scores have near-ties on both sides.
+    """
+    rng = np.random.default_rng(8)
+    n_base, n_copies, dim = 40, 10, 200
+    base = rng.normal(size=(n_base, dim)).astype(np.float32)
+    copies = np.repeat(base, n_copies, axis=0)
+    column = rng.integers(0, dim, len(copies))
+    rows = np.arange(len(copies))
+    toward = np.where(rng.random(len(copies)) < 0.5, np.inf, -np.inf).astype(np.float32)
+    copies[rows, column] = np.nextafter(copies[rows, column], toward)
+    table = EmbeddingTable(np.concatenate([base, copies]),
+                           rng.normal(size=(4, dim)).astype(np.float32))
+    widened = EmbeddingTable(table.entity_vecs.astype(np.float64),
+                             table.relation_vecs.astype(np.float64))
+    split = sorted({(int(h), int(r), int(t))
+                    for h, r, t in rng.integers(0, [n_base, 4, n_base], size=(60, 3))})
+    triples = np.repeat(np.asarray(split, dtype=np.int64), 2, axis=0)
+    corrupt_head = np.tile([True, False], len(split))
+    got = evaluation._filtered_ranks(table, kind, triples, corrupt_head, split)
+    want = []
+    for h, r, t in split:
+        heads = {kh for kh, kr, kt in split if (kr, kt) == (r, t)}
+        tails = {kt for kh, kr, kt in split if (kh, kr) == (h, r)}
+        want += [rank_one(widened, kind, (h, r, t), HEAD, heads),
+                 rank_one(widened, kind, (h, r, t), TAIL, tails)]
+    assert got.tolist() == want
+
+
 def _adversarial_bounds(cls, rngs):
     """bounds() whose every interval still holds the exact score() but is moved.
 

@@ -7,9 +7,10 @@ only bounds() may read; scoring math stays in model.py, so the loss and
 ranking code never branch on a scorer; gradient rows are summed by one
 ordered helper, never by a ufunc's unbuffered .at(); every random stream
 is NumPy's, derived from the config seed, never the stdlib random module's;
-only artifact.py writes files or packs frames, so every write is atomic; and
+only artifact.py writes files or packs frames, so every write is atomic;
 mined structures stay array rows until a caller iterates them, so only the
-miner's view builds SymmetricStructure objects.
+miner's view builds SymmetricStructure objects; and every array the training
+step allocates names its dtype, so none silently widens the float32 state.
 """
 
 import ast
@@ -172,6 +173,30 @@ def test_files_written_only_by_artifact():
             assert lines  # the detector still finds the writer's own uses
         else:
             assert not lines, f"{path.name}:{lines}: write files through symkge.artifact"
+
+
+# Where np.empty, np.zeros and np.full take their dtype positionally.
+DTYPE_ARG = {"empty": 1, "zeros": 1, "full": 2}
+
+
+def _unnamed_dtypes(source: str) -> list[int]:
+    """Lines calling np.empty, np.zeros or np.full without a dtype."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and getattr(node.func.value, "id", None) == "np" and node.func.attr in DTYPE_ARG
+            and len(node.args) <= DTYPE_ARG[node.func.attr]
+            and not any(k.arg == "dtype" for k in node.keywords)]
+
+
+def test_training_allocations_name_their_dtype():
+    """Scatter slots and loss accumulators are float64 on purpose; the rest take
+    the table's dtype. NumPy's default would widen float32 state unnoticed."""
+    detected = ("np.empty(3)\nnp.zeros((2, 3))\nnp.full(3, 1.0)\n"
+                "np.empty(3, np.float32)\nnp.zeros(3, dtype=t.dtype)\nnp.full(3, 0, np.int64)")
+    assert _unnamed_dtypes(detected) == [1, 2, 3]
+    for name in ("losses.py", "training.py"):
+        lines = _unnamed_dtypes((SRC / name).read_text(encoding="utf-8"))
+        assert not lines, f"{name}:{lines}: name the dtype of the allocation"
 
 
 def test_bench_span_targets_resolve():
