@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -18,7 +17,7 @@ from .errors import (
     SingleClassError,
     UnknownEntityError,
 )
-from .graph import Triple, _ranges, triple_keys
+from .graph import Triple, _ranges, known_keys, triple_array, triple_keys
 from .model import SCORERS, EmbeddingTable, ScorerKind, squared_norms
 
 HEAD = "head"
@@ -35,22 +34,6 @@ class RankingReport:
 # Floats per dense (queries x entities) array while ranking: bounds the
 # query chunk, so peak memory does not grow with the split.
 _RANK_BLOCK_FLOATS = 1 << 20
-
-
-def _known_keys(
-    known: Iterable[tuple[int, int, int]], entity_count: int, relation_count: int
-) -> np.ndarray:
-    """Sorted triple_keys of the known triples (h, r, t) and of their inverses
-    (t, r + relation_count, h): a query's filter is one run of keys.
-
-    Triples outside the table are dropped: they name no candidate, and their
-    keys could collide with valid ones.
-    """
-    triples = np.fromiter(itertools.chain.from_iterable(known), dtype=np.int64).reshape(-1, 3)
-    inside = ((triples >= 0) & (triples < [entity_count, relation_count, entity_count])).all(1)
-    h, r, t = triples[inside].T
-    inverse_r = r + relation_count
-    return np.sort(triple_keys(np.r_[h, t], np.r_[r, inverse_r], np.r_[t, h], entity_count))
 
 
 def _filtered_ranks(
@@ -88,7 +71,7 @@ def _filtered_ranks(
     entities = table.entity_vecs
     anchor_ids = np.where(corrupt_head, t, h)
     true_ids = np.where(corrupt_head, h, t)
-    known_keys = _known_keys(known, n_e, n_r)
+    keys = known_keys(triple_array(known), n_e, n_r)
     # Query i's known candidates are the keys in [run_keys[i], run_keys[i] + n_e).
     run_keys = triple_keys(anchor_ids, np.where(corrupt_head, r + n_r, r), 0, n_e)
     entity_sq = squared_norms(entities)
@@ -109,11 +92,11 @@ def _filtered_ranks(
         band = ~(higher | (hi_bound < own[:, None]))  # NaN bounds land in the band
 
         # Known candidates and the query itself do not compete.
-        first = np.searchsorted(known_keys, run_keys[part])
-        counts = np.searchsorted(known_keys, run_keys[part] + n_e) - first
+        first = np.searchsorted(keys, run_keys[part])
+        counts = np.searchsorted(keys, run_keys[part] + n_e) - first
         excluded = (
             np.concatenate([rows, np.repeat(rows, counts)]),
-            np.concatenate([truth, known_keys[_ranges(first, counts)] % n_e]),
+            np.concatenate([truth, keys[_ranges(first, counts)] % n_e]),
         )
         higher[excluded] = False
         band[excluded] = False
@@ -166,7 +149,7 @@ def evaluate_split(
     if len(split) == 0:
         raise EmptyDatasetError("split is empty")
     # Query 2i corrupts the head of split[i], query 2i + 1 its tail.
-    triples = np.repeat(np.asarray(split, dtype=np.int64).reshape(-1, 3), 2, axis=0)
+    triples = np.repeat(triple_array(split), 2, axis=0)
     corrupt_head = np.tile([True, False], len(split))
     ranks = _filtered_ranks(table, kind, triples, corrupt_head, known_triples)
     return RankingReport(

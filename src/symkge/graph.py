@@ -75,11 +75,14 @@ class UnionGraph:
         return int(self.indptr[e + 1] - self.indptr[e])
 
 
+def triple_array(triples: Iterable[tuple[int, int, int]]) -> np.ndarray:
+    """The triples as one (n, 3) int64 array, 6x faster than np.asarray on NamedTuples."""
+    return np.fromiter(itertools.chain.from_iterable(triples), np.int64).reshape(-1, 3)
+
+
 def _union_graph(triples: tuple[Triple, ...], labels: LabelMaps) -> UnionGraph:
     """The union graph of triples over every entity and relation of labels."""
-    # fromiter: np.asarray spends ~0.6 us per NamedTuple row
-    flat = np.fromiter(itertools.chain.from_iterable(triples), np.int64, 3 * len(triples))
-    h, r, t = flat.reshape(-1, 3).T
+    h, r, t = triple_array(triples).T
     src, rel, nbr = np.concatenate([h, t]), np.concatenate([r, r]), np.concatenate([t, h])
     sign = np.repeat(np.array([FORWARD, INVERSE], dtype=np.int64), len(h))
     order = np.lexsort((nbr, sign, rel, src))
@@ -106,6 +109,18 @@ def triple_keys(h: np.ndarray, r: np.ndarray, t: np.ndarray, entity_count: int) 
         raise DataError(f"{entity_count} entities and {relations} relations are too many "
                         f"to key triples in 64 bits")
     return (r * entity_count + h) * entity_count + t
+
+
+def known_keys(triples: np.ndarray, entity_count: int, relation_count: int) -> np.ndarray:
+    """Sorted, distinct triple_keys of the (n, 3) triples and of their inverses
+    (t, r + relation_count, h): either side of a query has its known candidates
+    in one run of keys. Triples outside the counts name no candidate, and
+    their keys could collide with valid ones, so they are dropped."""
+    inside = ((triples >= 0) & (triples < [entity_count, relation_count, entity_count])).all(1)
+    h, r, t = triples[inside].T
+    keys = np.sort(triple_keys(np.r_[h, t], np.r_[r, r + relation_count], np.r_[t, h],
+                               entity_count))
+    return keys[np.r_[True, keys[1:] != keys[:-1]]]  # np.unique takes 10x as long
 
 
 def intern_graph(raw_triples: Iterable[RawTriple]) -> tuple[UnionGraph, LabelMaps]:

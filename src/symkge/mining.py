@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifact import read_framed, write_framed
-from .errors import CorruptDictFileError, DataError, HopBoundExceededError
+from .errors import BadValueError, CorruptDictFileError, DataError, HopBoundExceededError
 from .graph import SignedRelation, UnionGraph, _ranges
 
 MAX_HOP_BOUND = 3
@@ -127,7 +127,7 @@ def _key_starts(*columns: np.ndarray) -> np.ndarray:
 
 
 def _half_paths(graph: UnionGraph, k_max: int, max_degree: int | None):
-    """Check k_max, then yield (k, nodes, seq) for k = 1..k_max, one row per half-path.
+    """Check the bounds, then yield (k, nodes, seq) for k = 1..k_max, one row per half-path.
 
     nodes[i] holds the path's start, its k - 1 interiors and its pivot. seq[i]
     packs its steps, each as 2 * relation + sign, in base 2R with the first
@@ -138,6 +138,8 @@ def _half_paths(graph: UnionGraph, k_max: int, max_degree: int | None):
     graphs (approximation; keep it off when exactness matters).
     """
     _check_hop_bound(k_max)
+    if max_degree is not None and max_degree < 1:
+        raise BadValueError(f"max_degree must be >= 1, got {max_degree}")
     base = 2 * graph.relation_count
     if base**k_max > np.iinfo(np.int64).max:
         raise DataError(f"{graph.relation_count} relations are too many to pack "

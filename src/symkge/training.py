@@ -21,7 +21,7 @@ from .errors import DataError, NonFiniteLossError
 from .losses import Gradients, LossBreakdown, combined_gradients
 from .mining import PositiveDict
 from .model import EmbeddingTable, init_embeddings
-from .graph import UnionGraph, triple_keys
+from .graph import UnionGraph, known_keys, triple_array, triple_keys
 
 
 # Floats per array in a block of Adam's update, small enough to stay in cache.
@@ -83,33 +83,33 @@ def sample_negatives(
     batch: np.ndarray,
     n_negatives: int,
     entity_count: int,
+    relation_count: int,
     known: np.ndarray,
 ) -> np.ndarray:
-    """Corrupt head or tail (coin flip) uniformly, avoiding known triples.
+    """Corrupt head or tail (fair coin) with an entity drawn uniformly from the
+    candidates outside known, the graph.known_keys of the triples to avoid.
 
-    known holds the sorted triple_keys of the triples to avoid. Every slot
-    draws its coin, then its entity; only rejected slots redraw, for up to 100
-    rounds. A slot still rejected then picks from its exact complement, or
-    keeps its last draw when every candidate forms a known triple.
-    """
-    def rejected(triples):
-        keys = triple_keys(*triples.T, entity_count)
-        return np.searchsorted(known, keys, "right") > np.searchsorted(known, keys, "left")
-
+    A head is corrupted as the tail of the inverse relation, so a slot's known
+    candidates are one run of keys. A slot with no free candidate draws over
+    all entities."""
     out = np.repeat(np.asarray(batch, dtype=np.int64), n_negatives, axis=0)
-    column = 2 - 2 * rng.integers(0, 2, len(out))  # heads (column 0) on a 1
-    pending = np.arange(len(out))
-    for _ in range(100):
-        out[pending, column[pending]] = rng.integers(0, entity_count, len(pending))
-        pending = pending[rejected(out[pending])]
-        if pending.size == 0:
-            break
-    for slot in pending.tolist():
-        candidates = np.repeat(out[slot : slot + 1], entity_count, axis=0)
-        candidates[:, column[slot]] = np.arange(entity_count)
-        pool = np.flatnonzero(~rejected(candidates))
-        if pool.size:
-            out[slot, column[slot]] = pool[rng.integers(0, pool.size)]
+    corrupt_head = rng.integers(0, 2, len(out)) == 1
+    h, r, t = out.T
+    base = triple_keys(np.where(corrupt_head, t, h), np.where(corrupt_head, r + relation_count, r),
+                       0, entity_count)
+    # Queries in ascending order let searchsorted start each search at the last answer.
+    order = np.argsort(base)
+    base = base[order]
+    lo, hi = np.searchsorted(known, [base, base + entity_count])
+    free = entity_count - (hi - lo)
+    u = rng.integers(0, np.where(free > 0, free, entity_count))
+    # The u-th free candidate is u plus the count of the run's keys at or
+    # below it. known - arange(len(known)) does not decrease, as keys are
+    # distinct, so searchsorted counts every entry before the run, none after
+    # it (u < free), and exactly the run's keys at or below the answer.
+    shifted = known - np.arange(len(known))
+    drawn = u + np.searchsorted(shifted, u + base - lo, "right") - lo
+    out[order, np.where(corrupt_head[order], 0, 2)] = np.where(free > 0, drawn, u)
     return out.reshape(len(batch), n_negatives, 3)
 
 
@@ -132,8 +132,8 @@ def train(
     before any update, with KMismatchError.
     log_fn, when given, receives (epoch, LossBreakdown) after each epoch.
     """
-    train_triples = np.asarray(graph.triples, dtype=np.int64).reshape(-1, 3)
-    known = np.sort(triple_keys(*train_triples.T, graph.entity_count))
+    train_triples = triple_array(graph.triples)
+    known = known_keys(train_triples, graph.entity_count, graph.relation_count)
     if pos_dict is not None:
         # Every train entity needs a (possibly empty) row; padding past the
         # train split is fine, past the graph is not.
@@ -161,9 +161,8 @@ def train(
         n_batches = 0
         for batch_index, lo in enumerate(range(0, len(order), cfg.batch_size)):
             batch = train_triples[order[lo : lo + cfg.batch_size]]
-            negatives = sample_negatives(
-                neg_rng, batch, cfg.n_negatives, graph.entity_count, known
-            )
+            negatives = sample_negatives(neg_rng, batch, cfg.n_negatives, graph.entity_count,
+                                         graph.relation_count, known)
             breakdown, grads = combined_gradients(
                 table, cfg.scorer, batch, negatives, pos_dict, cfg, epoch
             )

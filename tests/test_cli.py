@@ -410,6 +410,17 @@ def test_data_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["mine", "stats"])
+def test_max_degree_below_one_exits_2(kg_files, tmp_path, capsys, command):
+    _, paths = kg_files
+    out = tmp_path / "pos.symd"
+    argv = [command, "--train", str(paths["train"]), "--k", "1", "--max-degree", "-3"]
+    assert main(argv + (["--out", str(out)] if command == "mine" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "max_degree must be >= 1" in err
+    assert not out.exists()
+
+
 def test_numeric_error_exit_code(kg_files, capsys):
     tmp, paths = kg_files
     with np.errstate(over="ignore", invalid="ignore"):

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from symkge import mining
-from symkge.errors import CorruptDictFileError, DataError, HopBoundExceededError, KMismatchError
+from symkge.errors import (
+    BadValueError, CorruptDictFileError, DataError, HopBoundExceededError, KMismatchError,
+)
 from symkge.graph import FORWARD, INVERSE, SignedRelation, intern_graph, load_dataset
 from symkge.mining import (
     load_dict,
@@ -181,6 +183,17 @@ def test_degree_cap_skips_hub_pivots(play_fixture):
     # cap off (or high enough) keeps the pair
     loose, _ = mine_positive_dict(graph, 1, max_degree=2)
     assert loose[labels.entity_ids["Bob"]] == {labels.entity_ids["Jones"]}
+
+
+@pytest.mark.parametrize("max_degree", [0, -3])
+def test_degree_cap_below_one_is_refused(play_fixture, max_degree):
+    # A cap below 1 leaves no pivot, so it would mine nothing, silently.
+    graph, _ = play_fixture
+    for run in (lambda: mine_positive_dict(graph, 1, max_degree=max_degree),
+                lambda: structure_stats(graph, 1, max_degree=max_degree)):
+        with pytest.raises(BadValueError, match="max_degree must be >= 1") as refused:
+            run()
+        assert "\n" not in str(refused.value)
 
 
 def test_degree_cap_prunes_walks_through_hubs():

@@ -9,8 +9,9 @@ ordered helper, never by a ufunc's unbuffered .at(); every random stream
 is NumPy's, derived from the config seed, never the stdlib random module's;
 only artifact.py writes files or packs frames, so every write is atomic;
 mined structures stay array rows until a caller iterates them, so only the
-miner's view builds SymmetricStructure objects; and every array the training
-step allocates names its dtype, so none silently widens the float32 state.
+miner's view builds SymmetricStructure objects; every array the training
+step allocates names its dtype, so none silently widens the float32 state;
+and negatives and ranking filter through one index of known triple keys.
 """
 
 import ast
@@ -94,6 +95,20 @@ def _builds_structures(node) -> bool:
 def test_structures_built_only_when_iterated():
     """One object per structure is what ran mining out of memory at full density."""
     _assert_only_in(_builds_structures, {("mining.py", "Structures.__iter__")})
+
+
+def _keys_triples(node) -> bool:
+    # An alias would hide later calls from the name check, so it counts as a use.
+    return _called_name(node) == "triple_keys" or (
+        isinstance(node, ast.alias) and node.name == "triple_keys" and node.asname is not None
+    )
+
+
+def test_one_known_triple_index():
+    """Negatives and ranking read one key index, built by graph.known_keys."""
+    _assert_only_in(_keys_triples, {("graph.py", "known_keys"),
+                                    ("training.py", "sample_negatives"),
+                                    ("evaluation.py", "_filtered_ranks")})
 
 
 def test_loss_and_ranking_name_no_scorer():

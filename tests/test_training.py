@@ -9,7 +9,7 @@ import pytest
 from symkge.config import MARGIN_RANKING, TrainConfig
 from symkge.errors import DataError, KMismatchError, NonFiniteLossError
 from symkge.evaluation import evaluate_split
-from symkge.graph import intern_graph, triple_keys
+from symkge.graph import intern_graph, known_keys, triple_array, triple_keys
 from symkge.mining import mine_positive_dict
 from symkge.model import ScorerKind, init_embeddings, load_checkpoint, save_checkpoint
 from symkge import training
@@ -105,9 +105,8 @@ def test_trained_table_is_finite():
 
 
 def _keys(triples, graph):
-    """Sorted triple keys of the triples, as train() gives the negative sampler."""
-    return np.sort(triple_keys(*np.asarray(triples, dtype=np.int64).reshape(-1, 3).T,
-                               graph.entity_count))
+    """Known keys of the triples, as train() gives the negative sampler."""
+    return known_keys(triple_array(triples), graph.entity_count, graph.relation_count)
 
 
 def test_negative_sampler_avoids_known_triples():
@@ -115,7 +114,8 @@ def test_negative_sampler_avoids_known_triples():
     known = {(int(h), int(r), int(t)) for h, r, t in graph.triples}
     batch = np.asarray(graph.triples[:10], dtype=np.int64)
     rng = np.random.default_rng(0)
-    negatives = sample_negatives(rng, batch, 4, graph.entity_count, _keys(graph.triples, graph))
+    negatives = sample_negatives(rng, batch, 4, graph.entity_count, graph.relation_count,
+                                 _keys(graph.triples, graph))
     assert negatives.shape == (10, 4, 3)
     for i, (h, r, t) in enumerate(batch.tolist()):
         for nh, nr, nt in negatives[i].tolist():
@@ -129,20 +129,21 @@ def test_negative_sampler_deterministic():
     graph, _ = random_graph(10, 12, 25, 3)
     known = np.empty(0, dtype=np.int64)
     batch = np.asarray(graph.triples[:5], dtype=np.int64)
-    a = sample_negatives(np.random.default_rng(5), batch, 3, graph.entity_count, known)
-    b = sample_negatives(np.random.default_rng(5), batch, 3, graph.entity_count, known)
+    n_e, n_r = graph.entity_count, graph.relation_count
+    a = sample_negatives(np.random.default_rng(5), batch, 3, n_e, n_r, known)
+    b = sample_negatives(np.random.default_rng(5), batch, 3, n_e, n_r, known)
     assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_negative_sampler_corrupts_one_side_into_an_unknown_triple(seed):
-    # 12 entities and 60 triples over 2 relations: many draws hit a known
-    # triple and redraw, and every slot still has free candidates.
+    # 12 entities and 60 triples over 2 relations: many candidates are known,
+    # and every slot still has free candidates.
     graph, _ = random_graph(seed, 12, 60, 2)
     known = {(int(h), int(r), int(t)) for h, r, t in graph.triples}
     batch = np.asarray(graph.triples, dtype=np.int64)
     negatives = sample_negatives(np.random.default_rng(seed), batch, 8, graph.entity_count,
-                                 _keys(graph.triples, graph))
+                                 graph.relation_count, _keys(graph.triples, graph))
     heads = 0
     for (h, r, t), row in zip(batch.tolist(), negatives.tolist()):
         for nh, nr, nt in row:
@@ -158,41 +159,61 @@ def _saturated(entity_count, free_heads, free_tails):
     e = np.arange(entity_count)
     heads = np.column_stack([e, 0 * e, 0 * e + 1])[~np.isin(e, free_heads)]
     tails = np.column_stack([0 * e, 0 * e, e])[~np.isin(e, free_tails)]
-    return np.unique(triple_keys(*np.concatenate([heads, tails]).T, entity_count))
+    return known_keys(np.concatenate([heads, tails]), entity_count, 1)
 
 
 @pytest.mark.parametrize("free_heads,free_tails,n_negatives", [([3], [2], 4), ([3, 7], [2, 5], 24)])
-def test_negative_sampler_falls_back_to_the_free_entities(
-    free_heads, free_tails, n_negatives, monkeypatch
-):
-    # With 1 or 2 free entities in 100,000, 100 rejection rounds almost never
-    # find one, so each slot draws from its enumerated complement.
+def test_negative_sampler_falls_back_to_the_free_entities(free_heads, free_tails, n_negatives):
+    # With 1 or 2 free entities in 100,000, a draw over all entities almost
+    # never finds one; every slot must still land on a free entity.
     n = 100_000
-    lengths = []
-
-    def spy(h, r, t, entity_count):
-        lengths.append(len(h))
-        return triple_keys(h, r, t, entity_count)
-
-    monkeypatch.setattr(training, "triple_keys", spy)
     batch = np.array([[0, 0, 1]])
-    negatives = sample_negatives(np.random.default_rng(0), batch, n_negatives, n,
+    negatives = sample_negatives(np.random.default_rng(0), batch, n_negatives, n, 1,
                                  _saturated(n, free_heads, free_tails))
-    assert lengths.count(n) == n_negatives  # every slot took the fallback
     free = {(e, 0, 1) for e in free_heads} | {(0, 0, e) for e in free_tails}
     assert {tuple(row) for row in negatives[0].tolist()} == free  # each free entity drawn
 
 
 def test_negative_sampler_keeps_a_known_triple_when_no_entity_is_free():
     n = 6
-    negatives = sample_negatives(np.random.default_rng(1), np.array([[0, 0, 1]]), 8, n,
+    negatives = sample_negatives(np.random.default_rng(1), np.array([[0, 0, 1]]), 8, n, 1,
                                  _saturated(n, [], []))
     known = {(e, 0, 1) for e in range(n)} | {(0, 0, e) for e in range(n)}
     assert {tuple(row) for row in negatives[0].tolist()} <= known
 
 
+def test_negative_sampler_draws_uniformly_from_each_free_set():
+    # 10 entities, 2 relations. The head and tail slots of (4, 0, 6) and
+    # (9, 1, 0) have four free sets, and each known run holds ids 0 and 9 =
+    # E - 1. Neighbouring runs are full ((3, 0, .), (8, 1, .)) or nearly empty.
+    n = 10
+    triples = [(4, 0, t) for t in (0, 1, 6, 9)] + [(h, 0, 6) for h in (0, 2, 4, 8, 9)]
+    triples += [(3, 0, t) for t in range(n)] + [(5, 0, 0), (6, 0, 7), (7, 0, 6)]
+    triples += [(9, 1, t) for t in (0, 5, 9)] + [(h, 1, 0) for h in (0, 1, 2, 3, 9)]
+    triples += [(8, 1, t) for t in range(n)] + [(h, 1, 1) for h in range(n)]
+    batch = np.array([[4, 0, 6], [9, 1, 0]])
+    free = {(0, 0): [1, 5, 6], (0, 2): [2, 3, 4, 5, 7, 8],
+            (1, 0): [4, 5, 6, 7], (1, 2): [2, 3, 4, 6, 7, 8]}  # (batch row, column)
+    negatives = sample_negatives(np.random.default_rng(0), batch, 60_000, n, 2,
+                                 known_keys(triple_array(triples), n, 2))
+    # Chi-square 0.999 quantiles at 2, 3 and 5 degrees of freedom.
+    critical = {2: 13.82, 3: 16.27, 5: 20.52}
+    for row, ((h, r, t), drawn) in enumerate(zip(batch.tolist(), negatives)):
+        assert (drawn[:, 1] == r).all()
+        corrupt_head = drawn[:, 0] != h
+        assert (drawn[corrupt_head, 2] == t).all()
+        for column, ids in ((0, drawn[corrupt_head, 0]), (2, drawn[~corrupt_head, 2])):
+            cells = free[row, column]
+            counts = np.bincount(ids, minlength=n)
+            assert np.flatnonzero(counts).tolist() == cells
+            expected = len(ids) / len(cells)
+            chi_square = float(((counts[cells] - expected) ** 2 / expected).sum())
+            assert chi_square < critical[len(cells) - 1], (row, column, chi_square)
+
+
 def test_triple_keys_that_overflow_are_refused():
-    # Keys are (r * E + h) * E + t in int64, so the largest, E^2 * R - 1, must fit.
+    # Keys are (r * E + h) * E + t in int64, and known_keys adds the inverse
+    # relations r + R, so the largest, E^2 * 2R - 1, must fit.
     graph, _ = random_graph(40, 10, 25, 3)
     huge = dataclasses.replace(graph, entity_count=2**31)
     with pytest.raises(DataError, match="too many to key") as refused:
@@ -336,10 +357,10 @@ def test_blocked_adam_matches_dense_formula_bits(monkeypatch):
         assert m.tobytes() == ref_m.tobytes() and v.tobytes() == ref_v.tobytes()
 
 
-# Recorded when train() moved its table and Adam state to float32, with
-# float64 scatter sums rounded once into Adam's buffer. A change that alters
-# trajectories on purpose re-records it and says so in CHANGES.md.
-GOLDEN_TRAJECTORY_SHA256 = "efa228eff01ec31c6839c763ba7a6de92137af3e1eec574a67e72b1ae23d8025"
+# Recorded when the negative sampler began drawing each slot once from its
+# free candidates, over the known keys that ranking shares. A change that
+# alters trajectories on purpose re-records it and says so in CHANGES.md.
+GOLDEN_TRAJECTORY_SHA256 = "477b28b4089e922bbc0363179ad5042604c5bd1ae3e4ffe041af11309e7badfa"
 
 
 def test_golden_trajectory():
