@@ -85,9 +85,11 @@ def sample_negatives(
     entity_count: int,
     relation_count: int,
     known: np.ndarray,
+    shifted: np.ndarray,
 ) -> np.ndarray:
     """Corrupt head or tail (fair coin) with an entity drawn uniformly from the
     candidates outside known, the graph.known_keys of the triples to avoid.
+    shifted is known - arange(len(known)), built once with the keys.
 
     A head is corrupted as the tail of the inverse relation, so a slot's known
     candidates are one run of keys. A slot with no free candidate draws over
@@ -97,19 +99,15 @@ def sample_negatives(
     h, r, t = out.T
     base = triple_keys(np.where(corrupt_head, t, h), np.where(corrupt_head, r + relation_count, r),
                        0, entity_count)
-    # Queries in ascending order let searchsorted start each search at the last answer.
-    order = np.argsort(base)
-    base = base[order]
     lo, hi = np.searchsorted(known, [base, base + entity_count])
     free = entity_count - (hi - lo)
     u = rng.integers(0, np.where(free > 0, free, entity_count))
     # The u-th free candidate is u plus the count of the run's keys at or
-    # below it. known - arange(len(known)) does not decrease, as keys are
-    # distinct, so searchsorted counts every entry before the run, none after
-    # it (u < free), and exactly the run's keys at or below the answer.
-    shifted = known - np.arange(len(known))
+    # below it. shifted does not decrease, as keys are distinct, so
+    # searchsorted counts every entry before the run, none after it
+    # (u < free), and exactly the run's keys at or below the answer.
     drawn = u + np.searchsorted(shifted, u + base - lo, "right") - lo
-    out[order, np.where(corrupt_head[order], 0, 2)] = np.where(free > 0, drawn, u)
+    out[np.arange(len(out)), np.where(corrupt_head, 0, 2)] = np.where(free > 0, drawn, u)
     return out.reshape(len(batch), n_negatives, 3)
 
 
@@ -134,6 +132,7 @@ def train(
     """
     train_triples = triple_array(graph.triples)
     known = known_keys(train_triples, graph.entity_count, graph.relation_count)
+    shifted = known - np.arange(len(known))
     if pos_dict is not None:
         # Every train entity needs a (possibly empty) row; padding past the
         # train split is fine, past the graph is not.
@@ -162,7 +161,7 @@ def train(
         for batch_index, lo in enumerate(range(0, len(order), cfg.batch_size)):
             batch = train_triples[order[lo : lo + cfg.batch_size]]
             negatives = sample_negatives(neg_rng, batch, cfg.n_negatives, graph.entity_count,
-                                         graph.relation_count, known)
+                                         graph.relation_count, known, shifted)
             breakdown, grads = combined_gradients(
                 table, cfg.scorer, batch, negatives, pos_dict, cfg, epoch
             )

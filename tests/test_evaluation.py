@@ -78,6 +78,18 @@ def test_unknown_entity_rejected():
         filtered_rank(table, ScorerKind.DISTMULT, (0, 0, 7), TAIL, set())
 
 
+@pytest.mark.parametrize("known", [set(), {(0, 1, 0)}, {(7, 0, 0)}],
+                         ids=["empty", "other-relation", "outside-table"])
+def test_no_known_triple_on_the_query_ranks_unfiltered(known):
+    # d=1 DistMult over 2 relations: tail scores of (0, 0, .) are 9, 6, 3 and
+    # head scores of (., 0, 1) are 6, 4, 2, so (0, 0, 1) ranks 2 and 1.
+    table = _table([[3.0], [2.0], [1.0]], [[1.0], [1.0]])
+    assert filtered_rank(table, ScorerKind.DISTMULT, (0, 0, 1), TAIL, known) == 2.0
+    assert filtered_rank(table, ScorerKind.DISTMULT, (0, 0, 1), HEAD, known) == 1.0
+    report = evaluate_split(table, ScorerKind.DISTMULT, [(0, 0, 1)], list(known))
+    assert report.mrr == 0.75 and report.n_queries == 2
+
+
 @pytest.mark.parametrize("query", [(-1, 0, 1), (2, 0, 1), (0, 0, -1), (0, 0, 2),
                                    (0, -1, 1), (0, 1, 1)])
 def test_split_ids_outside_table_rejected(query):
