@@ -239,6 +239,8 @@ def _read_labeled(path, entity_ids) -> list[tuple[int, str]]:
             if len(fields) != 2:
                 raise BadValueError(f"{path}:{lineno}: expected entity TAB class")
             entity_label, class_label = fields
+            if not entity_label or not class_label:
+                raise BadValueError(f"{path}:{lineno}: empty entity or class field")
             if entity_ids is not None:
                 if entity_label not in entity_ids:
                     raise BadValueError(f"{path}:{lineno}: unknown entity {entity_label!r}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 import os
 from dataclasses import dataclass, field, fields
@@ -57,14 +58,15 @@ def _validate(cfg: TrainConfig) -> None:
         raise BadValueError(f"k must be 1, 2, or 3, got {cfg.k}")
     if cfg.m < 1:
         raise BadValueError(f"m must be >= 1, got {cfg.m}")
-    if cfg.alpha < 0:
-        raise BadValueError(f"alpha must be >= 0, got {cfg.alpha}")
+    # A NaN fails every comparison, so each bounded range below refuses it too.
+    if not 0 <= cfg.alpha < math.inf:
+        raise BadValueError(f"alpha must be finite and >= 0, got {cfg.alpha}")
     if cfg.dim < 1 or cfg.epochs < 1 or cfg.batch_size < 1 or cfg.n_negatives < 1:
         raise BadValueError("dim, epochs, batch_size, and negatives must be >= 1")
-    if cfg.lr < 0:
-        raise BadValueError(f"lr must be >= 0, got {cfg.lr}")
-    if cfg.margin <= 0:
-        raise BadValueError(f"margin must be > 0, got {cfg.margin}")
+    if not 0 <= cfg.lr < math.inf:
+        raise BadValueError(f"lr must be finite and >= 0, got {cfg.lr}")
+    if not 0 < cfg.margin < math.inf:
+        raise BadValueError(f"margin must be finite and > 0, got {cfg.margin}")
     if cfg.task_loss and cfg.task_loss not in TASK_LOSSES:
         raise BadValueError(f"unknown task loss {cfg.task_loss!r}")
 

@@ -169,6 +169,12 @@ class ProbeConfig:
     lr: float = 0.5
     steps: int = 500
 
+    def __post_init__(self):
+        if self.steps < 1:
+            raise BadValueError(f"probe steps must be >= 1, got {self.steps}")
+        if not 0 <= self.lr < math.inf:
+            raise BadValueError(f"probe lr must be finite and >= 0, got {self.lr}")
+
 
 @dataclass
 class ProbeWeights:

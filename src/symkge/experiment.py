@@ -8,7 +8,7 @@ import os
 from dataclasses import dataclass, replace
 
 from .config import TrainConfig, config_as_dict
-from .errors import DataError, EmptyDatasetError, SymkgeError
+from .errors import BadValueError, DataError, EmptyDatasetError, SymkgeError
 from .evaluation import evaluate_split, students_t_test
 from .graph import Dataset, Triple, load_dataset
 from .mining import PositiveDict, mine_positive_dict
@@ -103,6 +103,8 @@ def run_experiment(
     Each run is fully isolated (own seed-derived rng streams), so the report
     is identical whatever the worker count.
     """
+    if workers < 1:
+        raise BadValueError(f"workers must be >= 1, got {workers}")
     dataset = load_dataset(spec.train_path, spec.valid_path, spec.test_path)
     if not dataset.test:
         raise EmptyDatasetError(f"{spec.test_path}: no test triples to evaluate on")

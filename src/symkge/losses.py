@@ -71,17 +71,15 @@ def _checked_norms(vecs: np.ndarray, what: str) -> np.ndarray:
     return norms
 
 
-def _alignment(a: np.ndarray, p: np.ndarray, w: float | None = None):
-    """Alignment loss of each anchor row of a (g, d) with its positives p (g, m, d)
-    and, given w, the gradients of w times it by a and by p: (loss, grads or None)."""
+def _alignment(a: np.ndarray, p: np.ndarray, w: float):
+    """Alignment loss of each anchor row of a (g, d) with its positives p (g, m, d), and
+    the gradients by a and by p of w * sum(1 - cos) over each row's positives."""
     a_norm = _checked_norms(a, "anchor")
     p_norms = _checked_norms(p, "positive")
     a_hat = (a / a_norm[:, None])[:, None, :]
     p_hat = p / p_norms[:, :, None]
     diff = a_hat - p_hat
     loss = (diff * diff).sum(axis=-1).mean(axis=1)
-    if w is None:
-        return loss, None
     cos = (p_hat * a_hat).sum(axis=-1)[:, :, None]
     grad_a = (-w / a_norm)[:, None] * (p_hat - cos * a_hat).sum(axis=1)
     return loss, (grad_a, -w / p_norms[:, :, None] * (a_hat - cos * p_hat))
@@ -96,7 +94,7 @@ def contrastive_loss(anchor_vec: np.ndarray, positive_vecs: np.ndarray | list) -
     if positives.size == 0:
         return 0.0
     anchor = np.asarray(anchor_vec, dtype=np.float64)
-    return float(_alignment(anchor[None, :], positives[None])[0][0])
+    return float(_alignment(anchor[None, :], positives[None], 1.0)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +127,7 @@ def task_loss(
     margin_ranking: mean over pairs of max(0, margin - s_pos + s_neg).
     binary_cross_entropy: mean over pairs of -log s(s_pos) - log s(-s_neg).
     """
-    batch = np.asarray(batch, dtype=np.int64)
-    negatives = np.asarray(negatives, dtype=np.int64)
-    return _task_forward_backward(table, kind, batch, negatives, cfg, False)[0]
+    return combined_gradients(table, kind, batch, negatives, None, cfg)[0].task
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +156,9 @@ def _task_forward_backward(
     batch: np.ndarray,
     negatives: np.ndarray,
     cfg: TrainConfig,
-    backward: bool,
     then: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[float, Gradients | None]:
-    """Mean task loss over (positive, negative) pairs, and with backward its gradients.
+) -> tuple[float, Gradients]:
+    """Mean task loss over (positive, negative) pairs, and its gradients.
 
     Each block of positives and their negatives gathers its rows once. Scaled
     partials land in slots in the order one scatter of the batch adds them:
@@ -177,14 +172,13 @@ def _task_forward_backward(
     n_pairs = n_pos * n_neg
     flat = negatives.reshape(-1, 3)
     per_pair = np.empty((n_pos, n_neg), np.float64)
-    if backward:
-        then_ids, then_rows = then or (
-            np.empty(0, np.int64), np.empty((0, table.dim), table.entity_vecs.dtype)
-        )
-        ent_ids = np.concatenate([batch[:, 0], batch[:, 2], flat[:, 0], flat[:, 2], then_ids])
-        ent_slots = np.zeros((len(ent_ids), table.dim), np.float64)
-        ent_slots[len(ent_ids) - len(then_rows) :] = then_rows
-        rel_slots = np.zeros((n_pos + n_pairs, table.dim), np.float64)
+    then_ids, then_rows = then or (
+        np.empty(0, np.int64), np.empty((0, table.dim), table.entity_vecs.dtype)
+    )
+    ent_ids = np.concatenate([batch[:, 0], batch[:, 2], flat[:, 0], flat[:, 2], then_ids])
+    ent_slots = np.zeros((len(ent_ids), table.dim), np.float64)
+    ent_slots[len(ent_ids) - len(then_rows) :] = then_rows
+    rel_slots = np.zeros((n_pos + n_pairs, table.dim), np.float64)
     chunk = max(1, _TASK_BLOCK_FLOATS // ((1 + n_neg) * table.dim))
     for lo in range(0, n_pos, chunk):
         n = min(chunk, n_pos - lo)
@@ -195,19 +189,16 @@ def _task_forward_backward(
         per_pair[lo : lo + n], d_pos, d_neg = _pair_terms(
             scores[:n], scores[n:].reshape(n, n_neg), cfg, n_pairs
         )
-        if backward:
-            coeff = np.concatenate([d_pos, d_neg.ravel()])
-            keep = np.flatnonzero(coeff)
-            d_h, d_r, d_t = scaled_partials(keep, coeff[keep])
-            # Pair index: positives 0..n_pos, then negatives in flat order.
-            is_pos = keep < n
-            pair = np.where(is_pos, lo + keep, n_pos + lo * n_neg + keep - n)
-            rel_slots[pair] = d_r
-            ent_slots[np.where(is_pos, pair, pair + n_pos)] = d_h
-            ent_slots[np.where(is_pos, pair + n_pos, pair + n_pos + n_pairs)] = d_t
+        coeff = np.concatenate([d_pos, d_neg.ravel()])
+        keep = np.flatnonzero(coeff)
+        d_h, d_r, d_t = scaled_partials(keep, coeff[keep])
+        # Pair index: positives 0..n_pos, then negatives in flat order.
+        is_pos = keep < n
+        pair = np.where(is_pos, lo + keep, n_pos + lo * n_neg + keep - n)
+        rel_slots[pair] = d_r
+        ent_slots[np.where(is_pos, pair, pair + n_pos)] = d_h
+        ent_slots[np.where(is_pos, pair + n_pos, pair + n_pos + n_pairs)] = d_t
     value = float(per_pair.mean())
-    if not backward:
-        return value, None
     rel_ids = np.concatenate([batch[:, 1], flat[:, 1]])
     return value, Gradients(*_ordered_sum(ent_ids, ent_slots), *_ordered_sum(rel_ids, rel_slots))
 
@@ -218,12 +209,11 @@ def _contrastive_forward_backward(
     pos_dict: PositiveDict | None,
     cfg: TrainConfig,
     epoch: int,
-    backward: bool,
 ) -> tuple[float, tuple[np.ndarray, np.ndarray] | None]:
-    """Mean alignment loss over anchor occurrences with nonempty positives and,
-    with backward, cfg.alpha times its gradient: touched entity rows, sorted,
-    and their gradients. Each distinct anchor's terms are computed once, and
-    every sum runs in occurrence order: bit-identical to a loop over occurrences.
+    """Mean alignment loss over anchor occurrences with nonempty positives, and
+    cfg.alpha times its gradient: touched entity rows, sorted, and their gradients,
+    or None. Each distinct anchor's terms are computed once, and every sum runs
+    in occurrence order: bit-identical to a loop over occurrences.
     """
     if pos_dict is None:
         return 0.0, None
@@ -239,45 +229,25 @@ def _contrastive_forward_backward(
     lengths = 1 + counts
     start = np.cumsum(lengths) - lengths
     n_occ, dim = occ.size, table.dim
-    grad = np.empty((ids.size, dim), table.entity_vecs.dtype) if backward else None
+    grad = np.empty((ids.size, dim), table.entity_vecs.dtype)
     per_anchor = np.empty(len(uniq), np.float64)
     # One block per positive count: padding would change the mean's sum.
     for m_a in np.unique(counts[counts > 0]).tolist():
         group = np.flatnonzero(counts == m_a)
-        w = 2.0 / (n_occ * m_a) if backward else None
+        w = 2.0 / (n_occ * m_a)
         step = max(1, _ALIGN_BLOCK_FLOATS // ((1 + m_a) * dim))
         for lo in range(0, len(group), step):
             block = group[lo : lo + step]
             slots = start[block][:, None] + np.arange(1 + m_a)
             vecs = table.entity_vecs[ids[slots]]
             per_anchor[block], grads = _alignment(vecs[:, 0], vecs[:, 1:], w)
-            if backward:
-                grad[slots[:, 0]], grad[slots[:, 1:]] = grads
+            grad[slots[:, 0]], grad[slots[:, 1:]] = grads
     # cumsum adds left to right, as the loop over occurrences does.
     value = float(np.cumsum(per_anchor[occ])[-1]) / n_occ
-    if not backward:
-        return value, None
     gather = _ranges(start[occ], lengths[occ])
     rows, compact = _ordered_sum(ids[gather], grad[gather])
     compact *= cfg.alpha
     return value, (rows, compact)
-
-
-def _combined(table, kind, batch, negatives, pos_dict, cfg, epoch, backward):
-    if pos_dict is not None and pos_dict.hop_bound != cfg.k:
-        raise KMismatchError(
-            f"dictionary mined with hop bound {pos_dict.hop_bound}, config wants {cfg.k}"
-        )
-    batch = np.asarray(batch, dtype=np.int64)
-    negatives = np.asarray(negatives, dtype=np.int64)
-    # Both endpoints of every triple are anchor occurrences. With alpha == 0
-    # the term is still reported but adds nothing to train on.
-    contrastive, alignment = _contrastive_forward_backward(
-        table, np.concatenate([batch[:, 0], batch[:, 2]]), pos_dict, cfg, epoch,
-        backward and cfg.alpha != 0.0,
-    )
-    task, grads = _task_forward_backward(table, kind, batch, negatives, cfg, backward, alignment)
-    return LossBreakdown(task, contrastive, task + cfg.alpha * contrastive), grads
 
 
 def combined_loss(
@@ -289,8 +259,8 @@ def combined_loss(
     cfg: TrainConfig,
     epoch: int = 0,
 ) -> LossBreakdown:
-    """task + alpha * alignment over one batch; deterministic given cfg.seed."""
-    return _combined(table, kind, batch, negatives, pos_dict, cfg, epoch, False)[0]
+    """task + alpha * alignment over one batch, read off combined_gradients."""
+    return combined_gradients(table, kind, batch, negatives, pos_dict, cfg, epoch)[0]
 
 
 def combined_gradients(
@@ -302,5 +272,19 @@ def combined_gradients(
     cfg: TrainConfig,
     epoch: int = 0,
 ) -> tuple[LossBreakdown, Gradients]:
-    """Analytic gradients of combined_loss, row-sparse over the touched rows."""
-    return _combined(table, kind, batch, negatives, pos_dict, cfg, epoch, True)
+    """task + alpha * alignment over one batch, deterministic given cfg.seed, and its
+    analytic gradients, row-sparse over the touched rows."""
+    if pos_dict is not None and pos_dict.hop_bound != cfg.k:
+        raise KMismatchError(
+            f"dictionary mined with hop bound {pos_dict.hop_bound}, config wants {cfg.k}"
+        )
+    batch = np.asarray(batch, dtype=np.int64)
+    negatives = np.asarray(negatives, dtype=np.int64)
+    # Both endpoints of every triple are anchor occurrences. With alpha == 0
+    # the term is still reported but adds nothing to train on.
+    contrastive, alignment = _contrastive_forward_backward(
+        table, np.concatenate([batch[:, 0], batch[:, 2]]), pos_dict, cfg, epoch
+    )
+    then = alignment if cfg.alpha != 0.0 else None
+    task, grads = _task_forward_backward(table, kind, batch, negatives, cfg, then)
+    return LossBreakdown(task, contrastive, task + cfg.alpha * contrastive), grads

@@ -259,6 +259,35 @@ def test_probe_refuses_ids_outside_the_table(tmp_path, capsys, bad_id, held_out)
     assert err.count("\n") == 1 and "data error" in err and bad_id in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--steps", "0"], "steps must be >= 1"),
+    (["--lr", "-5"], "lr must be finite and >= 0"),
+    (["--lr", "nan"], "lr must be finite and >= 0"),
+    (["--lr", "inf"], "lr must be finite and >= 0"),
+])
+def test_probe_refuses_bad_settings(tmp_path, capsys, flags, message):
+    """NaN weights would report an accuracy, and lr < 0 would run gradient ascent."""
+    ckpt = _three_entity_checkpoint(tmp_path)
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("0\tA\n1\tB\n", encoding="utf-8")
+    rc = main(["probe", "--ckpt", str(ckpt), "--labels", str(labels)] + flags)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
+@pytest.mark.parametrize("line", ["1\t", "\tB"])
+def test_probe_refuses_empty_label_fields(tmp_path, capsys, line):
+    """An empty class field would name a class ""."""
+    ckpt = _three_entity_checkpoint(tmp_path)
+    labels = tmp_path / "labels.tsv"
+    labels.write_text(f"0\tA\n{line}\n", encoding="utf-8")
+    rc = main(["probe", "--ckpt", str(ckpt), "--labels", str(labels)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and f"{labels}:2: empty entity or class field" in err
+
+
 def test_probe_reads_crlf_labels(tmp_path, capsys):
     """A CRLF labels file names the same classes as an LF held-out file: text-mode
     reading turns CRLF into LF, so no class name keeps a trailing CR."""
@@ -362,6 +391,21 @@ def test_experiment_json_deterministic(kg_files, capsys):
     assert payload["ttest_mrr"] is not None
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_experiment_threads_below_one_exits_2(kg_files, capsys, monkeypatch, threads):
+    _, paths = kg_files
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("trained with fewer than one worker")
+
+    monkeypatch.setattr(experiment, "train", unreachable)
+    rc = main(["experiment", "--train", str(paths["train"]), "--test", str(paths["test"]),
+               "--runs", "2", "--threads", threads, "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and f"workers must be >= 1, got {threads}" in err
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_experiment_refuses_seed_in_config(tmp_path, capsys, seed):
     """A config file's seed would be reported but not used, like --seed."""
@@ -418,6 +462,27 @@ def test_max_degree_below_one_exits_2(kg_files, tmp_path, capsys, command):
     assert main(argv + (["--out", str(out)] if command == "mine" else [])) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "max_degree must be >= 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--lr", "inf"], None),
+    (["--lr", "nan"], None),
+    (["--alpha", "nan"], None),
+    (["--margin", "inf"], None),
+    ([], "lr=nan\n"),
+])
+def test_train_refuses_non_finite_settings(kg_files, tmp_path, capsys, flags, config):
+    """Each would start training and fail mid-run with a numeric error."""
+    _, paths = kg_files
+    out = tmp_path / "x.syme"
+    argv = ["train", "--train", str(paths["train"]), "--out", str(out), "--quiet"] + flags
+    if config is not None:
+        (tmp_path / "bad.cfg").write_text(config, encoding="utf-8")
+        argv += ["--config", str(tmp_path / "bad.cfg")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "must be finite" in captured.err
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 """Config defaults, file parsing, and override precedence."""
 
+import math
+
 import pytest
 
 from symkge.config import (
@@ -90,6 +92,10 @@ def test_invalid_ranges_rejected():
         TrainConfig(lr=-1.0)
     with pytest.raises(BadValueError):
         TrainConfig(task_loss="nonsense")
+    for name in ("lr", "alpha", "margin"):  # NaN passes every range comparison
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(BadValueError, match=f"{name} must be finite"):
+                TrainConfig(**{name: value})
     # fields are checked against their declared types
     with pytest.raises(BadValueError):
         TrainConfig(scorer="transe")

@@ -264,15 +264,14 @@ def test_batched_alignment_equals_per_anchor_loop(m, seed, chunked, monkeypatch)
     base = rng.normal(size=(n, dim))
     base[::3] = 0.0
     grad = base.copy()
-    value, (rows, values) = _contrastive_forward_backward(table, anchors, pos_dict, cfg, 5, True)
+    value, (rows, values) = _contrastive_forward_backward(table, anchors, pos_dict, cfg, 5)
     grad[rows] += values
     reference = np.zeros_like(base)
     assert value == contrastive_forward_backward_loop(table, anchors, pos_dict, cfg, 5, reference)
     assert np.array_equal(grad, base + cfg.alpha * reference)
-    assert (value, None) == _contrastive_forward_backward(table, anchors, pos_dict, cfg, 5, False)
 
     empty_only = anchors[[len(targets[a]) == 0 for a in anchors.tolist()]]
-    assert _contrastive_forward_backward(table, empty_only, pos_dict, cfg, 5, True) == (0.0, None)
+    assert _contrastive_forward_backward(table, empty_only, pos_dict, cfg, 5) == (0.0, None)
 
 
 @pytest.mark.parametrize("n_pos", [1, 2, 7])
@@ -285,7 +284,7 @@ def test_contrastive_loss_equals_one_anchor_training_term(n_pos, extra_m):
     # Anchor 0 holds every other entity, so the draw takes them all, ascending.
     pos_dict = _dict_of([set(range(1, 1 + n_pos))] + [set()] * n_pos, k=1)
     cfg = TrainConfig(k=1, m=n_pos + extra_m, dim=5)
-    value, _ = _contrastive_forward_backward(table, np.array([0]), pos_dict, cfg, 0, False)
+    value, _ = _contrastive_forward_backward(table, np.array([0]), pos_dict, cfg, 0)
     assert value == contrastive_loss(vecs[0], vecs[1:])
     assert type(value) is float
 
@@ -314,7 +313,7 @@ def test_blocked_task_step_equals_dense_scatter(kind, task, chunked, monkeypatch
     negatives[5, 0] = [0, 0, 1]
     cfg = TrainConfig(k=1, dim=dim, margin=0.3, scorer=kind, task_loss=task)
 
-    value, grads = _task_forward_backward(table, kind, batch, negatives, cfg, True)
+    value, grads = _task_forward_backward(table, kind, batch, negatives, cfg)
     ref_value, ref_entity, ref_relation = task_forward_backward_dense(
         table, kind, batch, negatives, cfg
     )
@@ -324,7 +323,6 @@ def test_blocked_task_step_equals_dense_scatter(kind, task, chunked, monkeypatch
     assert relation.tobytes() == ref_relation.tobytes()
     touched = np.concatenate([batch[:, [0, 2]].ravel(), negatives[:, :, [0, 2]].ravel()])
     assert np.array_equal(grads.entity_rows, np.unique(touched))
-    assert _task_forward_backward(table, kind, batch, negatives, cfg, False) == (value, None)
     if task == MARGIN_RANKING:  # inactive hinges, whose partials are skipped, and active ones
         scores = SCORERS[kind].score(table.entity_vecs[negatives[..., 0]],
                                      table.relation_vecs[negatives[..., 1]],
@@ -338,7 +336,7 @@ def test_blocked_task_step_equals_dense_scatter(kind, task, chunked, monkeypatch
 @pytest.mark.parametrize("kind", list(ScorerKind))
 def test_gradients_without_alignment_equal_task_gradients(kind):
     table, cfg, batch, negatives, pos_dict = _small_setup(alpha=0.5, kind=kind)
-    _, task_only = _task_forward_backward(table, kind, batch, negatives, cfg, True)
+    _, task_only = _task_forward_backward(table, kind, batch, negatives, cfg)
     _, no_dict = combined_gradients(table, kind, batch, negatives, None, cfg)
     breakdown, no_alpha = combined_gradients(
         table, kind, batch, negatives, pos_dict, replace(cfg, alpha=0.0)
@@ -347,6 +345,18 @@ def test_gradients_without_alignment_equal_task_gradients(kind):
     for grads in (no_dict, no_alpha):
         for field in ("entity_rows", "entity", "relation_rows", "relation"):
             assert np.array_equal(getattr(grads, field), getattr(task_only, field))
+
+
+@pytest.mark.parametrize("kind", list(ScorerKind))
+@pytest.mark.parametrize("alpha", [None, 0.0, 0.37])
+def test_loss_views_equal_the_gradient_pass(kind, alpha):
+    """combined_loss and task_loss report the gradient pass's values, bit for bit."""
+    table, cfg, batch, negatives, pos_dict = _small_setup(alpha=alpha or 0.0, kind=kind)
+    if alpha is None:  # no dictionary
+        pos_dict = None
+    breakdown, _ = combined_gradients(table, kind, batch, negatives, pos_dict, cfg, 3)
+    assert combined_loss(table, kind, batch, negatives, pos_dict, cfg, 3) == breakdown
+    assert task_loss(table, kind, batch, negatives, cfg) == breakdown.task
 
 
 # ---------------------------------------------------------------------------
