@@ -13,6 +13,7 @@ from .errors import (
     DimMismatchError,
     EmptyDatasetError,
     InsufficientSamplesError,
+    NonFiniteLossError,
     NonFiniteTableError,
     SingleClassError,
     UnknownEntityError,
@@ -223,21 +224,22 @@ def train_probe(
 
     features = _entity_rows(table, [e for e, _ in labeled])
     n = len(y)
-    weights = ProbeWeights(
-        weight=np.zeros((n_classes, table.dim)), bias=np.zeros(n_classes)
-    )
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
+    weights = ProbeWeights(weight=np.zeros((n_classes, table.dim)), bias=np.zeros(n_classes))
+    onehot = np.eye(n_classes)[y]
 
-    for _ in range(cfg.steps):
-        logits = _probe_logits(weights, features)
-        logits -= logits.max(axis=1, keepdims=True)
-        exp = np.exp(logits)
-        probs = exp / exp.sum(axis=1, keepdims=True)
-        grad_logits = (probs - onehot) / n
-        grad_w = (grad_logits[:, :, None] * features[:, None, :]).sum(axis=0)
-        weights.weight -= cfg.lr * grad_w
-        weights.bias -= cfg.lr * grad_logits.sum(axis=0)
+    # A NaN or inf weight stays one, so one check after the loop catches a divergence.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.steps):
+            logits = _probe_logits(weights, features)
+            logits -= logits.max(axis=1, keepdims=True)
+            exp = np.exp(logits)
+            probs = exp / exp.sum(axis=1, keepdims=True)
+            grad_logits = (probs - onehot) / n
+            grad_w = (grad_logits[:, :, None] * features[:, None, :]).sum(axis=0)
+            weights.weight -= cfg.lr * grad_w
+            weights.bias -= cfg.lr * grad_logits.sum(axis=0)
+    if not (np.isfinite(weights.weight).all() and np.isfinite(weights.bias).all()):
+        raise NonFiniteLossError("probe weights diverged to NaN or inf; lower the learning rate")
     return weights
 
 

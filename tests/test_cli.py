@@ -276,6 +276,19 @@ def test_probe_refuses_bad_settings(tmp_path, capsys, flags, message):
     assert captured.err.count("\n") == 1 and message in captured.err
 
 
+def test_probe_diverging_weights_exit_numeric(tmp_path, capsys):
+    """lr=1e308 is finite, so it passes the settings check, then overflows the weights."""
+    ckpt = _three_entity_checkpoint(tmp_path)
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("0\tA\n1\tB\n", encoding="utf-8")
+    rc = main(["probe", "--ckpt", str(ckpt), "--labels", str(labels),
+               "--lr", "1e308", "--steps", "500"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "numeric failure: probe weights diverged to NaN or inf" in captured.err
+
+
 @pytest.mark.parametrize("line", ["1\t", "\tB"])
 def test_probe_refuses_empty_label_fields(tmp_path, capsys, line):
     """An empty class field would name a class ""."""

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from symkge.errors import (
     BadValueError,
     DimMismatchError,
     InsufficientSamplesError,
+    NonFiniteLossError,
     NonFiniteTableError,
     NumericError,
     SingleClassError,
@@ -495,6 +497,16 @@ def test_probe_deterministic():
     w2 = train_probe(table, labeled, ProbeConfig(lr=0.3, steps=200))
     assert np.array_equal(w1.weight, w2.weight)
     assert np.array_equal(w1.bias, w2.bias)
+
+
+def test_probe_refuses_diverged_weights():
+    """A huge step overflows the weights; NaN weights would still report an accuracy."""
+    table, labeled = _separable_table()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy overflow warning may escape either
+        with pytest.raises(NonFiniteLossError, match="weights diverged to NaN or inf") as refused:
+            train_probe(table, labeled, ProbeConfig(lr=1e308, steps=500))
+    assert isinstance(refused.value, NumericError) and "\n" not in str(refused.value)
 
 
 # ---------------------------------------------------------------------------

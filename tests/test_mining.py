@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -438,6 +439,24 @@ def test_structures_come_in_join_order(seed, n_e, n_t, n_r, k):
     keys = [(s.k, s.pivot, s.half_sequence, s.anchor, s.target) for s in structures]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+    # The view keeps only the count and mines again on each iteration.
+    assert len(structures) == len(keys)
+    assert list(structures) == list(structures)
+
+
+def test_mining_peak_memory_per_structure():
+    # A star of 1,000 members on one relation: every ordered member pair is
+    # a structure, 999,000 of them. Keeping one 8-byte pair key per
+    # structure, not a row of the structure, keeps the peak small.
+    graph, _ = intern_graph([(f"m{i}", "r", "hub") for i in range(1000)])
+    tracemalloc.start()
+    try:
+        _, structures = mine_positive_dict(graph, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(structures) == 999_000
+    assert peak / len(structures) <= 48
 
 
 def test_stats_rs_count_matches_miner_structures():
@@ -585,14 +604,19 @@ def test_dict_truncated_file(tmp_path):
         ([{1, 99}, {0}, set()], "outside the 3 entities"),
         ([{1}, {0}, {2}], "paired with itself"),
         ([{1, 2}, {0}, set()], "no reverse"),
+        (symd_bytes(2, 3, [2, 1, 1, 2, 1, 0, 0]), "0's targets do not strictly ascend at 1"),
+        (symd_bytes(2, 2, [2, 1, 1, 1, 0]), "0's targets do not strictly ascend at 1"),
     ],
-    ids=["out_of_range", "self_pair", "asymmetric"],
+    ids=["out_of_range", "self_pair", "asymmetric", "descending_row", "repeated_target"],
 )
 def test_dict_bad_pairs_rejected(tmp_path, rows, problem):
     # save_dict writes any content with a valid checksum; load_dict must
     # still refuse pairs no miner can produce.
     path = tmp_path / "bad.symd"
-    save_dict(_dict_of(rows), path)
+    if isinstance(rows, bytes):  # rows save_dict cannot write, framed by hand
+        path.write_bytes(rows)
+    else:
+        save_dict(_dict_of(rows), path)
     with pytest.raises(CorruptDictFileError, match=problem):
         load_dict(path)
 
