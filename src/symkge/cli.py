@@ -25,7 +25,7 @@ from .errors import (
 )
 from .evaluation import ProbeConfig, evaluate_split, probe_report, students_t_test, train_probe
 from .experiment import ABLATIONS, ExperimentSpec, report_to_json, run_experiment
-from .graph import load_dataset
+from .graph import load_dataset, read_tsv
 from .mining import load_dict, mine_positive_dict, save_dict, structure_stats
 from .model import load_checkpoint, save_checkpoint
 from .training import train
@@ -230,30 +230,20 @@ def cmd_eval(args) -> int:
 
 def _read_labeled(path, entity_ids) -> list[tuple[int, str]]:
     rows: list[tuple[int, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise BadValueError(f"{path}:{lineno}: expected entity TAB class")
-            entity_label, class_label = fields
-            if not entity_label or not class_label:
-                raise BadValueError(f"{path}:{lineno}: empty entity or class field")
-            if entity_ids is not None:
-                if entity_label not in entity_ids:
-                    raise BadValueError(f"{path}:{lineno}: unknown entity {entity_label!r}")
-                eid = entity_ids[entity_label]
-            else:
-                try:
-                    eid = int(entity_label)
-                except ValueError:
-                    raise BadValueError(
-                        f"{path}:{lineno}: entity must be an integer id when no --train "
-                        f"file is given"
-                    ) from None
-            rows.append((eid, class_label))
+    for lineno, (entity_label, class_label) in read_tsv(path, ("entity", "class"), BadValueError):
+        if entity_ids is not None:
+            if entity_label not in entity_ids:
+                raise BadValueError(f"{path}:{lineno}: unknown entity {entity_label!r}")
+            eid = entity_ids[entity_label]
+        else:
+            try:
+                eid = int(entity_label)
+            except ValueError:
+                raise BadValueError(
+                    f"{path}:{lineno}: entity must be an integer id when no --train "
+                    f"file is given"
+                ) from None
+        rows.append((eid, class_label))
     return rows
 
 

@@ -42,7 +42,7 @@ def _filtered_ranks(
     kind: ScorerKind,
     triples: np.ndarray,
     corrupt_head: np.ndarray,
-    known: Iterable[tuple[int, int, int]],
+    known: Iterable[Triple],
 ) -> np.ndarray:
     """Filtered rank of each query (triples[i], side corrupt_head[i]).
 
@@ -121,9 +121,9 @@ def _filtered_ranks(
 def filtered_rank(
     table: EmbeddingTable,
     kind: ScorerKind,
-    query_triple: Triple | tuple[int, int, int],
+    query_triple: Triple,
     corrupt_side: str,
-    known_triples: Iterable[tuple[int, int, int]],
+    known_triples: Iterable[Triple],
 ) -> float:
     """Filtered rank of the query among all substitutions on one side.
 
@@ -143,8 +143,8 @@ def filtered_rank(
 def evaluate_split(
     table: EmbeddingTable,
     kind: ScorerKind,
-    split: Sequence[Triple | tuple[int, int, int]],
-    known_triples: Iterable[tuple[int, int, int]],
+    split: Sequence[Triple],
+    known_triples: Iterable[Triple],
 ) -> RankingReport:
     """Filtered MRR and Hits@{1,3,10}; every triple queries both sides."""
     if len(split) == 0:
@@ -244,13 +244,17 @@ def train_probe(
 
 
 def classify(weights: ProbeWeights, table: EmbeddingTable, entity_ids: Sequence[int]) -> np.ndarray:
-    """Argmax class per entity; ties resolve to the lowest class id."""
+    """Argmax class per entity, ties to the lowest class id; refuses overflowing logits."""
     if weights.weight.shape[1] != table.dim:
         raise DimMismatchError(
             f"probe dim {weights.weight.shape[1]} != table dim {table.dim}"
         )
     features = _entity_rows(table, entity_ids)
-    return np.argmax(_probe_logits(weights, features), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = _probe_logits(weights, features)
+    if not np.isfinite(logits).all():
+        raise NonFiniteLossError("probe logits overflow the float range; lower the learning rate")
+    return np.argmax(logits, axis=1)
 
 
 def probe_report(
@@ -258,6 +262,8 @@ def probe_report(
     table: EmbeddingTable,
     test_labeled: Sequence[tuple[int, int]],
 ) -> ProbeReport:
+    if not test_labeled:
+        raise EmptyDatasetError("no held-out labeled entities to score")
     ids = [e for e, _ in test_labeled]
     truth = np.asarray([c for _, c in test_labeled], dtype=np.int64)
     preds = classify(weights, table, ids)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
 import os
@@ -51,42 +52,28 @@ def _mean_metrics(entries: list[dict[str, object]]) -> dict[str, float]:
     return {k: sum(float(e[k]) for e in entries) / len(entries) for k in keys}
 
 
-# (dataset, spec, pos_dict, known) in each pool worker, set once by the pool's
-# initializer, so that run tasks carry only (arm, run_index, with_positives).
+# (dataset, spec, pos_dict, known) in the process that runs the tasks, set by
+# _set_run_inputs (a pool's initializer), so that a task carries only (arm, run_index).
 _RUN_INPUTS: tuple[Dataset, ExperimentSpec, PositiveDict | None, tuple[Triple, ...]] | None = None
 
 
-def _init_run_worker(*inputs) -> None:
+def _set_run_inputs(inputs) -> None:
     global _RUN_INPUTS
     _RUN_INPUTS = inputs
 
 
-def _single_run(arm: str, run_index: int, with_positives: bool, inputs=None) -> dict[str, object]:
-    """One seeded run of an arm; inputs defaults to a pool worker's _RUN_INPUTS."""
-    dataset, spec, pos_dict, known = inputs or _RUN_INPUTS
+def _single_run(arm: str, run_index: int) -> dict[str, object]:
+    """One seeded run of an arm, on this process's _RUN_INPUTS."""
+    dataset, spec, pos_dict, known = _RUN_INPUTS
     seed = spec.base_seed + run_index
     cfg = replace(spec.config, seed=seed)
     try:
-        result = train(dataset.graph, pos_dict if with_positives else None, cfg)
+        result = train(dataset.graph, pos_dict if arm == CONTRASTIVE_ARM else None, cfg)
         report = evaluate_split(result.table, cfg.scorer, dataset.test, known)
     except SymkgeError as exc:
         exc.args = (f"{arm} arm, run {run_index + 1}/{spec.runs} (seed {seed}): {exc}",)
         raise
     return _metrics_entry(seed, report)
-
-
-def _run_arm(inputs, with_positives: bool, progress=None, run_pool=None) -> dict[str, object]:
-    spec = inputs[1]
-    arm = CONTRASTIVE_ARM if with_positives else BASELINE_ARM
-    tasks = [(arm, i, with_positives) for i in range(spec.runs)]
-    if run_pool is not None:
-        entries = run_pool.starmap(_single_run, tasks)
-    else:
-        entries = [_single_run(*task, inputs) for task in tasks]
-    if progress is not None:
-        for i, entry in enumerate(entries):
-            progress(f"{arm} run {i + 1}/{spec.runs}: mrr={entry['mrr']:.4f}")
-    return {"metrics": entries, "mean": _mean_metrics(entries)}
 
 
 def run_experiment(
@@ -98,8 +85,8 @@ def run_experiment(
 
     The report is fully deterministic for a fixed spec: run seeds are
     base_seed + run index, and no timing or host information is included.
-    With workers > 1 and more than one run, the runs of each arm execute in
-    a pool of min(runs, workers) processes; mining stays in this process.
+    With workers > 1 and more than one run, the runs of every arm execute in
+    one pool of up to workers processes; mining stays in this process.
     Each run is fully isolated (own seed-derived rng streams), so the report
     is identical whatever the worker count.
     """
@@ -109,9 +96,9 @@ def run_experiment(
     if not dataset.test:
         raise EmptyDatasetError(f"{spec.test_path}: no test triples to evaluate on")
 
-    arms: dict[str, object] = {}
+    arm_names = [a for a in (BASELINE_ARM, CONTRASTIVE_ARM) if spec.ablation in (a, "both")]
     pos_dict = None
-    if spec.ablation in (CONTRASTIVE_ARM, "both"):
+    if CONTRASTIVE_ARM in arm_names:
         pos_dict, _ = mine_positive_dict(dataset.graph, spec.config.k)
         if progress is not None:
             mined = len(pos_dict.indices)
@@ -119,21 +106,30 @@ def run_experiment(
 
     known = dataset.train + dataset.valid + dataset.test
     inputs = (dataset, spec, pos_dict, known)
+    tasks = [(arm, i) for arm in arm_names for i in range(spec.runs)]
     run_pool = None
     if workers > 1 and spec.runs > 1:
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
         run_pool = multiprocessing.get_context(method).Pool(
-            min(spec.runs, workers), initializer=_init_run_worker, initargs=inputs
+            min(len(tasks), workers), initializer=_set_run_inputs, initargs=(inputs,)
         )
+    else:
+        _set_run_inputs(inputs)
     try:
-        if spec.ablation in (BASELINE_ARM, "both"):
-            arms[BASELINE_ARM] = _run_arm(inputs, False, progress, run_pool)
-        if spec.ablation in (CONTRASTIVE_ARM, "both"):
-            arms[CONTRASTIVE_ARM] = _run_arm(inputs, True, progress, run_pool)
+        entries = list((run_pool.starmap if run_pool else itertools.starmap)(_single_run, tasks))
     finally:
         if run_pool is not None:
             run_pool.close()
             run_pool.join()
+        _set_run_inputs(None)
+
+    arms: dict[str, object] = {}
+    for k, arm in enumerate(arm_names):
+        metrics = entries[k * spec.runs : (k + 1) * spec.runs]
+        if progress is not None:
+            for i, entry in enumerate(metrics):
+                progress(f"{arm} run {i + 1}/{spec.runs}: mrr={entry['mrr']:.4f}")
+        arms[arm] = {"metrics": metrics, "mean": _mean_metrics(metrics)}
 
     report: dict[str, object] = {
         "ablation": spec.ablation,

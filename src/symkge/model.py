@@ -10,7 +10,6 @@ import numpy as np
 
 from .artifact import read_framed, write_framed
 from .errors import CorruptCheckpointError, UnknownEntityError
-from .graph import Triple
 
 
 _UNIT = np.finfo(np.float64).eps / 2  # unit roundoff u
@@ -59,9 +58,6 @@ class EmbeddingTable:
     @property
     def relation_count(self) -> int:
         return self.relation_vecs.shape[0]
-
-    def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.entity_vecs.copy(), self.relation_vecs.copy())
 
     def astype(self, dtype) -> "EmbeddingTable":
         """Both matrices in dtype; a matrix already in it is not copied."""
@@ -180,7 +176,7 @@ class DistMult:
 SCORERS = {ScorerKind.TRANSE: TransE, ScorerKind.DISTMULT: DistMult}
 
 
-def score(table: EmbeddingTable, kind: ScorerKind, triple: Triple | tuple[int, int, int]) -> float:
+def score(table: EmbeddingTable, kind: ScorerKind, triple: tuple[int, int, int]) -> float:
     h, r, t = triple
     if not (0 <= h < table.entity_count and 0 <= t < table.entity_count):
         raise UnknownEntityError(f"entity id outside table: {triple}")

@@ -10,7 +10,13 @@ import pytest
 from symkge import experiment
 from symkge.cli import main
 from symkge.mining import load_dict, save_dict
-from symkge.model import ScorerKind, init_embeddings, load_checkpoint, save_checkpoint
+from symkge.model import (
+    EmbeddingTable,
+    ScorerKind,
+    init_embeddings,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 from conftest import planted_kg_triples, positive_dict, symd_bytes, write_split_files
 
@@ -287,6 +293,36 @@ def test_probe_diverging_weights_exit_numeric(tmp_path, capsys):
     assert rc == 3 and captured.out == ""
     assert captured.err.count("\n") == 1
     assert "numeric failure: probe weights diverged to NaN or inf" in captured.err
+
+
+def test_probe_overflowing_logits_exit_numeric(tmp_path, capsys):
+    """lr=5e307 for one step leaves finite weights whose logits overflow."""
+    rng = np.random.default_rng(0)
+    table = EmbeddingTable(rng.normal(scale=3.0, size=(20, 32)), np.zeros((1, 32)))
+    ckpt = tmp_path / "wide.syme"
+    save_checkpoint(table, ScorerKind.TRANSE, ckpt)
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("".join(f"{i}\t{'AB'[i % 2]}\n" for i in range(20)), encoding="utf-8")
+    rc = main(["probe", "--ckpt", str(ckpt), "--labels", str(labels),
+               "--lr", "5e307", "--steps", "1"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "numeric failure: probe logits overflow" in captured.err
+
+
+def test_probe_refuses_empty_held_out_labels(tmp_path, capsys):
+    """No held-out label would divide the accuracy by zero."""
+    ckpt = _three_entity_checkpoint(tmp_path)
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("0\tA\n1\tB\n", encoding="utf-8")
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("# no labels\n\n", encoding="utf-8")
+    rc = main(["probe", "--ckpt", str(ckpt), "--labels", str(labels),
+               "--test-labels", str(empty)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "data error" in captured.err
 
 
 @pytest.mark.parametrize("line", ["1\t", "\tB"])

@@ -14,6 +14,7 @@ from symkge import evaluation
 from symkge.errors import (
     BadValueError,
     DimMismatchError,
+    EmptyDatasetError,
     InsufficientSamplesError,
     NonFiniteLossError,
     NonFiniteTableError,
@@ -507,6 +508,27 @@ def test_probe_refuses_diverged_weights():
         with pytest.raises(NonFiniteLossError, match="weights diverged to NaN or inf") as refused:
             train_probe(table, labeled, ProbeConfig(lr=1e308, steps=500))
     assert isinstance(refused.value, NumericError) and "\n" not in str(refused.value)
+
+
+def test_classify_refuses_overflowing_logits():
+    """One huge step leaves the weights finite, but their products with the rows overflow."""
+    rng = np.random.default_rng(0)
+    table = EmbeddingTable(rng.normal(scale=3.0, size=(20, 32)), np.zeros((1, 32)))
+    labeled = [(i, i % 2) for i in range(20)]
+    weights = train_probe(table, labeled, ProbeConfig(lr=5e307, steps=1))
+    assert np.isfinite(weights.weight).all() and np.isfinite(weights.bias).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy overflow warning may escape either
+        with pytest.raises(NonFiniteLossError, match="logits overflow") as refused:
+            probe_report(weights, table, labeled)
+    assert isinstance(refused.value, NumericError) and "\n" not in str(refused.value)
+
+
+def test_probe_report_refuses_empty_held_out_set():
+    table, labeled = _separable_table()
+    weights = train_probe(table, labeled, ProbeConfig(lr=0.5, steps=10))
+    with pytest.raises(EmptyDatasetError):
+        probe_report(weights, table, [])
 
 
 # ---------------------------------------------------------------------------

@@ -126,9 +126,10 @@ def test_read_triple_file_skips_comments_and_blanks(tmp_path):
 
 def test_read_triple_file_rejects_bad_rows(tmp_path):
     path = tmp_path / "bad.tsv"
-    path.write_text("a\tb\n", encoding="utf-8")
-    with pytest.raises(MalformedTripleError):
-        read_triple_file(path)
+    for text in ("a\tb\n", "a\t\tb\n"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedTripleError):
+            read_triple_file(path)
 
 
 def test_load_dataset_vocab_spans_all_splits(tmp_path):

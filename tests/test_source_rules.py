@@ -11,7 +11,8 @@ only artifact.py writes files or packs frames, so every write is atomic;
 mined structures stay array rows until a caller iterates them, so only the
 miner's view builds SymmetricStructure objects; every array the training
 step allocates names its dtype, so none silently widens the float32 state;
-and negatives and ranking filter through one index of known triple keys.
+negatives and ranking filter through one index of known triple keys; and
+only graph.read_tsv splits lines on tabs, so every input file shares its rules.
 """
 
 import ast
@@ -109,6 +110,17 @@ def test_one_known_triple_index():
     _assert_only_in(_keys_triples, {("graph.py", "known_keys"),
                                     ("training.py", "sample_negatives"),
                                     ("evaluation.py", "_filtered_ranks")})
+
+
+def _splits_on_tab(node) -> bool:
+    return (_called_name(node) == "split" and len(node.args) == 1
+            and isinstance(node.args[0], ast.Constant) and node.args[0].value == "\t")
+
+
+def test_one_tab_separated_reader():
+    """Triple and label files share one line format, read by graph.read_tsv."""
+    assert _splits_on_tab(ast.parse('line.split("\\t")').body[0].value)
+    _assert_only_in(_splits_on_tab, {("graph.py", "read_tsv")})
 
 
 def test_loss_and_ranking_name_no_scorer():
