@@ -9,7 +9,8 @@ The miner lists every simple k-step half-path as an array row, grown through
 the graph's CSR adjacency. One join pairs rows at a shared pivot (and, for the
 dictionary, a shared sequence) whose starts and interiors have no entity in
 common: exactly the halves that splice into a 2k walk repeating no entity.
-structure_stats counts the same join. Tests check both against walk oracles.
+structure_stats counts that join's pairs at k >= 2, and at k = 1 in closed form
+per pivot, with no join. Tests check both against walk oracles.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ MAX_HOP_BOUND = 3
 # new block at the first member past each multiple of this many pairs, so its
 # temporaries stay small whatever the group sizes.
 _JOIN_BLOCK_PAIRS = 1 << 16
+
+# Most candidate row pairs one join may test; it also caps the mine's keys at 2 GiB.
+_MAX_JOIN_PAIRS = 1 << 28
 
 HalfSequence = tuple[SignedRelation, ...]
 
@@ -170,7 +174,12 @@ def _joined(nodes: np.ndarray, seq: np.ndarray, by_seq: bool):
     new_group = _key_starts(pivot, seq) if by_seq else _key_starts(pivot)
     bounds = np.append(np.flatnonzero(new_group), len(seq))
     group = np.cumsum(new_group) - 1
-    lo, size = bounds[group], np.diff(bounds)[group]
+    sizes = np.diff(bounds)
+    candidates = int((sizes[sizes > 1] ** 2).sum())
+    if candidates > _MAX_JOIN_PAIRS:
+        raise DataError(f"the join would test {candidates} candidate row pairs, over its budget "
+                        f"of {_MAX_JOIN_PAIRS}; cap hub pivots with --max-degree")
+    lo, size = bounds[group], sizes[group]
     first = np.flatnonzero(new_member)
 
     left_rows = np.flatnonzero(size > 1)
@@ -266,13 +275,27 @@ def structure_stats(
     A structure here is a distinct (anchor, pivot, target, full signed
     sequence) tuple realized by at least one simple 2k walk with the pivot at
     the midpoint; distinct sequence-half pairs count separately.
+
+    At k = 1 each half-path row is a distinct (pivot, sequence, start), as the
+    graph's edges are distinct, and two rows pair when their starts differ, so
+    no join is needed. Per pivot p, with M_p rows, c_{p,s} of them starting at
+    s and n_{p,q} with sequence q: total = sum(M_p^2 - c_{p,s}^2) and
+    rs = sum(n_{p,q} * (n_{p,q} - 1)). Hops k >= 2 go through the join.
     """
+    def squares(key: np.ndarray) -> int:
+        return int((np.unique(key, return_counts=True)[1] ** 2).sum())
+
     per_hop = []
     for k, nodes, seq in _half_paths(graph, k_max, max_degree):
-        rs = total = 0
-        for found in _joined(nodes, seq, by_seq=False):
-            rs += int(np.count_nonzero(found[:, 3] == found[:, 4]))
-            total += len(found)
+        if k == 1:
+            start, pivot = nodes[:, 0], nodes[:, 1]
+            rs = squares(pivot * (2 * graph.relation_count) + seq) - len(seq)
+            total = squares(pivot) - squares(pivot * graph.entity_count + start)
+        else:
+            rs = total = 0
+            for found in _joined(nodes, seq, by_seq=False):
+                rs += int(np.count_nonzero(found[:, 3] == found[:, 4]))
+                total += len(found)
         per_hop.append(HopStats(k=k, rs_count=rs, total_count=total))
     return StructureStats(hop_bound=k_max, per_hop=tuple(per_hop))
 

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from symkge import experiment
+from symkge import experiment, mining
 from symkge.cli import main
 from symkge.mining import load_dict, save_dict
 from symkge.model import (
@@ -511,6 +511,18 @@ def test_max_degree_below_one_exits_2(kg_files, tmp_path, capsys, command):
     assert main(argv + (["--out", str(out)] if command == "mine" else [])) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "max_degree must be >= 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [("mine", ["--k", "1"]), ("stats", ["--k", "2"])])
+def test_join_over_budget_exits_2(kg_files, tmp_path, capsys, monkeypatch, command, flags):
+    _, paths = kg_files
+    out = tmp_path / "pos.symd"
+    monkeypatch.setattr(mining, "_MAX_JOIN_PAIRS", 1)
+    argv = [command, "--train", str(paths["train"])] + flags
+    assert main(argv + (["--out", str(out)] if command == "mine" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "over its budget of 1" in err and "--max-degree" in err
     assert not out.exists()
 
 

@@ -278,6 +278,51 @@ def test_join_blocks_do_not_change_results(monkeypatch, pairs):
     assert [outputs(g, k, cap) for g, k in graphs for cap in (None, 2)] == whole
 
 
+@pytest.mark.parametrize("cap", [None, 1, 2, 4])
+def test_k1_stats_count_without_joining(monkeypatch, cap):
+    def refuse(*_):
+        raise AssertionError("k = 1 statistics ran the join")
+
+    monkeypatch.setattr(mining, "_joined", refuse)
+    for seed, n_e, n_t, n_r, k in _battery_specs():
+        if k == 1:
+            graph, _ = random_graph(seed, n_e, n_t, n_r)
+            hop = structure_stats(graph, 1, max_degree=cap).hop(1)
+            assert (hop.rs_count, hop.total_count) == structure_stats_oracle(graph, 1, cap)
+
+
+def test_k1_stats_do_not_depend_on_the_hop_bound():
+    for seed, n_e, n_t, n_r, _ in _battery_specs():
+        graph, _ = random_graph(seed, n_e, n_t, n_r)
+        assert structure_stats(graph, 2).hop(1) == structure_stats(graph, 1).hop(1)
+
+
+def test_k1_stats_of_a_star_with_parallel_relations():
+    # At the hub: 2,010 rows, 2,000 on r and 10 on s, and 10 starts with two
+    # rows. rs = 2000 * 1999 + 10 * 9; total = 2010^2 - (1990 + 10 * 2^2).
+    # A member as pivot has one start (the hub), so it adds nothing.
+    triples = [(f"m{i}", "r", "hub") for i in range(2000)]
+    triples += [(f"m{i}", "s", "hub") for i in range(10)]
+    graph, _ = intern_graph(triples)
+    hop = structure_stats(graph, 1).hop(1)
+    assert (hop.rs_count, hop.total_count) == (3_998_090, 4_038_070)
+
+
+def test_join_over_budget_is_refused(monkeypatch):
+    # Pivot p has the r-rows of a and b, a group of 2, so k = 1 mining tests
+    # exactly 2^2 candidate pairs; the budget refuses any count above it.
+    graph, _ = intern_graph([("a", "r", "p"), ("a", "s", "p"), ("b", "r", "p")])
+    monkeypatch.setattr(mining, "_MAX_JOIN_PAIRS", 4)
+    assert len(mine_positive_dict(graph, 1)[1]) == 2
+    monkeypatch.setattr(mining, "_MAX_JOIN_PAIRS", 3)
+    battery, _ = random_graph(*_battery_specs()[1][:4])
+    for run in (lambda: mine_positive_dict(graph, 1), lambda: structure_stats(battery, 2)):
+        with pytest.raises(DataError, match="candidate row pairs, over its budget of 3") as refused:
+            run()
+        assert "\n" not in str(refused.value) and "--max-degree" in str(refused.value)
+    assert structure_stats(battery, 1).hop(1).total_count > 3  # closed form: no join, no budget
+
+
 def test_sequence_codes_that_overflow_are_refused():
     # Sequences pack into int64 in base 2R, so (2R)^k must fit.
     graph, _ = random_graph(40, 10, 25, 3)
