@@ -60,12 +60,14 @@ def _filtered_ranks(
         if bad.any():
             triple = tuple(triples[bad.argmax()].tolist())
             raise UnknownEntityError(f"query {what} outside table: {triple}")
-    if not table.all_finite():
-        raise NonFiniteTableError("embedding table holds NaN or infinite values")
-
     # The bounds pad float64 rounding error, so a narrower table is ranked as
     # its exact float64 widening. A float64 table is not copied.
     table = table.astype(np.float64)
+    entity_sq = squared_norms(table.entity_vecs)
+    # A NaN or inf entry makes its row's norm non-finite: only then is the table scanned.
+    finite = np.isfinite(entity_sq).all() and np.isfinite(table.relation_vecs).all()
+    if not (finite or table.all_finite()):
+        raise NonFiniteTableError("embedding table holds NaN or infinite values")
     # A head query is the tail query of the inverse relation, anchored at
     # the known tail.
     scorer = SCORERS[kind]
@@ -75,7 +77,6 @@ def _filtered_ranks(
     keys = known_keys(triple_array(known), n_e, n_r)
     # Query i's known candidates are the keys in [run_keys[i], run_keys[i] + n_e).
     run_keys = triple_keys(anchor_ids, np.where(corrupt_head, r + n_r, r), 0, n_e)
-    entity_sq = squared_norms(entities)
 
     ranks = np.empty(len(triples), dtype=np.float64)
     chunk = max(1, _RANK_BLOCK_FLOATS // n_e)

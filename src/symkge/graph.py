@@ -111,10 +111,14 @@ def known_keys(triples: np.ndarray, entity_count: int, relation_count: int) -> n
     (t, r + relation_count, h): either side of a query has its known candidates
     in one run of keys. Triples outside the counts name no candidate, and
     their keys could collide with valid ones, so they are dropped."""
-    inside = ((triples >= 0) & (triples < [entity_count, relation_count, entity_count])).all(1)
-    h, r, t = triples[inside].T
-    keys = np.sort(triple_keys(np.r_[h, t], np.r_[r, r + relation_count], np.r_[t, h],
-                               entity_count))
+    h, r, t = triples.T
+    inside = (h >= 0) & (h < entity_count) & (r >= 0) & (r < relation_count)
+    inside &= (t >= 0) & (t < entity_count)
+    if not inside.all():
+        h, r, t = h[inside], r[inside], t[inside]
+    keys = triple_keys(np.concatenate([h, t]), np.concatenate([r, r + relation_count]),
+                       np.concatenate([t, h]), entity_count)
+    keys.sort()
     return keys[np.diff(keys, prepend=-1) > 0]  # keys are >= 0; np.unique takes 10x as long
 
 

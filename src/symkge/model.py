@@ -68,20 +68,23 @@ class EmbeddingTable:
         return bool(np.isfinite(self.entity_vecs).all() and np.isfinite(self.relation_vecs).all())
 
 
+def _float32_init(entity_count: int, relation_count: int, dim: int, seed: int) -> EmbeddingTable:
+    """The float32 table train() starts from: init_embeddings' draw, rounded."""
+    if entity_count < 1 or relation_count < 1 or dim < 1:
+        raise ValueError("counts and dim must be >= 1")
+    rng = np.random.default_rng(seed)
+    bound = 6.0 / np.sqrt(dim)
+    return EmbeddingTable(*(rng.uniform(-bound, bound, size=(count, dim)).astype(np.float32)
+                            for count in (entity_count, relation_count)))
+
+
 def init_embeddings(entity_count: int, relation_count: int, dim: int, seed: int) -> EmbeddingTable:
     """Uniform init in [-6/sqrt(dim), +6/sqrt(dim)], reproducible from seed.
 
     The arrays are float64, but every value is a float32 rounded from the
     draw, so train()'s float32 state starts from this table exactly.
     """
-    if entity_count < 1 or relation_count < 1 or dim < 1:
-        raise ValueError("counts and dim must be >= 1")
-    rng = np.random.default_rng(seed)
-    bound = 6.0 / np.sqrt(dim)
-    return EmbeddingTable(*(
-        rng.uniform(-bound, bound, size=(count, dim)).astype(np.float32).astype(np.float64)
-        for count in (entity_count, relation_count)
-    ))
+    return _float32_init(entity_count, relation_count, dim, seed).astype(np.float64)
 
 
 class TransE:

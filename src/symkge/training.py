@@ -20,7 +20,7 @@ from .config import TrainConfig
 from .errors import DataError, NonFiniteLossError
 from .losses import Gradients, LossBreakdown, combined_gradients
 from .mining import PositiveDict
-from .model import EmbeddingTable, init_embeddings
+from .model import EmbeddingTable, _float32_init
 from .graph import UnionGraph, known_keys, triple_array, triple_keys
 
 
@@ -47,17 +47,20 @@ class Adam:
         self.v_e = np.zeros_like(table.entity_vecs)
         self.m_r = np.zeros_like(table.relation_vecs)
         self.v_r = np.zeros_like(table.relation_vecs)
+        # Per matrix, one block's gradient, step and denominator, reused by every step.
+        self.scratch = [np.empty((3, max(1, min(len(a), _ADAM_BLOCK_FLOATS // a.shape[1])),
+                                  a.shape[1]), a.dtype)
+                        for a in (table.entity_vecs, table.relation_vecs)]
 
     def step(self, table: EmbeddingTable, grads: Gradients) -> None:
         self.t += 1
         bc1 = 1.0 - BETA1**self.t
         bc2 = 1.0 - BETA2**self.t
-        for all_params, rows, values, all_m, all_v in (
+        for (all_params, rows, values, all_m, all_v), scratch in zip((
             (table.entity_vecs, grads.entity_rows, grads.entity, self.m_e, self.v_e),
             (table.relation_vecs, grads.relation_rows, grads.relation, self.m_r, self.v_r),
-        ):
-            size = max(1, _ADAM_BLOCK_FLOATS // all_params.shape[1])
-            scratch = np.empty((3, size, all_params.shape[1]), all_params.dtype)
+        ), self.scratch):
+            size = scratch.shape[1]
             for lo in range(0, len(all_params), size):
                 params, m, v = (a[lo : lo + size] for a in (all_params, all_m, all_v))
                 grad, step, denom = scratch[:, : len(params)]
@@ -143,10 +146,7 @@ def train(
                 f"split uses ids up to {highest} and the graph has {graph.entity_count}; "
                 f"was it mined from another train split?"
             )
-    # init_embeddings draws float32 values, so narrowing them is exact.
-    table = init_embeddings(
-        graph.entity_count, graph.relation_count, cfg.dim, cfg.seed
-    ).astype(np.float32)
+    table = _float32_init(graph.entity_count, graph.relation_count, cfg.dim, cfg.seed)
     optimizer = Adam(table, lr=cfg.lr)
 
     epoch_log: list[LossBreakdown] = []

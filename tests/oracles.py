@@ -155,6 +155,18 @@ def contrastive_forward_backward_loop(table, anchors, pos_dict, cfg, epoch, grad
     return total / n_occ
 
 
+def known_keys_oracle(triples, entity_count: int, relation_count: int) -> list[int]:
+    """Reference for graph.known_keys: the sorted set of the keys
+    (r * E + h) * E + t of every triple inside the counts and of its
+    inverse (t, r + relation_count, h)."""
+    keys = set()
+    for h, r, t in triples:
+        if 0 <= h < entity_count and 0 <= r < relation_count and 0 <= t < entity_count:
+            keys.add((r * entity_count + h) * entity_count + t)
+            keys.add(((r + relation_count) * entity_count + t) * entity_count + h)
+    return sorted(keys)
+
+
 def rank_one(table, kind, triple, corrupt_side, known_here):
     """Filtered rank of one query from one full pass of score() over the table.
 

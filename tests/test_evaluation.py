@@ -117,6 +117,69 @@ def test_nonfinite_scores_rejected(entities):
         evaluate_split(table, ScorerKind.TRANSE, [(0, 0, 1)], {(0, 0, 1)})
 
 
+def _oracle_ranks(table, kind, split, known):
+    """rank_one's head and tail rank of each split triple, in evaluate_split's order."""
+    ranks = []
+    for h, r, t in split:
+        heads = {kh for kh, kr, kt in known if (kr, kt) == (r, t)}
+        tails = {kt for kh, kr, kt in known if (kh, kr) == (h, r)}
+        ranks += [rank_one(table, kind, (h, r, t), HEAD, heads),
+                  rank_one(table, kind, (h, r, t), TAIL, tails)]
+    return ranks
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", list(ScorerKind))
+def test_finite_table_ranked_without_a_full_scan(monkeypatch, kind, dtype):
+    """The entity norms show a finite table, so all_finite() never runs."""
+    rng = np.random.default_rng(5)
+    table = EmbeddingTable(rng.normal(size=(9, 4)).astype(dtype),
+                           rng.normal(size=(2, 4)).astype(dtype))
+    widened = table.astype(np.float64)
+
+    def refuse(self):
+        raise AssertionError("all_finite() scanned a finite table")
+
+    monkeypatch.setattr(EmbeddingTable, "all_finite", refuse)
+    known = {(0, 0, 3), (1, 1, 2), (4, 0, 3), (0, 0, 5)}
+    split = sorted(known)[:3]
+    want = _oracle_ranks(widened, kind, split, known)
+    report = evaluate_split(table, kind, split, known)
+    assert report.mrr == float((1.0 / np.asarray(want)).mean())
+    assert filtered_rank(table, kind, split[0], HEAD, known) == want[0]
+    assert filtered_rank(table, kind, split[0], TAIL, known) == want[1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", list(ScorerKind))
+def test_candidate_whose_norm_overflows_is_ranked(kind):
+    """A finite row of 1e200s has an infinite squared norm: the table is
+    scanned, found finite, and the row is ranked by re-scoring it."""
+    rng = np.random.default_rng(6)
+    entities = rng.normal(size=(8, 3))
+    entities[7] = 1e200  # never an anchor or an answer below
+    table = _table(entities, rng.normal(size=(2, 3)))
+    known = {(0, 0, 3), (1, 1, 2), (4, 0, 3), (5, 1, 6)}
+    split = sorted(known)
+    want = _oracle_ranks(table, kind, split, known)
+    triples = np.repeat(np.asarray(split, dtype=np.int64), 2, axis=0)
+    corrupt_head = np.tile([True, False], len(split))
+    assert evaluation._filtered_ranks(table, kind, triples, corrupt_head, known).tolist() == want
+    assert filtered_rank(table, kind, (1, 1, 2), TAIL, known) == want[3]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_relation_row_rejected(bad):
+    # The query's relation is finite, so only the table check can see row 1.
+    table = _table([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, bad]])
+    for kind in ScorerKind:
+        with pytest.raises(NonFiniteTableError):
+            filtered_rank(table, kind, (0, 0, 1), TAIL, {(0, 0, 1)})
+        with pytest.raises(NonFiniteTableError):
+            evaluate_split(table, kind, [(0, 0, 1)], {(0, 0, 1)})
+
+
 @pytest.mark.parametrize("kind", list(ScorerKind))
 def test_rank_matches_exhaustive_enumeration(kind):
     """Oracle: enumerate candidate scores one by one with score()."""
@@ -220,12 +283,7 @@ def test_batched_ranks_match_oracle(monkeypatch, one_query_per_chunk):
         got = evaluation._filtered_ranks(table, kind, triples, corrupt_head, known)
         # A score() call right after bounds() re-scores a non-empty band.
         rescored.append(any(a == "bounds" and b == "score" for a, b in zip(events, events[1:])))
-        want = []
-        for h, r, t in split:
-            heads = {kh for kh, kr, kt in known if (kr, kt) == (r, t)}
-            tails = {kt for kh, kr, kt in known if (kh, kr) == (h, r)}
-            want += [rank_one(table, kind, (h, r, t), HEAD, heads),
-                     rank_one(table, kind, (h, r, t), TAIL, tails)]
+        want = _oracle_ranks(table, kind, split, known)
         assert got.tolist() == want
         report = evaluate_split(table, kind, split, known)
         assert report.mrr == float((1.0 / np.asarray(want)).mean())
@@ -259,13 +317,7 @@ def test_float32_table_ranks_as_its_widening(kind):
     triples = np.repeat(np.asarray(split, dtype=np.int64), 2, axis=0)
     corrupt_head = np.tile([True, False], len(split))
     got = evaluation._filtered_ranks(table, kind, triples, corrupt_head, split)
-    want = []
-    for h, r, t in split:
-        heads = {kh for kh, kr, kt in split if (kr, kt) == (r, t)}
-        tails = {kt for kh, kr, kt in split if (kh, kr) == (h, r)}
-        want += [rank_one(widened, kind, (h, r, t), HEAD, heads),
-                 rank_one(widened, kind, (h, r, t), TAIL, tails)]
-    assert got.tolist() == want
+    assert got.tolist() == _oracle_ranks(widened, kind, split, split)
 
 
 def _adversarial_bounds(cls, rngs):
@@ -320,13 +372,7 @@ def test_ranks_exact_under_adversarial_bounds(monkeypatch):
         triples = np.repeat(np.asarray(split, dtype=np.int64), 2, axis=0)
         got = evaluation._filtered_ranks(table, kind, triples,
                                          np.tile([True, False], len(split)), known)
-        want = []
-        for h, r, t in split:
-            heads = {kh for kh, kr, kt in known if (kr, kt) == (r, t)}
-            tails = {kt for kh, kr, kt in known if (kh, kr) == (h, r)}
-            want += [rank_one(table, kind, (h, r, t), HEAD, heads),
-                     rank_one(table, kind, (h, r, t), TAIL, tails)]
-        assert got.tolist() == want
+        assert got.tolist() == _oracle_ranks(table, kind, split, known)
 
     check()
 

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +13,14 @@ from symkge.graph import (
     INVERSE,
     SignedRelation,
     intern_graph,
+    known_keys,
     load_dataset,
     read_triple_file,
     signed_neighbors,
 )
 
 from conftest import random_raw_triples
+from oracles import known_keys_oracle
 
 
 def test_single_triple_counts():
@@ -196,3 +199,26 @@ def test_load_dataset_matches_interning_splits_in_order(tmp_path):
                     want.append(triple)
             assert list(split) == want
     assert late_entities and late_relations  # valid/test-only labels were exercised
+
+
+def _keys_cases():
+    """(triples, entity_count, relation_count): ids on both sides of each
+    count, repeated rows, every row outside, and no rows."""
+    rng = np.random.default_rng(9)
+    cases = []
+    for n_e, n_r, n in ((5, 2, 40), (9, 3, 200), (1, 1, 6)):
+        rows = rng.integers(-2, [n_e + 2, n_r + 2, n_e + 2], size=(n, 3))
+        kept = rows % [n_e, n_r, n_e]  # every id moved inside its count
+        cases.append((np.concatenate([rows, kept, kept[: n // 2]]), n_e, n_r))
+    cases.append((np.array([[-1, 0, 0], [0, 2, 0], [0, 0, 4], [4, -1, 1]]), 4, 2))
+    cases.append((np.empty((0, 3), dtype=np.int64), 4, 2))
+    return cases
+
+
+@pytest.mark.parametrize("triples, entity_count, relation_count", _keys_cases(),
+                         ids=["small", "wide", "one-entity", "all-outside", "empty"])
+def test_known_keys_match_oracle(triples, entity_count, relation_count):
+    keys = known_keys(triples.astype(np.int64), entity_count, relation_count)
+    assert keys.dtype == np.int64
+    assert (np.diff(keys) > 0).all()
+    assert keys.tolist() == known_keys_oracle(triples.tolist(), entity_count, relation_count)
