@@ -71,18 +71,20 @@ def _checked_norms(vecs: np.ndarray, what: str) -> np.ndarray:
     return norms
 
 
-def _alignment(a: np.ndarray, p: np.ndarray, w: float):
-    """Alignment loss of each anchor row of a (g, d) with its positives p (g, m, d), and
-    the gradients by a and by p of w * sum(1 - cos) over each row's positives."""
+def _alignment(a: np.ndarray, p: np.ndarray, counts: np.ndarray, w: np.ndarray | float):
+    """For each row of p, its squared distance to its anchor as unit vectors, where anchor
+    row i of a owns the next counts[i] rows; and the gradients by a and p of w[i] * sum(1 - cos)."""
     a_norm = _checked_norms(a, "anchor")
     p_norms = _checked_norms(p, "positive")
-    a_hat = (a / a_norm[:, None])[:, None, :]
-    p_hat = p / p_norms[:, :, None]
+    a_hat = np.repeat(a / a_norm[:, None], counts, axis=0)
+    p_hat = p / p_norms[:, None]
     diff = a_hat - p_hat
-    loss = (diff * diff).sum(axis=-1).mean(axis=1)
-    cos = (p_hat * a_hat).sum(axis=-1)[:, :, None]
-    grad_a = (-w / a_norm)[:, None] * (p_hat - cos * a_hat).sum(axis=1)
-    return loss, (grad_a, -w / p_norms[:, :, None] * (a_hat - cos * p_hat))
+    cos = (p_hat * a_hat).sum(axis=-1)[:, None]
+    # Axis 1 adds in order: the +0.0 padding at most turns -0.0 into +0.0, as _ordered_sum does.
+    terms = np.zeros((len(a), counts.max(), a.shape[1]), a.dtype)
+    terms[np.arange(counts.max()) < counts[:, None]] = p_hat - cos * a_hat
+    return ((diff * diff).sum(axis=-1), (-w / a_norm)[:, None] * terms.sum(axis=1),
+            (-np.repeat(w, counts) / p_norms)[:, None] * (a_hat - cos * p_hat))
 
 
 def contrastive_loss(anchor_vec: np.ndarray, positive_vecs: np.ndarray | list) -> float:
@@ -94,7 +96,7 @@ def contrastive_loss(anchor_vec: np.ndarray, positive_vecs: np.ndarray | list) -
     if positives.size == 0:
         return 0.0
     anchor = np.asarray(anchor_vec, dtype=np.float64)
-    return float(_alignment(anchor[None, :], positives[None], 1.0)[0][0])
+    return float(_alignment(anchor[None, :], positives, np.array([len(positives)]), 1.0)[0].mean())
 
 
 # ---------------------------------------------------------------------------
@@ -223,28 +225,30 @@ def _contrastive_forward_backward(
     occ = occ[counts[occ] > 0]
     if occ.size == 0:
         return 0.0, None
-    # Distinct anchor u owns rows start[u] : start[u] + lengths[u] of ids and
-    # grad: the anchor, then its positives.
-    ids = np.insert(flat, np.cumsum(counts) - counts, uniq)
-    lengths = 1 + counts
-    start = np.cumsum(lengths) - lengths
-    n_occ, dim = occ.size, table.dim
-    grad = np.empty((ids.size, dim), table.entity_vecs.dtype)
+    # Distinct anchor u owns rows start[u] : start[u] + 1 + counts[u] of ids and grad:
+    # the anchor, then its positives flat[first[u] : first[u] + counts[u]].
+    first = np.cumsum(counts) - counts
+    ids = np.insert(flat, first, uniq)
+    start = first + np.arange(len(uniq))
+    positive_rows = np.delete(np.arange(ids.size), start)
+    n_occ, dim, vecs = occ.size, table.dim, table.entity_vecs
+    grad, sq = np.empty((ids.size, dim), vecs.dtype), np.empty(flat.size, vecs.dtype)
+    has = np.flatnonzero(counts)
+    w = (2.0 / (n_occ * counts[has])).astype(vecs.dtype)  # rounded as a Python float w is
+    step = max(1, _ALIGN_BLOCK_FLOATS // ((1 + counts.max()) * dim))
+    for lo in range(0, len(has), step):
+        block = has[lo : lo + step]
+        span = slice(first[block[0]], first[block[-1]] + counts[block[-1]])
+        sq[span], grad[start[block]], grad[positive_rows[span]] = _alignment(
+            vecs[uniq[block]], vecs[flat[span]], counts[block], w[lo : lo + step])
     per_anchor = np.empty(len(uniq), np.float64)
-    # One block per positive count: padding would change the mean's sum.
-    for m_a in np.unique(counts[counts > 0]).tolist():
+    # The mean's summation order depends on the count: one mean per count.
+    for m_a in np.unique(counts[has]).tolist():
         group = np.flatnonzero(counts == m_a)
-        w = 2.0 / (n_occ * m_a)
-        step = max(1, _ALIGN_BLOCK_FLOATS // ((1 + m_a) * dim))
-        for lo in range(0, len(group), step):
-            block = group[lo : lo + step]
-            slots = start[block][:, None] + np.arange(1 + m_a)
-            vecs = table.entity_vecs[ids[slots]]
-            per_anchor[block], grads = _alignment(vecs[:, 0], vecs[:, 1:], w)
-            grad[slots[:, 0]], grad[slots[:, 1:]] = grads
+        per_anchor[group] = sq[first[group][:, None] + np.arange(m_a)].mean(axis=1)
     # cumsum adds left to right, as the loop over occurrences does.
     value = float(np.cumsum(per_anchor[occ])[-1]) / n_occ
-    gather = _ranges(start[occ], lengths[occ])
+    gather = _ranges(start[occ], 1 + counts[occ])
     rows, compact = _ordered_sum(ids[gather], grad[gather])
     compact *= cfg.alpha
     return value, (rows, compact)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifact import read_framed, write_framed
-from .errors import BadValueError, CorruptDictFileError, DataError, HopBoundExceededError
+from .errors import (BadValueError, CorruptDictFileError, DataError, HopBoundExceededError,
+                     UnknownEntityError)
 from .graph import SignedRelation, UnionGraph, _ranges
 
 MAX_HOP_BOUND = 3
@@ -72,6 +73,8 @@ class PositiveDict:
         return tuple(frozenset(ids[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
     def __getitem__(self, entity: int) -> frozenset[int]:
+        if not 0 <= entity < self.entity_count:
+            raise UnknownEntityError(f"entity {entity} is not in 0..{self.entity_count - 1}")
         return frozenset(self.indices[self.indptr[entity] : self.indptr[entity + 1]].tolist())
 
     def __eq__(self, other: object) -> bool:
@@ -328,6 +331,9 @@ def sample_positives(pos: PositiveDict, anchors, m: int, seed: int,
     anchors = np.asarray(anchors, dtype=np.int64).reshape(-1)
     if len(anchors) >= 1 << 23:
         raise ValueError(f"{len(anchors)} anchors are too many to sort in one draw")
+    outside = anchors[(anchors < 0) | (anchors >= pos.entity_count)]
+    if outside.size:
+        raise UnknownEntityError(f"anchor {outside[0]} is not in 0..{pos.entity_count - 1}")
     lo = pos.indptr[anchors]
     sizes = pos.indptr[anchors + 1] - lo
     row = np.repeat(np.arange(len(anchors)), sizes)

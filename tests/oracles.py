@@ -10,7 +10,9 @@ from symkge.errors import UnknownEntityError
 from symkge.evaluation import HEAD
 from symkge.graph import SignedRelation, UnionGraph, signed_neighbors
 from symkge.config import BINARY_CROSS_ENTROPY, MARGIN_RANKING
-from symkge.losses import Gradients, _checked_norms, _log_sigmoid, _sigmoid
+from symkge import losses
+from symkge.graph import _ranges
+from symkge.losses import Gradients, _checked_norms, _log_sigmoid, _ordered_sum, _sigmoid
 from symkge.mining import HalfSequence, _check_hop_bound, sample_positives
 from symkge.model import SCORERS, ScorerKind
 
@@ -153,6 +155,54 @@ def contrastive_forward_backward_loop(table, anchors, pos_dict, cfg, epoch, grad
             grad_p = -w / p_norms[:, None] * (a_hat[None, :] - cosines[:, None] * p_hat)
             np.add.at(grad_entity, positives, grad_p)
     return total / n_occ
+
+
+def _alignment_per_count(a, p, w):
+    """Alignment loss of each anchor row of a (g, d) with its positives p (g, m, d), and
+    the gradients by a and by p of w * sum(1 - cos) over each row's positives."""
+    a_norm = _checked_norms(a, "anchor")
+    p_norms = _checked_norms(p, "positive")
+    a_hat = (a / a_norm[:, None])[:, None, :]
+    p_hat = p / p_norms[:, :, None]
+    diff = a_hat - p_hat
+    loss = (diff * diff).sum(axis=-1).mean(axis=1)
+    cos = (p_hat * a_hat).sum(axis=-1)[:, :, None]
+    grad_a = (-w / a_norm)[:, None] * (p_hat - cos * a_hat).sum(axis=1)
+    return loss, (grad_a, -w / p_norms[:, :, None] * (a_hat - cos * p_hat))
+
+
+def contrastive_forward_backward_per_count(table, anchors, pos_dict, cfg, epoch):
+    """The alignment step as one dense kernel per distinct positive count, in blocks
+    of at most losses._ALIGN_BLOCK_FLOATS floats: the bit-for-bit reference for
+    losses._contrastive_forward_backward, which runs one pass over all counts."""
+    if pos_dict is None:
+        return 0.0, None
+    uniq, occ = np.unique(anchors, return_inverse=True)
+    counts, flat = sample_positives(pos_dict, uniq, cfg.m, cfg.seed, epoch)
+    occ = occ[counts[occ] > 0]
+    if occ.size == 0:
+        return 0.0, None
+    ids = np.insert(flat, np.cumsum(counts) - counts, uniq)
+    lengths = 1 + counts
+    start = np.cumsum(lengths) - lengths
+    n_occ, dim = occ.size, table.dim
+    grad = np.empty((ids.size, dim), table.entity_vecs.dtype)
+    per_anchor = np.empty(len(uniq), np.float64)
+    for m_a in np.unique(counts[counts > 0]).tolist():
+        group = np.flatnonzero(counts == m_a)
+        w = 2.0 / (n_occ * m_a)
+        step = max(1, losses._ALIGN_BLOCK_FLOATS // ((1 + m_a) * dim))
+        for lo in range(0, len(group), step):
+            block = group[lo : lo + step]
+            slots = start[block][:, None] + np.arange(1 + m_a)
+            vecs = table.entity_vecs[ids[slots]]
+            per_anchor[block], grads = _alignment_per_count(vecs[:, 0], vecs[:, 1:], w)
+            grad[slots[:, 0]], grad[slots[:, 1:]] = grads
+    value = float(np.cumsum(per_anchor[occ])[-1]) / n_occ
+    gather = _ranges(start[occ], lengths[occ])
+    rows, compact = _ordered_sum(ids[gather], grad[gather])
+    compact *= cfg.alpha
+    return value, (rows, compact)
 
 
 def known_keys_oracle(triples, entity_count: int, relation_count: int) -> list[int]:

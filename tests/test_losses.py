@@ -2,6 +2,8 @@
 
 from dataclasses import replace
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from symkge.model import SCORERS, EmbeddingTable, ScorerKind, init_embeddings
 from conftest import positive_dict
 from oracles import (
     contrastive_forward_backward_loop,
+    contrastive_forward_backward_per_count,
     contrastive_loss_cosine_form,
     dense_gradients,
     task_forward_backward_dense,
@@ -272,6 +275,80 @@ def test_batched_alignment_equals_per_anchor_loop(m, seed, chunked, monkeypatch)
 
     empty_only = anchors[[len(targets[a]) == 0 for a in anchors.tolist()]]
     assert _contrastive_forward_backward(table, empty_only, pos_dict, cfg, 5) == (0.0, None)
+
+
+def _alignment_battery(seed, n, dim, dtype):
+    """Rows of every size around m, a table with +-0.0 coordinates (column 0 is
+    -0.0 everywhere, column 1 +0.0) and some antipodal or repeated rows."""
+    rng = np.random.default_rng(seed)
+    sizes = list(range(14)) + [20]
+    targets = [
+        set(rng.choice(np.delete(np.arange(n), e), sizes[e % len(sizes)], replace=False).tolist())
+        for e in range(n)
+    ]
+    vecs = rng.normal(size=(n, dim))
+    vecs[rng.random((n, dim)) < 0.2] = 0.0
+    vecs[rng.random((n, dim)) < 0.2] *= -1.0
+    vecs[:, 0], vecs[:, 1] = -0.0, 0.0
+    vecs[1::7] = -vecs[::7][: len(vecs[1::7])]
+    vecs[2::7] = vecs[::7][: len(vecs[2::7])] * 3.0
+    vecs[(vecs == 0.0).all(axis=1), 2] = 1.0
+    return _dict_of(targets, k=1), EmbeddingTable(vecs.astype(dtype), np.ones((1, dim), dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("m", [3, 10, 12])
+@pytest.mark.parametrize("block_anchors", [None, 1, 7])
+def test_alignment_bytes_equal_the_per_count_kernel(dtype, m, block_anchors, monkeypatch):
+    """Value, rows and gradients byte for byte against one kernel per positive count.
+
+    m = 12 takes NumPy's unrolled pairwise path in the mean; tobytes() sees the
+    float32 rounding of each weight and the signs of zeros.
+    """
+    n, dim = 150, 6
+    if block_anchors is not None:
+        monkeypatch.setattr(losses, "_ALIGN_BLOCK_FLOATS", block_anchors * (1 + m) * dim)
+    pos_dict, table = _alignment_battery(m, n, dim, dtype)
+    cfg = TrainConfig(k=1, m=m, alpha=0.37, dim=dim, seed=m)
+    anchors = np.random.default_rng(m).integers(0, n, 400)
+    counts = sample_positives(pos_dict, np.unique(anchors), m, cfg.seed, 4)[0]
+    assert len(np.unique(anchors)) < len(anchors) and 0 in counts  # repeats, no positives
+    assert len(np.unique(counts)) >= 4
+    value, (rows, compact) = _contrastive_forward_backward(table, anchors, pos_dict, cfg, 4)
+    expected, (oracle_rows, oracle_compact) = contrastive_forward_backward_per_count(
+        table, anchors, pos_dict, cfg, 4
+    )
+    assert type(value) is float and np.float64(value).tobytes() == np.float64(expected).tobytes()
+    assert rows.tobytes() == oracle_rows.tobytes()
+    assert compact.dtype == dtype and compact.tobytes() == oracle_compact.tobytes()
+
+
+def test_alignment_temporaries_stay_within_the_block(monkeypatch):
+    """Every kernel call of a many-anchor batch allocates a few blocks at most."""
+    n, dim, m, block = 3000, 16, 10, 1 << 12
+    monkeypatch.setattr(losses, "_ALIGN_BLOCK_FLOATS", block)
+    rng = np.random.default_rng(0)
+    pos_dict = _dict_of([set(rng.choice(n, m, replace=False).tolist()) - {e}
+                         for e in range(n)], k=1)
+    table = init_embeddings(n, 1, dim, seed=0)
+    cfg = TrainConfig(k=1, m=m, alpha=0.5, dim=dim)
+    kernel, peaks = losses._alignment, []
+
+    def traced(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = kernel(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    monkeypatch.setattr(losses, "_alignment", traced)
+    tracemalloc.start()
+    try:
+        _contrastive_forward_backward(table, np.arange(n), pos_dict, cfg, 0)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) >= n * (1 + m) * dim // block  # one block after another
+    assert max(peaks) <= 10 * block * table.entity_vecs.itemsize  # 747 blocks unblocked
 
 
 @pytest.mark.parametrize("n_pos", [1, 2, 7])

@@ -16,6 +16,7 @@ import pytest
 from symkge import mining
 from symkge.errors import (
     BadValueError, CorruptDictFileError, DataError, HopBoundExceededError, KMismatchError,
+    UnknownEntityError,
 )
 from symkge.graph import FORWARD, INVERSE, SignedRelation, intern_graph, load_dataset
 from symkge.mining import (
@@ -617,6 +618,26 @@ def test_sample_draw_does_not_depend_on_the_batch():
         assert drawn.tolist() == sample_positives(pos, [a], 5, seed=11, epoch=2)[1].tolist()
     reordered = sample_positives(pos, batch[::-1], 5, seed=11, epoch=2)[1]
     assert np.array_equal(np.concatenate(per_anchor[::-1]), reordered)
+
+
+@pytest.mark.parametrize("anchor", [-3, -1, 3, 4])
+def test_sample_refuses_anchors_outside_the_dictionary(anchor):
+    """-3 used to read entity 1's row, -1 raised a raw ValueError and 3 an IndexError."""
+    pos = _dict_of([{1, 2}, {0, 2}, {0, 1}])
+    with pytest.raises(UnknownEntityError, match=f"anchor {anchor} is not in 0..2") as err:
+        sample_positives(pos, [0, anchor, 1], 2, seed=0)
+    assert "\n" not in str(err.value)
+    with pytest.raises(UnknownEntityError, match=f"entity {anchor} is not in 0..2"):
+        pos[anchor]
+    assert pos[2] == {0, 1} and _draw(pos, 2, 2, seed=0) == [0, 1]
+
+
+def test_sample_from_an_empty_dictionary():
+    pos = _dict_of([])
+    counts, flat = sample_positives(pos, [], 3, seed=0)
+    assert counts.size == flat.size == 0
+    with pytest.raises(UnknownEntityError):
+        sample_positives(pos, [0], 3, seed=0)
 
 
 # ---------------------------------------------------------------------------

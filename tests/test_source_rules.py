@@ -11,8 +11,10 @@ only artifact.py writes files or packs frames, so every write is atomic;
 mined structures stay array rows until a caller iterates them, so only the
 miner's view builds SymmetricStructure objects; every array the training
 step allocates names its dtype, so none silently widens the float32 state;
-negatives and ranking filter through one index of known triple keys; and
-only graph.read_tsv splits lines on tabs, so every input file shares its rules.
+negatives and ranking filter through one index of known triple keys;
+only graph.read_tsv splits lines on tabs, so every input file shares its rules;
+and only the one alignment kernel normalizes vectors, so the alignment formula
+has one copy for the public loss and the training step.
 """
 
 import ast
@@ -121,6 +123,19 @@ def test_one_tab_separated_reader():
     """Triple and label files share one line format, read by graph.read_tsv."""
     assert _splits_on_tab(ast.parse('line.split("\\t")').body[0].value)
     _assert_only_in(_splits_on_tab, {("graph.py", "read_tsv")})
+
+
+def _checks_norms(node) -> bool:
+    # An alias would hide later calls from the name check, so it counts as a use.
+    return _called_name(node) == "_checked_norms" or (
+        isinstance(node, ast.alias) and node.name == "_checked_norms" and node.asname is not None
+    )
+
+
+def test_one_alignment_kernel():
+    """contrastive_loss and the training step share losses._alignment, bit for bit."""
+    assert _checks_norms(ast.parse("_checked_norms(p, 'positive')").body[0].value)
+    _assert_only_in(_checks_norms, {("losses.py", "_alignment")})
 
 
 def test_loss_and_ranking_name_no_scorer():
