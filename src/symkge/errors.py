@@ -55,7 +55,7 @@ class SingleClassError(DataError):
 
 
 class DimMismatchError(DataError):
-    """Probe weights and embedding table disagree on dimensionality."""
+    """Vectors, or probe weights and an embedding table, disagree on dimensionality."""
 
 
 class InsufficientSamplesError(DataError):

@@ -93,6 +93,13 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
 
+def _distinct(ids: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(ids, return_inverse=True) for int64 ids in [0, count), by counting, not sorting."""
+    seen = np.zeros(count, np.bool_)
+    seen[ids] = True
+    return np.flatnonzero(seen), (np.cumsum(seen, dtype=np.int64) - 1)[ids]
+
+
 def triple_keys(h: np.ndarray, r: np.ndarray, t: np.ndarray, entity_count: int) -> np.ndarray:
     """One int64 key per triple, (r * E + h) * E + t, for ids inside their counts.
 

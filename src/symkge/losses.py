@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import BINARY_CROSS_ENTROPY, MARGIN_RANKING, TrainConfig
-from .errors import DegenerateVectorError, KMismatchError
-from .graph import _ranges
+from .errors import DegenerateVectorError, DimMismatchError, KMismatchError, UnknownEntityError
+from .graph import _distinct, _ranges
 from .mining import PositiveDict, sample_positives
 from .model import SCORERS, EmbeddingTable, ScorerKind
 
@@ -48,11 +48,11 @@ class Gradients:
     relation: np.ndarray
 
 
-def _ordered_sum(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct ids, and for each the sum of the rows carrying it, added in
-    order from +0.0 as bincount does: bit-identical to np.add.at into zeros.
+def _ordered_sum(ids: np.ndarray, rows: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ids in [0, count), and for each the sum of the rows carrying it,
+    added in order from +0.0 as bincount does: bit-identical to np.add.at into zeros.
     bincount sums in float64; the sums are rounded once to the rows' dtype."""
-    distinct, slot = np.unique(ids, return_inverse=True)
+    distinct, slot = _distinct(ids, count)
     dim = rows.shape[1]
     flat = (slot[:, None] * dim + np.arange(dim)).ravel()
     sums = np.bincount(flat, weights=rows.ravel(), minlength=len(distinct) * dim)
@@ -90,12 +90,18 @@ def _alignment(a: np.ndarray, p: np.ndarray, counts: np.ndarray, w: np.ndarray |
 def contrastive_loss(anchor_vec: np.ndarray, positive_vecs: np.ndarray | list) -> float:
     """Mean squared distance between the normalized anchor and positives.
 
-    Empty positive sets contribute nothing and return 0.
+    Empty positive sets contribute nothing and return 0. Positives are one
+    vector or a sequence of them, each as long as the anchor.
     """
     positives = np.atleast_2d(np.asarray(positive_vecs, dtype=np.float64))
+    anchor = np.asarray(anchor_vec, dtype=np.float64)
+    if positives.ndim > 2:
+        raise DimMismatchError(f"positives of shape {positives.shape}: want (m, d)")
     if positives.size == 0:
         return 0.0
-    anchor = np.asarray(anchor_vec, dtype=np.float64)
+    if anchor.shape != positives.shape[1:]:
+        raise DimMismatchError(f"anchor of shape {anchor.shape} against positives of "
+                               f"dimension {positives.shape[1]}")
     return float(_alignment(anchor[None, :], positives, np.array([len(positives)]), 1.0)[0].mean())
 
 
@@ -202,7 +208,8 @@ def _task_forward_backward(
         ent_slots[np.where(is_pos, pair + n_pos, pair + n_pos + n_pairs)] = d_t
     value = float(per_pair.mean())
     rel_ids = np.concatenate([batch[:, 1], flat[:, 1]])
-    return value, Gradients(*_ordered_sum(ent_ids, ent_slots), *_ordered_sum(rel_ids, rel_slots))
+    return value, Gradients(*_ordered_sum(ent_ids, ent_slots, table.entity_count),
+                            *_ordered_sum(rel_ids, rel_slots, table.relation_count))
 
 
 def _contrastive_forward_backward(
@@ -220,7 +227,7 @@ def _contrastive_forward_backward(
     if pos_dict is None:
         return 0.0, None
     # The positive draw depends on the anchor, not the occurrence.
-    uniq, occ = np.unique(anchors, return_inverse=True)
+    uniq, occ = _distinct(anchors, table.entity_count)
     counts, flat = sample_positives(pos_dict, uniq, cfg.m, cfg.seed, epoch)
     occ = occ[counts[occ] > 0]
     if occ.size == 0:
@@ -228,9 +235,10 @@ def _contrastive_forward_backward(
     # Distinct anchor u owns rows start[u] : start[u] + 1 + counts[u] of ids and grad:
     # the anchor, then its positives flat[first[u] : first[u] + counts[u]].
     first = np.cumsum(counts) - counts
-    ids = np.insert(flat, first, uniq)
     start = first + np.arange(len(uniq))
-    positive_rows = np.delete(np.arange(ids.size), start)
+    positive_rows = _ranges(start + 1, counts)
+    ids = np.empty(flat.size + len(uniq), np.int64)
+    ids[start], ids[positive_rows] = uniq, flat
     n_occ, dim, vecs = occ.size, table.dim, table.entity_vecs
     grad, sq = np.empty((ids.size, dim), vecs.dtype), np.empty(flat.size, vecs.dtype)
     has = np.flatnonzero(counts)
@@ -243,13 +251,13 @@ def _contrastive_forward_backward(
             vecs[uniq[block]], vecs[flat[span]], counts[block], w[lo : lo + step])
     per_anchor = np.empty(len(uniq), np.float64)
     # The mean's summation order depends on the count: one mean per count.
-    for m_a in np.unique(counts[has]).tolist():
+    for m_a in np.flatnonzero(np.bincount(counts[has])).tolist():
         group = np.flatnonzero(counts == m_a)
         per_anchor[group] = sq[first[group][:, None] + np.arange(m_a)].mean(axis=1)
     # cumsum adds left to right, as the loop over occurrences does.
     value = float(np.cumsum(per_anchor[occ])[-1]) / n_occ
     gather = _ranges(start[occ], 1 + counts[occ])
-    rows, compact = _ordered_sum(ids[gather], grad[gather])
+    rows, compact = _ordered_sum(ids[gather], grad[gather], table.entity_count)
     compact *= cfg.alpha
     return value, (rows, compact)
 
@@ -277,13 +285,22 @@ def combined_gradients(
     epoch: int = 0,
 ) -> tuple[LossBreakdown, Gradients]:
     """task + alpha * alignment over one batch, deterministic given cfg.seed, and its
-    analytic gradients, row-sparse over the touched rows."""
+    analytic gradients, row-sparse over the touched rows. A triple with an id outside
+    the table is refused with UnknownEntityError."""
     if pos_dict is not None and pos_dict.hop_bound != cfg.k:
         raise KMismatchError(
             f"dictionary mined with hop bound {pos_dict.hop_bound}, config wants {cfg.k}"
         )
     batch = np.asarray(batch, dtype=np.int64)
     negatives = np.asarray(negatives, dtype=np.int64)
+    # As uint64 a negative id exceeds every bound, so one comparison checks both ends.
+    bounds = np.array([table.entity_count, table.relation_count, table.entity_count], np.uint64)
+    for triples in (batch, negatives.reshape(-1, 3)):
+        outside = triples.view(np.uint64) >= bounds
+        if outside.any():
+            bad = tuple(triples[outside.any(axis=1).argmax()].tolist())
+            raise UnknownEntityError(f"triple {bad} is outside the table's {table.entity_count} "
+                                     f"entities and {table.relation_count} relations")
     # Both endpoints of every triple are anchor occurrences. With alpha == 0
     # the term is still reported but adds nothing to train on.
     contrastive, alignment = _contrastive_forward_backward(

@@ -158,7 +158,7 @@ def _half_paths(graph: UnionGraph, k_max: int, max_degree: int | None):
         yield k, nodes, seq
 
 
-def _joined(nodes: np.ndarray, seq: np.ndarray, by_seq: bool):
+def _joined(nodes: np.ndarray, seq: np.ndarray, by_seq: bool, max_degree: int | None):
     """Yield every distinct structure the half-path rows form, block by block.
 
     Two rows pair when they share the pivot, and the sequence too with
@@ -167,7 +167,8 @@ def _joined(nodes: np.ndarray, seq: np.ndarray, by_seq: bool):
     endpoints. The realizations of one member, a distinct (pivot, sequence,
     start), collapse into one. Each block holds whole members and is an
     (n, 5) array of (anchor, pivot, target, anchor sequence, target
-    sequence), one row per distinct ordered member pair.
+    sequence), one row per distinct ordered member pair. Over the join budget it
+    refuses, naming a degree cap below max_degree, the cap the rows were walked with.
     """
     order = np.lexsort((nodes[:, 0], seq, nodes[:, -1]))
     nodes, seq = nodes[order], seq[order]
@@ -180,8 +181,10 @@ def _joined(nodes: np.ndarray, seq: np.ndarray, by_seq: bool):
     sizes = np.diff(bounds)
     candidates = int((sizes[sizes > 1] ** 2).sum())
     if candidates > _MAX_JOIN_PAIRS:
+        advice = ("cap hub pivots with --max-degree" if max_degree is None
+                  else f"lower --max-degree below {max_degree}")
         raise DataError(f"the join would test {candidates} candidate row pairs, over its budget "
-                        f"of {_MAX_JOIN_PAIRS}; cap hub pivots with --max-degree")
+                        f"of {_MAX_JOIN_PAIRS}; {advice}")
     lo, size = bounds[group], sizes[group]
     first = np.flatnonzero(new_member)
 
@@ -222,7 +225,7 @@ class Structures:
     def __iter__(self):
         base = 2 * self.graph.relation_count
         for k, nodes, seq in _half_paths(self.graph, self.k_max, self.max_degree):
-            for found in _joined(nodes, seq, by_seq=True):
+            for found in _joined(nodes, seq, by_seq=True, max_degree=self.max_degree):
                 for anchor, pivot, target, code, _ in found.tolist():
                     yield SymmetricStructure(anchor, pivot, target, _unpacked(code, k, base), k)
 
@@ -256,7 +259,7 @@ def mine_positive_dict(
     keys = np.concatenate([np.empty(0, np.int64)] + [
         found[:, 0] * graph.entity_count + found[:, 2]
         for _, nodes, seq in _half_paths(graph, k_max, max_degree)
-        for found in _joined(nodes, seq, by_seq=True)])
+        for found in _joined(nodes, seq, by_seq=True, max_degree=max_degree)])
     keys.sort()
     anchor, target = np.divmod(keys[_key_starts(keys)], graph.entity_count)
     pos = PositiveDict(np.searchsorted(anchor, np.arange(graph.entity_count + 1)), target, k_max)
@@ -296,7 +299,7 @@ def structure_stats(
             total = squares(pivot) - squares(pivot * graph.entity_count + start)
         else:
             rs = total = 0
-            for found in _joined(nodes, seq, by_seq=False):
+            for found in _joined(nodes, seq, by_seq=False, max_degree=max_degree):
                 rs += int(np.count_nonzero(found[:, 3] == found[:, 4]))
                 total += len(found)
         per_hop.append(HopStats(k=k, rs_count=rs, total_count=total))

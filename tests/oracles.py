@@ -200,7 +200,7 @@ def contrastive_forward_backward_per_count(table, anchors, pos_dict, cfg, epoch)
             grad[slots[:, 0]], grad[slots[:, 1:]] = grads
     value = float(np.cumsum(per_anchor[occ])[-1]) / n_occ
     gather = _ranges(start[occ], lengths[occ])
-    rows, compact = _ordered_sum(ids[gather], grad[gather])
+    rows, compact = _ordered_sum(ids[gather], grad[gather], table.entity_count)
     compact *= cfg.alpha
     return value, (rows, compact)
 

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from symkge import experiment, mining
+from symkge import experiment, mining, training
 from symkge.cli import main
 from symkge.mining import load_dict, save_dict
 from symkge.model import (
@@ -524,6 +524,30 @@ def test_join_over_budget_exits_2(kg_files, tmp_path, capsys, monkeypatch, comma
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "over its budget of 1" in err and "--max-degree" in err
     assert not out.exists()
+    # With a cap set, the advice names a smaller one.
+    argv += ["--max-degree", "300"]
+    assert main(argv + (["--out", str(out)] if command == "mine" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.rstrip().endswith("lower --max-degree below 300")
+    assert not out.exists()
+
+
+def test_train_refuses_ids_outside_the_table(kg_files, tmp_path, capsys, monkeypatch):
+    _, paths = kg_files
+    draw = training.sample_negatives
+
+    def negative_head(*args):
+        negatives = draw(*args)
+        negatives[0, 0, 0] = -1
+        return negatives
+
+    monkeypatch.setattr(training, "sample_negatives", negative_head)
+    ckpt = tmp_path / "never.syme"
+    assert main(["train", "--train", str(paths["train"]), "--out", str(ckpt), "--dim", "4",
+                 "--epochs", "1", "--negatives", "1", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "is outside the table's" in err
+    assert not ckpt.exists()
 
 
 @pytest.mark.parametrize("flags, config", [

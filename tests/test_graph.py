@@ -12,6 +12,7 @@ from symkge.graph import (
     FORWARD,
     INVERSE,
     SignedRelation,
+    _distinct,
     intern_graph,
     known_keys,
     load_dataset,
@@ -104,6 +105,26 @@ def test_label_round_trip(raw):
         assert labels.relation_labels[rid] == label
     assert set(labels.entity_ids.values()) == set(range(graph.entity_count))
     assert set(labels.relation_ids.values()) == set(range(graph.relation_count))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.data())
+def test_distinct_equals_np_unique(count, data):
+    """Distinct ids and the inverse, as np.unique returns them, from a counting pass."""
+    kind = data.draw(st.sampled_from(["empty", "single", "all equal", "random"]))
+    size = {"empty": 0, "single": 1}.get(kind, data.draw(st.integers(1, 500)))
+    if kind == "all equal":
+        ids = np.full(size, data.draw(st.integers(0, count - 1)), np.int64)
+    else:
+        ids = np.array(data.draw(st.lists(st.integers(0, count - 1), min_size=size,
+                                          max_size=size)), np.int64)
+    if size and data.draw(st.booleans()):
+        ids[data.draw(st.integers(0, size - 1))] = count - 1  # the table's last row
+    distinct, inverse = _distinct(ids, count)
+    expected, expected_inverse = np.unique(ids, return_inverse=True)
+    for got, want in ((distinct, expected), (inverse, expected_inverse)):
+        assert got.dtype == want.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 def test_interning_deterministic():

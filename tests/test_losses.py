@@ -1,8 +1,8 @@
 """Loss values against hand-derived numbers and gradients against finite differences."""
 
-from dataclasses import replace
-
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from symkge import losses
 from symkge.config import BINARY_CROSS_ENTROPY, MARGIN_RANKING, TrainConfig
-from symkge.errors import DegenerateVectorError
+from symkge.errors import DegenerateVectorError, DimMismatchError, UnknownEntityError
 from symkge.losses import (
     _contrastive_forward_backward,
     _task_forward_backward,
@@ -66,6 +66,19 @@ def test_degenerate_vector_rejected():
         contrastive_loss(np.zeros(3), [np.ones(3)])
     with pytest.raises(DegenerateVectorError):
         contrastive_loss(np.ones(3), [np.zeros(3)])
+
+
+def test_positives_of_another_length_are_refused():
+    with pytest.raises(DimMismatchError, match=r"anchor of shape \(3,\) against positives of "
+                                               r"dimension 2") as err:
+        contrastive_loss(np.ones(3), [np.ones(2), np.ones(2)])
+    assert "\n" not in str(err.value)
+
+
+def test_positives_of_more_than_two_dimensions_are_refused():
+    with pytest.raises(DimMismatchError, match=r"positives of shape \(2, 1, 3\)") as err:
+        contrastive_loss(np.ones(3), np.ones((2, 1, 3)))
+    assert "\n" not in str(err.value)
 
 
 @settings(max_examples=200, deadline=None)
@@ -408,6 +421,23 @@ def test_blocked_task_step_equals_dense_scatter(kind, task, chunked, monkeypatch
                                   table.relation_vecs[batch[:, 1]], table.entity_vecs[batch[:, 2]])
         hinge = cfg.margin - own[:, None] + scores
         assert (hinge > 0.0).any() and (hinge <= 0.0).any()
+
+
+@pytest.mark.parametrize("where", ["batch", "negatives"])
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("outside", ["negative", "past the table"])
+def test_ids_outside_the_table_are_refused(where, column, outside):
+    """A negative id used to train silently on a row keyed -1; one past the end
+    raised NumPy's IndexError."""
+    table, cfg, batch, negatives, pos_dict = _small_setup()
+    triples = {"batch": batch, "negatives": negatives.reshape(-1, 3)}[where]
+    triples[2, column] = -1 if outside == "negative" else (10, 3, 10)[column]
+    bad = tuple(triples[2].tolist())
+    message = re.escape(f"triple {bad} is outside the table's 10 entities and 3 relations")
+    for dictionary in (None, pos_dict):
+        with pytest.raises(UnknownEntityError, match=message) as err:
+            combined_gradients(table, cfg.scorer, batch, negatives, dictionary, cfg)
+        assert "\n" not in str(err.value)
 
 
 @pytest.mark.parametrize("kind", list(ScorerKind))

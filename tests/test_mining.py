@@ -321,6 +321,11 @@ def test_join_over_budget_is_refused(monkeypatch):
         with pytest.raises(DataError, match="candidate row pairs, over its budget of 3") as refused:
             run()
         assert "\n" not in str(refused.value) and "--max-degree" in str(refused.value)
+    # With a cap set, the advice names a smaller one.
+    for cap, run in ((3, lambda: mine_positive_dict(graph, 1, 3)),
+                     (40, lambda: structure_stats(battery, 2, 40))):
+        with pytest.raises(DataError, match=f"over its budget of 3; lower --max-degree below {cap}$"):
+            run()
     assert structure_stats(battery, 1).hop(1).total_count > 3  # closed form: no join, no budget
 
 

@@ -161,6 +161,18 @@ def test_no_ufunc_at_in_src():
         assert not lines, f"{path.name}:{lines}: ufunc.at scatter; use losses._ordered_sum"
 
 
+def test_training_step_groups_ids_without_sorting():
+    """Ids below a table's row count are grouped by graph._distinct, a counting pass;
+    np.unique sorts them, and took three times as long on a batch's slot ids."""
+    def unique_calls(source: str) -> list[int]:
+        return [node.lineno for node in ast.walk(ast.parse(source))
+                if _called_name(node) == "unique"]
+
+    assert unique_calls("np.unique(ids, return_inverse=True)") == [1]  # the detector works
+    lines = unique_calls((SRC / "losses.py").read_text(encoding="utf-8"))
+    assert not lines, f"losses.py:{lines}: np.unique sorts; group ids with graph._distinct"
+
+
 def _random_imports(source: str) -> list[int]:
     """Lines importing the stdlib random module or a name from it."""
     return [node.lineno for node in ast.walk(ast.parse(source))
