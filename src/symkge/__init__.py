@@ -29,13 +29,10 @@ from .graph import (
     intern_graph,
     load_dataset,
     read_triple_file,
-    signed_neighbors,
 )
 from .losses import (
     LossBreakdown,
     combined_gradients,
-    combined_loss,
-    contrastive_loss,
     task_loss,
 )
 from .mining import (
@@ -54,7 +51,6 @@ from .model import (
     init_embeddings,
     load_checkpoint,
     save_checkpoint,
-    score,
 )
 from .training import TrainResult, train
 
@@ -77,8 +73,6 @@ __all__ = [
     "Triple",
     "UnionGraph",
     "combined_gradients",
-    "combined_loss",
-    "contrastive_loss",
     "evaluate_split",
     "filtered_rank",
     "init_embeddings",
@@ -93,8 +87,6 @@ __all__ = [
     "sample_positives",
     "save_checkpoint",
     "save_dict",
-    "score",
-    "signed_neighbors",
     "students_t_test",
     "structure_stats",
     "task_loss",

@@ -26,7 +26,7 @@ from .errors import (
 from .evaluation import ProbeConfig, evaluate_split, probe_report, students_t_test, train_probe
 from .experiment import ABLATIONS, ExperimentSpec, report_to_json, run_experiment
 from .graph import load_dataset, read_tsv
-from .mining import load_dict, mine_positive_dict, save_dict, structure_stats
+from .mining import MAX_HOP_BOUND, load_dict, mine_positive_dict, save_dict, structure_stats
 from .model import load_checkpoint, save_checkpoint
 from .training import train
 
@@ -53,7 +53,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("mine", help="mine the positive dictionary from a train split")
     p.add_argument("--train", required=True)
-    p.add_argument("--k", type=int, required=True, help="hop bound, 1..3")
+    p.add_argument("--k", type=int, required=True, help=f"hop bound, 1..{MAX_HOP_BOUND}")
     p.add_argument("--out", required=True, help="output dictionary path")
     p.add_argument("--max-degree", type=int, default=None,
                    help="skip pivots with more signed edges than this (approximation)")

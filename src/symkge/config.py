@@ -9,6 +9,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .errors import BadValueError, UnknownKeyError
+from .mining import MAX_HOP_BOUND
 from .model import ScorerKind
 
 MARGIN_RANKING = "margin_ranking"
@@ -54,8 +55,8 @@ def _validate(cfg: TrainConfig) -> None:
         if (isinstance(value, bool) != (kind is bool)
                 or not isinstance(value, _ACCEPTS.get(kind, kind))):
             raise BadValueError(f"{f.name} must be of type {kind.__name__}, got {value!r}")
-    if cfg.k not in (1, 2, 3):
-        raise BadValueError(f"k must be 1, 2, or 3, got {cfg.k}")
+    if not 1 <= cfg.k <= MAX_HOP_BOUND:
+        raise BadValueError(f"k must be in 1..{MAX_HOP_BOUND}, got {cfg.k}")
     if cfg.m < 1:
         raise BadValueError(f"m must be >= 1, got {cfg.m}")
     # A NaN fails every comparison, so each bounded range below refuses it too.

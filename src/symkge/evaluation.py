@@ -18,7 +18,7 @@ from .errors import (
     SingleClassError,
     UnknownEntityError,
 )
-from .graph import Triple, _ranges, known_keys, triple_array, triple_keys
+from .graph import Triple, _ranges, candidate_runs, known_keys, triple_array
 from .model import SCORERS, EmbeddingTable, ScorerKind, squared_norms
 
 HEAD = "head"
@@ -54,12 +54,8 @@ def _filtered_ranks(
     thread count.
     """
     n_e, n_r = table.entity_count, table.relation_count
+    table.check_triples(triples)
     h, r, t = triples.T
-    for what, bad in (("entity", (h < 0) | (h >= n_e) | (t < 0) | (t >= n_e)),
-                      ("relation", (r < 0) | (r >= n_r))):
-        if bad.any():
-            triple = tuple(triples[bad.argmax()].tolist())
-            raise UnknownEntityError(f"query {what} outside table: {triple}")
     # The bounds pad float64 rounding error, so a narrower table is ranked as
     # its exact float64 widening. A float64 table is not copied.
     table = table.astype(np.float64)
@@ -75,8 +71,7 @@ def _filtered_ranks(
     anchor_ids = np.where(corrupt_head, t, h)
     true_ids = np.where(corrupt_head, h, t)
     keys = known_keys(triple_array(known), n_e, n_r)
-    # Query i's known candidates are the keys in [run_keys[i], run_keys[i] + n_e).
-    run_keys = triple_keys(anchor_ids, np.where(corrupt_head, r + n_r, r), 0, n_e)
+    _, run_lo, run_hi = candidate_runs(keys, triples, corrupt_head, n_e, n_r)
 
     ranks = np.empty(len(triples), dtype=np.float64)
     chunk = max(1, _RANK_BLOCK_FLOATS // n_e)
@@ -94,8 +89,8 @@ def _filtered_ranks(
         band = ~(higher | (hi_bound < own[:, None]))  # NaN bounds land in the band
 
         # Known candidates and the query itself do not compete.
-        first = np.searchsorted(keys, run_keys[part])
-        counts = np.searchsorted(keys, run_keys[part] + n_e) - first
+        first = run_lo[part]
+        counts = run_hi[part] - first
         excluded = (
             np.concatenate([rows, np.repeat(rows, counts)]),
             np.concatenate([truth, keys[_ranges(first, counts)] % n_e]),

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DataError, EmptyDatasetError, MalformedTripleError, UnknownEntityError
+from .errors import DataError, EmptyDatasetError, MalformedTripleError
 
 FORWARD = 0
 INVERSE = 1
@@ -27,10 +27,6 @@ Triple = tuple[int, int, int]
 class SignedRelation(NamedTuple):
     relation: int
     sign: int  # FORWARD or INVERSE
-
-    def flipped(self) -> "SignedRelation":
-        """Same relation traversed in the opposite direction."""
-        return SignedRelation(self.relation, FORWARD if self.sign == INVERSE else INVERSE)
 
 
 @dataclass(frozen=True)
@@ -61,13 +57,6 @@ class UnionGraph:
     rel: np.ndarray = field(compare=False, repr=False)
     sign: np.ndarray = field(compare=False, repr=False)
     nbr: np.ndarray = field(compare=False, repr=False)
-
-    @property
-    def signed_edge_count(self) -> int:
-        return 2 * len(self.triples)
-
-    def degree(self, e: int) -> int:
-        return int(self.indptr[e + 1] - self.indptr[e])
 
 
 def triple_array(triples: Iterable[Triple]) -> np.ndarray:
@@ -129,6 +118,19 @@ def known_keys(triples: np.ndarray, entity_count: int, relation_count: int) -> n
     return keys[np.diff(keys, prepend=-1) > 0]  # keys are >= 0; np.unique takes 10x as long
 
 
+def candidate_runs(known: np.ndarray, queries: np.ndarray, corrupt_head: np.ndarray,
+                   entity_count: int, relation_count: int) -> tuple[np.ndarray, ...]:
+    """(base, lo, hi): candidate e of query i has key base[i] + e, and the keys of its
+    known candidates are known[lo[i] : hi[i]], known being a known_keys index. Query
+    i replaces the head of queries[i] where corrupt_head[i], else its tail; a head
+    query is the tail query of relation r + relation_count, anchored at the tail."""
+    h, r, t = queries.T
+    base = triple_keys(np.where(corrupt_head, t, h), np.where(corrupt_head, r + relation_count, r),
+                       0, entity_count)
+    lo, hi = np.searchsorted(known, [base, base + entity_count])
+    return base, lo, hi
+
+
 def intern_graph(raw_triples: Iterable[RawTriple]) -> tuple[UnionGraph, LabelMaps]:
     """Intern string triples and build the union-graph adjacency index.
 
@@ -144,15 +146,6 @@ def intern_graph(raw_triples: Iterable[RawTriple]) -> tuple[UnionGraph, LabelMap
         raise EmptyDatasetError("no triples to intern")
     labels = _extend_vocab(rows)
     return _union_graph(_to_id_triples(rows, labels), labels), labels
-
-
-def signed_neighbors(graph: UnionGraph, e: int) -> tuple[tuple[SignedRelation, int], ...]:
-    """All signed out-edges of e in the union graph, sorted; empty if isolated."""
-    if not 0 <= e < graph.entity_count:
-        raise UnknownEntityError(f"entity id {e} outside [0, {graph.entity_count})")
-    edges = slice(graph.indptr[e], graph.indptr[e + 1])
-    columns = (graph.rel[edges].tolist(), graph.sign[edges].tolist(), graph.nbr[edges].tolist())
-    return tuple((SignedRelation(r, s), nb) for r, s, nb in zip(*columns))
 
 
 def read_tsv(

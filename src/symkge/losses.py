@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import BINARY_CROSS_ENTROPY, MARGIN_RANKING, TrainConfig
-from .errors import DegenerateVectorError, DimMismatchError, KMismatchError, UnknownEntityError
+from .errors import DataError, DegenerateVectorError, KMismatchError
 from .graph import _distinct, _ranges
 from .mining import PositiveDict, sample_positives
 from .model import SCORERS, EmbeddingTable, ScorerKind
@@ -85,24 +85,6 @@ def _alignment(a: np.ndarray, p: np.ndarray, counts: np.ndarray, w: np.ndarray |
     terms[np.arange(counts.max()) < counts[:, None]] = p_hat - cos * a_hat
     return ((diff * diff).sum(axis=-1), (-w / a_norm)[:, None] * terms.sum(axis=1),
             (-np.repeat(w, counts) / p_norms)[:, None] * (a_hat - cos * p_hat))
-
-
-def contrastive_loss(anchor_vec: np.ndarray, positive_vecs: np.ndarray | list) -> float:
-    """Mean squared distance between the normalized anchor and positives.
-
-    Empty positive sets contribute nothing and return 0. Positives are one
-    vector or a sequence of them, each as long as the anchor.
-    """
-    positives = np.atleast_2d(np.asarray(positive_vecs, dtype=np.float64))
-    anchor = np.asarray(anchor_vec, dtype=np.float64)
-    if positives.ndim > 2:
-        raise DimMismatchError(f"positives of shape {positives.shape}: want (m, d)")
-    if positives.size == 0:
-        return 0.0
-    if anchor.shape != positives.shape[1:]:
-        raise DimMismatchError(f"anchor of shape {anchor.shape} against positives of "
-                               f"dimension {positives.shape[1]}")
-    return float(_alignment(anchor[None, :], positives, np.array([len(positives)]), 1.0)[0].mean())
 
 
 # ---------------------------------------------------------------------------
@@ -262,19 +244,6 @@ def _contrastive_forward_backward(
     return value, (rows, compact)
 
 
-def combined_loss(
-    table: EmbeddingTable,
-    kind: ScorerKind,
-    batch: np.ndarray,
-    negatives: np.ndarray,
-    pos_dict: PositiveDict | None,
-    cfg: TrainConfig,
-    epoch: int = 0,
-) -> LossBreakdown:
-    """task + alpha * alignment over one batch, read off combined_gradients."""
-    return combined_gradients(table, kind, batch, negatives, pos_dict, cfg, epoch)[0]
-
-
 def combined_gradients(
     table: EmbeddingTable,
     kind: ScorerKind,
@@ -286,21 +255,19 @@ def combined_gradients(
 ) -> tuple[LossBreakdown, Gradients]:
     """task + alpha * alignment over one batch, deterministic given cfg.seed, and its
     analytic gradients, row-sparse over the touched rows. A triple with an id outside
-    the table is refused with UnknownEntityError."""
+    the table is refused with UnknownEntityError, a dictionary over more entities
+    than the table with DataError."""
     if pos_dict is not None and pos_dict.hop_bound != cfg.k:
         raise KMismatchError(
             f"dictionary mined with hop bound {pos_dict.hop_bound}, config wants {cfg.k}"
         )
+    if pos_dict is not None and pos_dict.entity_count > table.entity_count:
+        raise DataError(f"dictionary covers {pos_dict.entity_count} entities, "
+                        f"but the table has {table.entity_count}")
     batch = np.asarray(batch, dtype=np.int64)
     negatives = np.asarray(negatives, dtype=np.int64)
-    # As uint64 a negative id exceeds every bound, so one comparison checks both ends.
-    bounds = np.array([table.entity_count, table.relation_count, table.entity_count], np.uint64)
-    for triples in (batch, negatives.reshape(-1, 3)):
-        outside = triples.view(np.uint64) >= bounds
-        if outside.any():
-            bad = tuple(triples[outside.any(axis=1).argmax()].tolist())
-            raise UnknownEntityError(f"triple {bad} is outside the table's {table.entity_count} "
-                                     f"entities and {table.relation_count} relations")
+    table.check_triples(batch)
+    table.check_triples(negatives.reshape(-1, 3))
     # Both endpoints of every triple are anchor occurrences. With alpha == 0
     # the term is still reported but adds nothing to train on.
     contrastive, alignment = _contrastive_forward_backward(

@@ -99,10 +99,7 @@ class HopStats:
 @dataclass(frozen=True)
 class StructureStats:
     hop_bound: int
-    per_hop: tuple[HopStats, ...]
-
-    def hop(self, k: int) -> HopStats:
-        return self.per_hop[k - 1]
+    per_hop: tuple[HopStats, ...]  # hop k at index k - 1
 
 
 def _check_hop_bound(k_max: int) -> None:
@@ -212,7 +209,7 @@ def _unpacked(code: int, k: int, base: int) -> HalfSequence:
 @dataclass(frozen=True, eq=False)
 class Structures:
     """Mined structures: their count, and the inputs that mine them again on each
-    iteration, decoded one at a time in join order; == compares decoded structures."""
+    iteration, decoded one at a time in join order."""
 
     graph: UnionGraph
     k_max: int
@@ -228,9 +225,6 @@ class Structures:
             for found in _joined(nodes, seq, by_seq=True, max_degree=self.max_degree):
                 for anchor, pivot, target, code, _ in found.tolist():
                     yield SymmetricStructure(anchor, pivot, target, _unpacked(code, k, base), k)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, (Structures, list)) and list(self) == list(other)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,17 @@ class EmbeddingTable:
         return EmbeddingTable(self.entity_vecs.astype(dtype, copy=False),
                               self.relation_vecs.astype(dtype, copy=False))
 
+    def check_triples(self, triples: np.ndarray) -> None:
+        """Refuse, with UnknownEntityError, (n, 3) int64 (head, relation, tail)
+        triples that hold an id outside the table."""
+        # As uint64 a negative id exceeds every bound, so one comparison checks both ends.
+        bounds = np.array([self.entity_count, self.relation_count, self.entity_count], np.uint64)
+        outside = triples.view(np.uint64) >= bounds
+        if outside.any():
+            bad = tuple(triples[outside.any(axis=1).argmax()].tolist())
+            raise UnknownEntityError(f"triple {bad} is outside the table's {self.entity_count} "
+                                     f"entities and {self.relation_count} relations")
+
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.entity_vecs).all() and np.isfinite(self.relation_vecs).all())
 
@@ -177,17 +188,6 @@ class DistMult:
 # bound holds for any summation order, so ranking, which decides only clear
 # cases from the bounds and re-scores the rest with score(), stays exact.
 SCORERS = {ScorerKind.TRANSE: TransE, ScorerKind.DISTMULT: DistMult}
-
-
-def score(table: EmbeddingTable, kind: ScorerKind, triple: tuple[int, int, int]) -> float:
-    h, r, t = triple
-    if not (0 <= h < table.entity_count and 0 <= t < table.entity_count):
-        raise UnknownEntityError(f"entity id outside table: {triple}")
-    if not 0 <= r < table.relation_count:
-        raise UnknownEntityError(f"relation id outside table: {triple}")
-    return float(
-        SCORERS[kind].score(table.entity_vecs[h], table.relation_vecs[r], table.entity_vecs[t])
-    )
 
 
 # ---------------------------------------------------------------------------

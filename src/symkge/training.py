@@ -21,7 +21,7 @@ from .errors import DataError, NonFiniteLossError
 from .losses import Gradients, LossBreakdown, combined_gradients
 from .mining import PositiveDict
 from .model import EmbeddingTable, _float32_init
-from .graph import UnionGraph, known_keys, triple_array, triple_keys
+from .graph import UnionGraph, candidate_runs, known_keys, triple_array
 
 
 # Floats per array in a block of Adam's update, small enough to stay in cache.
@@ -94,15 +94,11 @@ def sample_negatives(
     candidates outside known, the graph.known_keys of the triples to avoid.
     shifted is known - arange(len(known)), built once with the keys.
 
-    A head is corrupted as the tail of the inverse relation, so a slot's known
-    candidates are one run of keys. A slot with no free candidate draws over
-    all entities."""
+    graph.candidate_runs finds each slot's known candidates as one run of
+    keys. A slot with no free candidate draws over all entities."""
     out = np.repeat(np.asarray(batch, dtype=np.int64), n_negatives, axis=0)
     corrupt_head = rng.integers(0, 2, len(out)) == 1
-    h, r, t = out.T
-    base = triple_keys(np.where(corrupt_head, t, h), np.where(corrupt_head, r + relation_count, r),
-                       0, entity_count)
-    lo, hi = np.searchsorted(known, [base, base + entity_count])
+    base, lo, hi = candidate_runs(known, out, corrupt_head, entity_count, relation_count)
     free = entity_count - (hi - lo)
     u = rng.integers(0, np.where(free > 0, free, entity_count))
     # The u-th free candidate is u plus the count of the run's keys at or

@@ -6,15 +6,55 @@ import itertools
 
 import numpy as np
 
-from symkge.errors import UnknownEntityError
+from symkge.errors import DimMismatchError, UnknownEntityError
 from symkge.evaluation import HEAD
-from symkge.graph import SignedRelation, UnionGraph, signed_neighbors
+from symkge.graph import FORWARD, INVERSE, SignedRelation, UnionGraph
 from symkge.config import BINARY_CROSS_ENTROPY, MARGIN_RANKING
 from symkge import losses
 from symkge.graph import _ranges
 from symkge.losses import Gradients, _checked_norms, _log_sigmoid, _ordered_sum, _sigmoid
 from symkge.mining import HalfSequence, _check_hop_bound, sample_positives
 from symkge.model import SCORERS, ScorerKind
+
+
+def signed_neighbors(graph: UnionGraph, e: int) -> tuple[tuple[SignedRelation, int], ...]:
+    """The signed out-edges of e, decoded from the graph's CSR slice, in stored order."""
+    edges = slice(graph.indptr[e], graph.indptr[e + 1])
+    columns = (graph.rel[edges].tolist(), graph.sign[edges].tolist(), graph.nbr[edges].tolist())
+    return tuple((SignedRelation(r, s), nb) for r, s, nb in zip(*columns))
+
+
+def flipped(sr: SignedRelation) -> SignedRelation:
+    """The same relation traversed in the opposite direction."""
+    return SignedRelation(sr.relation, FORWARD if sr.sign == INVERSE else INVERSE)
+
+
+def score(table, kind: ScorerKind, triple: tuple[int, int, int]) -> float:
+    """The scorer's score of one id triple."""
+    h, r, t = triple
+    return float(
+        SCORERS[kind].score(table.entity_vecs[h], table.relation_vecs[r], table.entity_vecs[t])
+    )
+
+
+def contrastive_loss(anchor_vec: np.ndarray, positive_vecs: np.ndarray | list) -> float:
+    """Mean squared distance between the normalized anchor and positives, through
+    the training step's alignment kernel.
+
+    Empty positive sets contribute nothing and return 0. Positives are one
+    vector or a sequence of them, each as long as the anchor.
+    """
+    positives = np.atleast_2d(np.asarray(positive_vecs, dtype=np.float64))
+    anchor = np.asarray(anchor_vec, dtype=np.float64)
+    if positives.ndim > 2:
+        raise DimMismatchError(f"positives of shape {positives.shape}: want (m, d)")
+    if positives.size == 0:
+        return 0.0
+    if anchor.shape != positives.shape[1:]:
+        raise DimMismatchError(f"anchor of shape {anchor.shape} against positives of "
+                               f"dimension {positives.shape[1]}")
+    counts = np.array([len(positives)])
+    return float(losses._alignment(anchor[None, :], positives, counts, 1.0)[0].mean())
 
 
 def _step_relations(graph: UnionGraph, u: int, v: int) -> list[SignedRelation]:
@@ -51,7 +91,7 @@ def brute_force_oracle(graph: UnionGraph, anchor: int, k_max: int) -> set[int]:
             step_sets = [_step_relations(graph, u, v) for u, v in zip(path, path[1:])]
             first_half = {tuple(c) for c in itertools.product(*step_sets[:k])}
             back_sets = [
-                [sr.flipped() for sr in step_sets[i]] for i in range(2 * k - 1, k - 1, -1)
+                [flipped(sr) for sr in step_sets[i]] for i in range(2 * k - 1, k - 1, -1)
             ]
             second_half = {tuple(c) for c in itertools.product(*back_sets)}
             if first_half & second_half:
@@ -80,7 +120,7 @@ def structure_stats_oracle(
                 continue
             step_sets = [_step_relations(graph, u, v) for u, v in zip(path, path[1:])]
             back_sets = [
-                [sr.flipped() for sr in step_sets[i]] for i in range(2 * k - 1, k - 1, -1)
+                [flipped(sr) for sr in step_sets[i]] for i in range(2 * k - 1, k - 1, -1)
             ]
             for s1 in itertools.product(*step_sets[:k]):
                 for s2 in itertools.product(*back_sets):

@@ -35,9 +35,9 @@ from symkge.evaluation import (
     students_t_test,
     train_probe,
 )
-from symkge.model import SCORERS, EmbeddingTable, ScorerKind, init_embeddings, score
+from symkge.model import SCORERS, EmbeddingTable, ScorerKind, init_embeddings
 
-from oracles import rank_one
+from oracles import rank_one, score
 
 
 def _table(entities, relations):

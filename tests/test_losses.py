@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 
 from symkge import losses
 from symkge.config import BINARY_CROSS_ENTROPY, MARGIN_RANKING, TrainConfig
-from symkge.errors import DegenerateVectorError, DimMismatchError, UnknownEntityError
+from symkge.errors import DataError, DegenerateVectorError, DimMismatchError, UnknownEntityError
 from symkge.losses import (
     _contrastive_forward_backward,
     _task_forward_backward,
     combined_gradients,
-    combined_loss,
-    contrastive_loss,
     task_loss,
 )
 from symkge.mining import sample_positives
@@ -27,6 +25,7 @@ from conftest import positive_dict
 from oracles import (
     contrastive_forward_backward_loop,
     contrastive_forward_backward_per_count,
+    contrastive_loss,
     contrastive_loss_cosine_form,
     dense_gradients,
     task_forward_backward_dense,
@@ -181,7 +180,7 @@ def _small_setup(seed=0, alpha=0.001, task=MARGIN_RANKING, kind=ScorerKind.TRANS
 
 def test_alpha_zero_total_is_task():
     table, cfg, batch, negatives, pos_dict = _small_setup(alpha=0.0)
-    breakdown = combined_loss(table, cfg.scorer, batch, negatives, pos_dict, cfg)
+    breakdown = combined_gradients(table, cfg.scorer, batch, negatives, pos_dict, cfg)[0]
     assert breakdown.total == breakdown.task
     assert breakdown.contrastive > 0.0
 
@@ -189,16 +188,16 @@ def test_alpha_zero_total_is_task():
 def test_empty_dict_contrastive_zero():
     table, cfg, batch, negatives, _ = _small_setup(alpha=0.5)
     empty = _dict_of([set()] * 10, k=2)
-    breakdown = combined_loss(table, cfg.scorer, batch, negatives, empty, cfg)
+    breakdown = combined_gradients(table, cfg.scorer, batch, negatives, empty, cfg)[0]
     assert breakdown.contrastive == 0.0
     assert breakdown.total == breakdown.task
-    no_dict = combined_loss(table, cfg.scorer, batch, negatives, None, cfg)
+    no_dict = combined_gradients(table, cfg.scorer, batch, negatives, None, cfg)[0]
     assert no_dict == breakdown
 
 
 def test_breakdown_additivity():
     table, cfg, batch, negatives, pos_dict = _small_setup(alpha=0.001)
-    b = combined_loss(table, cfg.scorer, batch, negatives, pos_dict, cfg)
+    b = combined_gradients(table, cfg.scorer, batch, negatives, pos_dict, cfg)[0]
     assert b.total == b.task + cfg.alpha * b.contrastive
     assert 0.0 <= b.contrastive <= 4.0
 
@@ -206,7 +205,7 @@ def test_breakdown_additivity():
 def test_combined_loss_matches_straight_line_recompute():
     """Independent elementwise reimplementation of the objective."""
     table, cfg, batch, negatives, pos_dict = _small_setup(alpha=0.001)
-    breakdown = combined_loss(table, cfg.scorer, batch, negatives, pos_dict, cfg, epoch=4)
+    breakdown = combined_gradients(table, cfg.scorer, batch, negatives, pos_dict, cfg, epoch=4)[0]
 
     def transe(h, r, t):
         d = table.entity_vecs[h] + table.relation_vecs[r] - table.entity_vecs[t]
@@ -247,9 +246,9 @@ def test_combined_loss_deterministic_per_epoch():
     targets = [{4}] * 10
     targets[4] = set(range(10)) - {4}
     pos_dict = _dict_of(targets, k=2)
-    a = combined_loss(table, cfg.scorer, batch, negatives, pos_dict, cfg, epoch=2)
-    b = combined_loss(table, cfg.scorer, batch, negatives, pos_dict, cfg, epoch=2)
-    c = combined_loss(table, cfg.scorer, batch, negatives, pos_dict, cfg, epoch=3)
+    a = combined_gradients(table, cfg.scorer, batch, negatives, pos_dict, cfg, epoch=2)[0]
+    b = combined_gradients(table, cfg.scorer, batch, negatives, pos_dict, cfg, epoch=2)[0]
+    c = combined_gradients(table, cfg.scorer, batch, negatives, pos_dict, cfg, epoch=3)[0]
     assert a == b
     assert a != c  # resampled positives move the contrastive term
 
@@ -440,6 +439,18 @@ def test_ids_outside_the_table_are_refused(where, column, outside):
         assert "\n" not in str(err.value)
 
 
+def test_dictionary_over_more_entities_than_the_table_is_refused():
+    """Anchor 0's target 8 is past a 5-entity table: it raised NumPy's IndexError."""
+    table = init_embeddings(5, 1, 4, seed=0)
+    pos_dict = _dict_of([{8}] + [set()] * 9, k=1)
+    cfg = TrainConfig(k=1, dim=4)
+    message = "dictionary covers 10 entities, but the table has 5"
+    with pytest.raises(DataError, match=message) as err:
+        combined_gradients(table, cfg.scorer, np.array([[0, 0, 1]]), np.array([[[0, 0, 2]]]),
+                           pos_dict, cfg)
+    assert "\n" not in str(err.value)
+
+
 @pytest.mark.parametrize("kind", list(ScorerKind))
 def test_gradients_without_alignment_equal_task_gradients(kind):
     table, cfg, batch, negatives, pos_dict = _small_setup(alpha=0.5, kind=kind)
@@ -457,12 +468,12 @@ def test_gradients_without_alignment_equal_task_gradients(kind):
 @pytest.mark.parametrize("kind", list(ScorerKind))
 @pytest.mark.parametrize("alpha", [None, 0.0, 0.37])
 def test_loss_views_equal_the_gradient_pass(kind, alpha):
-    """combined_loss and task_loss report the gradient pass's values, bit for bit."""
+    """A second pass and task_loss report the gradient pass's values, bit for bit."""
     table, cfg, batch, negatives, pos_dict = _small_setup(alpha=alpha or 0.0, kind=kind)
     if alpha is None:  # no dictionary
         pos_dict = None
     breakdown, _ = combined_gradients(table, kind, batch, negatives, pos_dict, cfg, 3)
-    assert combined_loss(table, kind, batch, negatives, pos_dict, cfg, 3) == breakdown
+    assert combined_gradients(table, kind, batch, negatives, pos_dict, cfg, 3)[0] == breakdown
     assert task_loss(table, kind, batch, negatives, cfg) == breakdown.task
 
 
@@ -492,7 +503,7 @@ def _finite_difference_check(table, cfg, batch, negatives, pos_dict, epoch=0,
     grad_entity, grad_relation = dense_gradients(grads, table)
 
     def loss_at(t):
-        return combined_loss(t, cfg.scorer, batch, negatives, pos_dict, cfg, epoch).total
+        return combined_gradients(t, cfg.scorer, batch, negatives, pos_dict, cfg, epoch)[0].total
 
     entities, relations = _touched_indices(batch, negatives, pos_dict, cfg, epoch)
     worst = 0.0

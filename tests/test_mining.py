@@ -28,7 +28,8 @@ from symkge.mining import (
 )
 
 from conftest import positive_dict, random_graph, symd_bytes
-from oracles import brute_force_oracle, relation_sequences, structure_stats_oracle
+from oracles import (brute_force_oracle, relation_sequences, signed_neighbors,
+                     structure_stats_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +96,7 @@ def test_mixed_direction_chain_is_not_symmetric(mixed_direction_fixture):
     graph, labels = mixed_direction_fixture
     pos, structures = mine_positive_dict(graph, 1)
     assert all(len(targets) == 0 for targets in pos.targets)
-    assert structures == []
+    assert list(structures) == []
 
 
 def test_toy_people_fixture(toy_people_fixture):
@@ -169,7 +170,7 @@ def test_parallel_relations_form_distinct_groups():
     r_id = labels.relation_ids["r"]
     assert {s.half_sequence for s in structures} == {(SignedRelation(r_id, FORWARD),)}
     # hand enumeration: ordered pairs (r,r)x2 symmetric, (r,s)+(s,r) mixed
-    hop = structure_stats(graph, 1).hop(1)
+    hop = structure_stats(graph, 1).per_hop[0]
     assert (hop.rs_count, hop.total_count, hop.proportion) == (2, 4, 0.5)
     assert brute_force_oracle(graph, ids["a"], 1) == {ids["b"]}
 
@@ -177,11 +178,11 @@ def test_parallel_relations_form_distinct_groups():
 def test_degree_cap_skips_hub_pivots(play_fixture):
     graph, labels = play_fixture
     ball = labels.entity_ids["Basketball"]
-    assert graph.degree(ball) == 2
+    assert len(signed_neighbors(graph, ball)) == 2
     capped, capped_structures = mine_positive_dict(graph, 1, max_degree=1)
     assert all(len(t) == 0 for t in capped.targets)
-    assert capped_structures == []
-    assert structure_stats(graph, 1, max_degree=1).hop(1).total_count == 0
+    assert list(capped_structures) == []
+    assert structure_stats(graph, 1, max_degree=1).per_hop[0].total_count == 0
     # cap off (or high enough) keeps the pair
     loose, _ = mine_positive_dict(graph, 1, max_degree=2)
     assert loose[labels.entity_ids["Bob"]] == {labels.entity_ids["Jones"]}
@@ -212,7 +213,8 @@ def test_degree_cap_prunes_walks_through_hubs():
     triples += [("b", "spoke", f"sb{i}") for i in range(4)]
     graph, labels = intern_graph(triples)
     ids = labels.entity_ids
-    assert graph.degree(ids["a"]) == 6 and graph.degree(ids["p"]) == 2
+    assert (len(signed_neighbors(graph, ids["a"])) == 6
+            and len(signed_neighbors(graph, ids["p"])) == 2)
 
     exact, _ = mine_positive_dict(graph, 2)
     assert ids["y"] in exact[ids["x"]]
@@ -271,7 +273,7 @@ def test_join_blocks_do_not_change_results(monkeypatch, pairs):
     # same dictionary, structure list and statistics.
     def outputs(graph, k, cap):
         pos, structures = mine_positive_dict(graph, k, max_degree=cap)
-        return pos, structures, structure_stats(graph, k, max_degree=cap)
+        return pos, list(structures), structure_stats(graph, k, max_degree=cap)
 
     graphs = [(random_graph(*spec[:4])[0], spec[4]) for spec in _battery_specs()]
     whole = [outputs(g, k, cap) for g, k in graphs for cap in (None, 2)]
@@ -288,14 +290,14 @@ def test_k1_stats_count_without_joining(monkeypatch, cap):
     for seed, n_e, n_t, n_r, k in _battery_specs():
         if k == 1:
             graph, _ = random_graph(seed, n_e, n_t, n_r)
-            hop = structure_stats(graph, 1, max_degree=cap).hop(1)
+            hop = structure_stats(graph, 1, max_degree=cap).per_hop[0]
             assert (hop.rs_count, hop.total_count) == structure_stats_oracle(graph, 1, cap)
 
 
 def test_k1_stats_do_not_depend_on_the_hop_bound():
     for seed, n_e, n_t, n_r, _ in _battery_specs():
         graph, _ = random_graph(seed, n_e, n_t, n_r)
-        assert structure_stats(graph, 2).hop(1) == structure_stats(graph, 1).hop(1)
+        assert structure_stats(graph, 2).per_hop[0] == structure_stats(graph, 1).per_hop[0]
 
 
 def test_k1_stats_of_a_star_with_parallel_relations():
@@ -305,7 +307,7 @@ def test_k1_stats_of_a_star_with_parallel_relations():
     triples = [(f"m{i}", "r", "hub") for i in range(2000)]
     triples += [(f"m{i}", "s", "hub") for i in range(10)]
     graph, _ = intern_graph(triples)
-    hop = structure_stats(graph, 1).hop(1)
+    hop = structure_stats(graph, 1).per_hop[0]
     assert (hop.rs_count, hop.total_count) == (3_998_090, 4_038_070)
 
 
@@ -326,14 +328,20 @@ def test_join_over_budget_is_refused(monkeypatch):
                      (40, lambda: structure_stats(battery, 2, 40))):
         with pytest.raises(DataError, match=f"over its budget of 3; lower --max-degree below {cap}$"):
             run()
-    assert structure_stats(battery, 1).hop(1).total_count > 3  # closed form: no join, no budget
+    assert structure_stats(battery, 1).per_hop[0].total_count > 3  # closed form: no join, no budget
+
+
+def _mined(graph, k_max):
+    """mine_positive_dict's dictionary and its structures, decoded."""
+    pos, structures = mine_positive_dict(graph, k_max)
+    return pos, list(structures)
 
 
 def test_sequence_codes_that_overflow_are_refused():
     # Sequences pack into int64 in base 2R, so (2R)^k must fit.
     graph, _ = random_graph(40, 10, 25, 3)
     wide = dataclasses.replace(graph, relation_count=2 * 10**6)
-    assert mine_positive_dict(wide, 2) == mine_positive_dict(graph, 2)
+    assert _mined(wide, 2) == _mined(graph, 2)
     for run in (mine_positive_dict, structure_stats):
         with pytest.raises(DataError, match="too many to pack") as refused:
             run(wide, 3)
@@ -415,7 +423,7 @@ def test_parallel_mining_matches_serial(monkeypatch):
     pos1, structs1 = mine_positive_dict(graph, 2, workers=1)
     pos2, structs2 = mine_positive_dict(graph, 2, workers=3)
     assert pos1 == pos2
-    assert structs1 == structs2
+    assert list(structs1) == list(structs2)
 
 
 def test_structures_record_walks(toy_people_fixture):
@@ -440,20 +448,20 @@ def test_structures_record_walks(toy_people_fixture):
 def test_stats_shared_pivot(play_fixture):
     graph, _ = play_fixture
     stats = structure_stats(graph, 1)
-    hop = stats.hop(1)
+    hop = stats.per_hop[0]
     assert (hop.rs_count, hop.total_count, hop.proportion) == (2, 2, 1.0)
 
 
 def test_stats_single_triple():
     graph, _ = intern_graph([("Bob", "play", "Basketball")])
-    hop = structure_stats(graph, 1).hop(1)
+    hop = structure_stats(graph, 1).per_hop[0]
     assert hop.total_count == 0
     assert hop.proportion is None
 
 
 def test_stats_chain():
     graph, _ = intern_graph([("a", "r", "b"), ("b", "s", "c")])
-    hop = structure_stats(graph, 1).hop(1)
+    hop = structure_stats(graph, 1).per_hop[0]
     assert (hop.rs_count, hop.total_count) == (0, 2)
     assert hop.proportion == 0.0
 
@@ -515,7 +523,7 @@ def test_stats_rs_count_matches_miner_structures():
     _, structures = mine_positive_dict(graph, 2)
     stats = structure_stats(graph, 2)
     for k in (1, 2):
-        assert stats.hop(k).rs_count == sum(1 for s in structures if s.k == k)
+        assert stats.per_hop[k - 1].rs_count == sum(1 for s in structures if s.k == k)
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +755,7 @@ def test_hop_bound_mismatch_surfaces_in_training(tmp_path):
     import numpy as np
 
     from symkge.config import TrainConfig
-    from symkge.losses import combined_loss
+    from symkge.losses import combined_gradients
     from symkge.model import ScorerKind, init_embeddings
 
     graph, _ = random_graph(34, 8, 15, 2)
@@ -762,4 +770,4 @@ def test_hop_bound_mismatch_surfaces_in_training(tmp_path):
     batch = np.asarray(graph.triples[:2], dtype=np.int64)
     negatives = np.zeros((2, 1, 3), dtype=np.int64)
     with pytest.raises(KMismatchError):
-        combined_loss(table, ScorerKind.TRANSE, batch, negatives, loaded, cfg)
+        combined_gradients(table, ScorerKind.TRANSE, batch, negatives, loaded, cfg)

@@ -14,8 +14,9 @@ from symkge.model import (
     init_embeddings,
     load_checkpoint,
     save_checkpoint,
-    score,
 )
+
+from oracles import score
 
 
 def test_init_range_dim4():

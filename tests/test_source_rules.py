@@ -14,7 +14,7 @@ step allocates names its dtype, so none silently widens the float32 state;
 negatives and ranking filter through one index of known triple keys;
 only graph.read_tsv splits lines on tabs, so every input file shares its rules;
 and only the one alignment kernel normalizes vectors, so the alignment formula
-has one copy for the public loss and the training step.
+has one copy for the training step and the tests' contrastive_loss view.
 """
 
 import ast
@@ -108,10 +108,10 @@ def _keys_triples(node) -> bool:
 
 
 def test_one_known_triple_index():
-    """Negatives and ranking read one key index, built by graph.known_keys."""
+    """Negatives and ranking read one key index, built by graph.known_keys, through
+    one candidate-run layout, graph.candidate_runs."""
     _assert_only_in(_keys_triples, {("graph.py", "known_keys"),
-                                    ("training.py", "sample_negatives"),
-                                    ("evaluation.py", "_filtered_ranks")})
+                                    ("graph.py", "candidate_runs")})
 
 
 def _splits_on_tab(node) -> bool:
@@ -251,6 +251,14 @@ def test_training_allocations_name_their_dtype():
     for name in ("losses.py", "training.py"):
         lines = _unnamed_dtypes((SRC / name).read_text(encoding="utf-8"))
         assert not lines, f"{name}:{lines}: name the dtype of the allocation"
+
+
+def test_every_export_resolves_once():
+    """A name left in __all__ after its definition moved out would fail only on
+    `from symkge import *`."""
+    assert len(symkge.__all__) == len(set(symkge.__all__))
+    missing = [name for name in symkge.__all__ if not hasattr(symkge, name)]
+    assert not missing, f"symkge.__all__ names what the package lacks: {missing}"
 
 
 def test_bench_span_targets_resolve():
