@@ -93,8 +93,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--train", default=None,
                    help="triple file to map entity labels to ids; omit if labels are integer ids")
     p.add_argument("--valid", default=None)
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--lr", type=float, default=0.5)
+    p.add_argument("--steps", type=int, default=ProbeConfig.steps)
+    p.add_argument("--lr", type=float, default=ProbeConfig.lr)
     _common_flags(p)
     p.set_defaults(func=cmd_probe)
 
@@ -109,9 +109,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--valid", default=None)
     p.add_argument("--test", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--runs", type=int, default=3)
-    p.add_argument("--ablation", choices=ABLATIONS, default="both")
-    p.add_argument("--base-seed", type=int, default=0)
+    p.add_argument("--runs", type=int, default=ExperimentSpec.runs)
+    p.add_argument("--ablation", choices=ABLATIONS, default=ExperimentSpec.ablation)
+    p.add_argument("--base-seed", type=int, default=ExperimentSpec.base_seed)
     p.add_argument("--out", default=None, help="also write the JSON report here")
     p.add_argument("--threads", type=int, default=1,
                    help="run training runs in this many processes (same report)")
@@ -314,8 +314,7 @@ def cmd_experiment(args) -> int:
         runs=args.runs,
         base_seed=args.base_seed,
     )
-    report = run_experiment(spec, workers=args.threads,
-                            progress=None if args.quiet else lambda m: _say(args, m))
+    report = run_experiment(spec, workers=args.threads, progress=lambda m: _say(args, m))
     encoded = report_to_json(report)
     if args.out:
         write_atomic(args.out, encoded.encode("utf-8"))
@@ -344,14 +343,10 @@ def _print_experiment_table(report) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    where = "symkge"
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"symkge: usage error: {exc}", file=sys.stderr)
-        return 1
-    where = f"symkge {args.command}"
-    try:
+        args = _build_parser().parse_args(argv)
+        where = f"symkge {args.command}"
         return args.func(args)
     except UsageError as exc:
         print(f"{where}: usage error: {exc}", file=sys.stderr)

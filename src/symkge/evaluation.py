@@ -188,7 +188,7 @@ class ProbeReport:
 def _entity_rows(table: EmbeddingTable, entity_ids) -> np.ndarray:
     """The entity ids' rows, refusing ids outside the table."""
     ids = np.asarray(entity_ids, dtype=np.int64)
-    outside = (ids < 0) | (ids >= table.entity_count)
+    outside = ids.view(np.uint64) >= table.entity_count
     if outside.any():
         raise UnknownEntityError(f"entity id {ids[outside][0]} outside [0, {table.entity_count})")
     return table.entity_vecs[ids]
@@ -278,8 +278,6 @@ def probe_report(
 
 @dataclass(frozen=True)
 class TTestReport:
-    sample_a: tuple[float, ...]
-    sample_b: tuple[float, ...]
     t_statistic: float
     p_value: float
     degrees_of_freedom: int
@@ -354,11 +352,11 @@ def students_t_test(a: Sequence[float], b: Sequence[float]) -> TTestReport:
 
     if pooled == 0.0:
         if mean_a == mean_b:
-            return TTestReport(sample_a, sample_b, 0.0, 1.0, df)
+            return TTestReport(0.0, 1.0, df)
         t = math.inf if mean_a > mean_b else -math.inf
-        return TTestReport(sample_a, sample_b, t, 0.0, df)
+        return TTestReport(t, 0.0, df)
 
     t = (mean_a - mean_b) / math.sqrt(pooled * (1.0 / na + 1.0 / nb))
     # P(|T_df| >= |t|) via the tail identity of the t distribution.
     p = regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
-    return TTestReport(sample_a, sample_b, t, min(1.0, max(0.0, p)), df)
+    return TTestReport(t, min(1.0, max(0.0, p)), df)

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 import multiprocessing
 import os
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .config import TrainConfig, config_as_dict
@@ -52,8 +52,8 @@ def _mean_metrics(entries: list[dict[str, object]]) -> dict[str, float]:
     return {k: sum(float(e[k]) for e in entries) / len(entries) for k in keys}
 
 
-# (dataset, spec, pos_dict, known) in the process that runs the tasks, set by
-# _set_run_inputs (a pool's initializer), so that a task carries only (arm, run_index).
+# (dataset, spec, pos_dict, known) in a pool worker, set once by the pool's
+# initializer _set_run_inputs, so that a task carries only (arm, run_index).
 _RUN_INPUTS: tuple[Dataset, ExperimentSpec, PositiveDict | None, tuple[Triple, ...]] | None = None
 
 
@@ -62,9 +62,9 @@ def _set_run_inputs(inputs) -> None:
     _RUN_INPUTS = inputs
 
 
-def _single_run(arm: str, run_index: int) -> dict[str, object]:
-    """One seeded run of an arm, on this process's _RUN_INPUTS."""
-    dataset, spec, pos_dict, known = _RUN_INPUTS
+def _single_run(arm: str, run_index: int, inputs=None) -> dict[str, object]:
+    """One seeded run of an arm, on the given inputs or else this worker's _RUN_INPUTS."""
+    dataset, spec, pos_dict, known = inputs or _RUN_INPUTS
     seed = spec.base_seed + run_index
     cfg = replace(spec.config, seed=seed)
     try:
@@ -79,16 +79,16 @@ def _single_run(arm: str, run_index: int) -> dict[str, object]:
 def run_experiment(
     spec: ExperimentSpec,
     workers: int = 1,
-    progress=None,
+    progress=lambda message: None,
 ) -> dict[str, object]:
     """Train and evaluate every arm of the spec; returns the JSON-able report.
 
     The report is fully deterministic for a fixed spec: run seeds are
     base_seed + run index, and no timing or host information is included.
-    With workers > 1 and more than one run, the runs of every arm execute in
-    one pool of up to workers processes; mining stays in this process.
-    Each run is fully isolated (own seed-derived rng streams), so the report
-    is identical whatever the worker count.
+    With workers > 1 and more than one run in all, every run executes in one
+    pool of up to workers processes; mining stays in this process. Each run is
+    isolated (own seed-derived rng streams), so the report is identical
+    whatever the worker count. A worker that dies raises a SymkgeError.
     """
     if workers < 1:
         raise BadValueError(f"workers must be >= 1, got {workers}")
@@ -100,35 +100,28 @@ def run_experiment(
     pos_dict = None
     if CONTRASTIVE_ARM in arm_names:
         pos_dict, _ = mine_positive_dict(dataset.graph, spec.config.k)
-        if progress is not None:
-            mined = len(pos_dict.indices)
-            progress(f"mined positive dictionary: {mined} directed pairs")
+        progress(f"mined positive dictionary: {len(pos_dict.indices)} directed pairs")
 
     known = dataset.train + dataset.valid + dataset.test
     inputs = (dataset, spec, pos_dict, known)
     tasks = [(arm, i) for arm in arm_names for i in range(spec.runs)]
-    run_pool = None
-    if workers > 1 and spec.runs > 1:
+    if workers > 1 and len(tasks) > 1:
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        run_pool = multiprocessing.get_context(method).Pool(
-            min(len(tasks), workers), initializer=_set_run_inputs, initargs=(inputs,)
-        )
+        with ProcessPoolExecutor(min(len(tasks), workers), multiprocessing.get_context(method),
+                                 initializer=_set_run_inputs, initargs=(inputs,)) as pool:
+            try:
+                entries = list(pool.map(_single_run, *zip(*tasks)))
+            except BrokenProcessPool:
+                raise SymkgeError("a run's worker process died, most likely killed for lack of "
+                                  "memory; retry with fewer --threads") from None
     else:
-        _set_run_inputs(inputs)
-    try:
-        entries = list((run_pool.starmap if run_pool else itertools.starmap)(_single_run, tasks))
-    finally:
-        if run_pool is not None:
-            run_pool.close()
-            run_pool.join()
-        _set_run_inputs(None)
+        entries = [_single_run(arm, i, inputs) for arm, i in tasks]
 
     arms: dict[str, object] = {}
     for k, arm in enumerate(arm_names):
         metrics = entries[k * spec.runs : (k + 1) * spec.runs]
-        if progress is not None:
-            for i, entry in enumerate(metrics):
-                progress(f"{arm} run {i + 1}/{spec.runs}: mrr={entry['mrr']:.4f}")
+        for i, entry in enumerate(metrics):
+            progress(f"{arm} run {i + 1}/{spec.runs}: mrr={entry['mrr']:.4f}")
         arms[arm] = {"metrics": metrics, "mean": _mean_metrics(metrics)}
 
     report: dict[str, object] = {

@@ -35,6 +35,9 @@ _JOIN_BLOCK_PAIRS = 1 << 16
 # Most candidate row pairs one join may test; it also caps the mine's keys at 2 GiB.
 _MAX_JOIN_PAIRS = 1 << 28
 
+# Most candidate rows one hop of _half_paths may expand: 512 MiB of row and edge ids.
+_MAX_HOP_ROWS = 1 << 25
+
 HalfSequence = tuple[SignedRelation, ...]
 
 
@@ -98,13 +101,17 @@ class HopStats:
 
 @dataclass(frozen=True)
 class StructureStats:
-    hop_bound: int
     per_hop: tuple[HopStats, ...]  # hop k at index k - 1
 
 
 def _check_hop_bound(k_max: int) -> None:
     if not 1 <= k_max <= MAX_HOP_BOUND:
         raise HopBoundExceededError(f"hop bound must be in 1..{MAX_HOP_BOUND}, got {k_max}")
+
+
+def _cap_advice(max_degree: int | None) -> str:
+    return ("cap hub pivots with --max-degree" if max_degree is None
+            else f"lower --max-degree below {max_degree}")
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +152,13 @@ def _half_paths(graph: UnionGraph, k_max: int, max_degree: int | None):
     seq = np.zeros(graph.entity_count, dtype=np.int64)
     for k in range(1, k_max + 1):
         last = nodes[:, -1]
-        row = np.repeat(np.arange(len(nodes)), degree[last])
-        edge = _ranges(graph.indptr[last], degree[last])
+        fan = degree[last]
+        n_rows = int(fan.sum())
+        if n_rows > _MAX_HOP_ROWS:
+            raise DataError(f"hop {k} would expand {n_rows} half-path rows, over its budget of "
+                            f"{_MAX_HOP_ROWS}; {_cap_advice(max_degree)}")
+        row = np.repeat(np.arange(len(nodes)), fan)
+        edge = _ranges(graph.indptr[last], fan)
         nb = graph.nbr[edge]
         keep = walkable[nb] & (nodes[row] != nb[:, None]).all(axis=1)
         row, edge = row[keep], edge[keep]
@@ -178,10 +190,8 @@ def _joined(nodes: np.ndarray, seq: np.ndarray, by_seq: bool, max_degree: int | 
     sizes = np.diff(bounds)
     candidates = int((sizes[sizes > 1] ** 2).sum())
     if candidates > _MAX_JOIN_PAIRS:
-        advice = ("cap hub pivots with --max-degree" if max_degree is None
-                  else f"lower --max-degree below {max_degree}")
         raise DataError(f"the join would test {candidates} candidate row pairs, over its budget "
-                        f"of {_MAX_JOIN_PAIRS}; {advice}")
+                        f"of {_MAX_JOIN_PAIRS}; {_cap_advice(max_degree)}")
     lo, size = bounds[group], sizes[group]
     first = np.flatnonzero(new_member)
 
@@ -297,7 +307,7 @@ def structure_stats(
                 rs += int(np.count_nonzero(found[:, 3] == found[:, 4]))
                 total += len(found)
         per_hop.append(HopStats(k=k, rs_count=rs, total_count=total))
-    return StructureStats(hop_bound=k_max, per_hop=tuple(per_hop))
+    return StructureStats(per_hop=tuple(per_hop))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +338,7 @@ def sample_positives(pos: PositiveDict, anchors, m: int, seed: int,
     anchors = np.asarray(anchors, dtype=np.int64).reshape(-1)
     if len(anchors) >= 1 << 23:
         raise ValueError(f"{len(anchors)} anchors are too many to sort in one draw")
-    outside = anchors[(anchors < 0) | (anchors >= pos.entity_count)]
+    outside = anchors[anchors.view(np.uint64) >= pos.entity_count]
     if outside.size:
         raise UnknownEntityError(f"anchor {outside[0]} is not in 0..{pos.entity_count - 1}")
     lo = pos.indptr[anchors]

@@ -1,6 +1,9 @@
 """Exercises every subcommand through main() plus the exit-code contract."""
 
 import json
+import multiprocessing
+import os
+import signal
 import subprocess
 import sys
 
@@ -9,6 +12,7 @@ import pytest
 
 from symkge import experiment, mining, training
 from symkge.cli import main
+from symkge.graph import load_dataset
 from symkge.mining import load_dict, save_dict
 from symkge.model import (
     EmbeddingTable,
@@ -455,6 +459,71 @@ def test_experiment_threads_below_one_exits_2(kg_files, capsys, monkeypatch, thr
     assert err.count("\n") == 1 and f"workers must be >= 1, got {threads}" in err
 
 
+def test_one_run_per_arm_runs_in_the_pool(kg_files, tmp_path, capsys, monkeypatch):
+    """--runs 1 --ablation both has two tasks, so --threads 2 pools them, same bytes."""
+    _, paths = kg_files
+    pools = []
+
+    class CountedPool(experiment.ProcessPoolExecutor):
+        def __init__(self, workers, *args, **kwargs):
+            pools.append(workers)
+            super().__init__(workers, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountedPool)
+    argv = ["experiment", "--train", str(paths["train"]), "--test", str(paths["test"]),
+            "--runs", "1", "--ablation", "both", "--dim", "4", "--epochs", "1",
+            "--batch-size", "64", "--negatives", "1", "--k", "1", "--quiet"]
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        assert main(argv + ["--threads", threads, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    capsys.readouterr()
+    assert pools == [2]
+    assert reports[0] == reports[1]
+
+
+# Runs `symkge experiment` with one run's worker killed as the OOM killer
+# would, then prints main's exit code and how many child processes are left.
+_DYING_WORKER_SCRIPT = """
+import json, multiprocessing, os, sys
+from symkge import experiment
+from symkge.cli import main
+
+run = experiment._single_run
+
+def dying_run(arm, run_index, inputs=None):
+    if run_index == 1 and multiprocessing.parent_process() is not None:
+        os._exit(137)
+    return run(arm, run_index, inputs)
+
+experiment._single_run = dying_run
+rc = main(sys.argv[1:])
+print(json.dumps({"rc": rc, "children": len(multiprocessing.active_children())}))
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the dying run is patched in before the workers fork")
+def test_dead_worker_ends_experiment_with_one_line(kg_files):
+    _, paths = kg_files
+    argv = ["experiment", "--train", str(paths["train"]), "--test", str(paths["test"]),
+            "--runs", "2", "--threads", "2", "--ablation", "baseline", "--dim", "4",
+            "--epochs", "1", "--batch-size", "64", "--negatives", "1", "--quiet"]
+    # A new session, so that a hung pool is killed whole rather than stalling the suite.
+    proc = subprocess.Popen([sys.executable, "-c", _DYING_WORKER_SCRIPT] + argv,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("experiment still ran 60 s after a worker died")
+    assert proc.returncode == 0 and json.loads(out) == {"rc": 2, "children": 0}
+    assert err.count("\n") == 1 and "worker process died" in err and "--threads" in err
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_experiment_refuses_seed_in_config(tmp_path, capsys, seed):
     """A config file's seed would be reported but not used, like --seed."""
@@ -530,6 +599,34 @@ def test_join_over_budget_exits_2(kg_files, tmp_path, capsys, monkeypatch, comma
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.rstrip().endswith("lower --max-degree below 300")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["mine", "stats"])
+def test_oversized_hop_refused_before_expanding(kg_files, tmp_path, capsys, monkeypatch,
+                                                command):
+    _, paths = kg_files
+    budget = len(load_dataset(paths["train"]).graph.nbr)  # hop 1 expands every signed edge
+    monkeypatch.setattr(mining, "_MAX_HOP_ROWS", budget)
+    expanded, repeat = [], np.repeat
+
+    def traced_repeat(*args, **kwargs):
+        rows = repeat(*args, **kwargs)
+        if sys._getframe(1).f_code is mining._half_paths.__code__:
+            expanded.append(rows.size)
+        return rows
+
+    monkeypatch.setattr(np, "repeat", traced_repeat)
+    out = tmp_path / "pos.symd"
+    argv = [command, "--train", str(paths["train"]), "--k", "2"]
+    argv += ["--out", str(out)] if command == "mine" else []
+    for cap, advice in ((None, "cap hub pivots with --max-degree"),
+                        ("300", "lower --max-degree below 300")):
+        assert main(argv + (["--max-degree", cap] if cap else [])) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "hop 2 would expand" in err
+        assert err.rstrip().endswith(f"half-path rows, over its budget of {budget}; {advice}")
+        assert not out.exists()
+    assert expanded == [budget, budget]  # hop 1 of each run; hop 2 never expands
 
 
 def test_train_refuses_ids_outside_the_table(kg_files, tmp_path, capsys, monkeypatch):
