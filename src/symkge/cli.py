@@ -25,7 +25,7 @@ from .errors import (
 )
 from .evaluation import ProbeConfig, evaluate_split, probe_report, students_t_test, train_probe
 from .experiment import ABLATIONS, ExperimentSpec, report_to_json, run_experiment
-from .graph import load_dataset, read_tsv
+from .graph import load_dataset, read_tsv, text_lines
 from .mining import MAX_HOP_BOUND, load_dict, mine_positive_dict, save_dict, structure_stats
 from .model import load_checkpoint, save_checkpoint
 from .training import train
@@ -145,6 +145,20 @@ def _config_from_args(args) -> TrainConfig:
 # ---------------------------------------------------------------------------
 
 
+def _emit(args, report: dict[str, object], lines: list[str], encode=None) -> int:
+    """Print a subcommand's result and return exit code 0.
+
+    Under --json, stdout gets one JSON document: encode(report) when given,
+    else the report on one line. Otherwise it gets the text lines.
+    """
+    if args.json:
+        sys.stdout.write(encode(report) if encode else json.dumps(report, sort_keys=True) + "\n")
+    else:
+        for line in lines:
+            print(line)
+    return 0
+
+
 def cmd_mine(args) -> int:
     graph = load_dataset(args.train).graph
     started = time.perf_counter()
@@ -152,20 +166,13 @@ def cmd_mine(args) -> int:
     elapsed = time.perf_counter() - started
     save_dict(pos, args.out)
     pairs = len(pos.indices)
-    if args.json:
-        print(json.dumps({
-            "entities": graph.entity_count,
-            "k": args.k,
-            "directed_pairs": pairs,
-            "structures": len(structures),
-            "seconds": round(elapsed, 3),
-            "out": args.out,
-        }, sort_keys=True))
-    else:
-        print(f"mined {len(structures)} structures, {pairs} directed pairs "
-              f"over {graph.entity_count} entities (k<={args.k}) in {elapsed:.2f}s")
-        print(f"wrote {args.out}")
-    return 0
+    report = {"entities": graph.entity_count, "k": args.k, "directed_pairs": pairs,
+              "structures": len(structures), "seconds": round(elapsed, 3), "out": args.out}
+    return _emit(args, report, [
+        f"mined {len(structures)} structures, {pairs} directed pairs "
+        f"over {graph.entity_count} entities (k<={args.k}) in {elapsed:.2f}s",
+        f"wrote {args.out}",
+    ])
 
 
 def cmd_stats(args) -> int:
@@ -173,22 +180,13 @@ def cmd_stats(args) -> int:
     started = time.perf_counter()
     stats = structure_stats(graph, args.k, max_degree=args.max_degree)
     elapsed = time.perf_counter() - started
-    if args.json:
-        print(json.dumps({
-            "per_hop": [
-                {"k": h.k, "rs_count": h.rs_count, "total_count": h.total_count,
-                 "proportion": h.proportion}
-                for h in stats.per_hop
-            ],
-            "seconds": round(elapsed, 3),
-        }, sort_keys=True))
-    else:
-        print(f"{'k':>3} {'symmetric':>12} {'total':>12} {'proportion':>10}")
-        for h in stats.per_hop:
-            prop = f"{h.proportion:.4f}" if h.proportion is not None else "-"
-            print(f"{h.k:>3} {h.rs_count:>12} {h.total_count:>12} {prop:>10}")
-        print(f"elapsed: {elapsed:.2f}s")
-    return 0
+    lines = [f"{'k':>3} {'symmetric':>12} {'total':>12} {'proportion':>10}"]
+    for h in stats.per_hop:
+        prop = f"{h.proportion:.4f}" if h.proportion is not None else "-"
+        lines.append(f"{h.k:>3} {h.rs_count:>12} {h.total_count:>12} {prop:>10}")
+    lines.append(f"elapsed: {elapsed:.2f}s")
+    per_hop = [{**dataclasses.asdict(h), "proportion": h.proportion} for h in stats.per_hop]
+    return _emit(args, {"per_hop": per_hop, "seconds": round(elapsed, 3)}, lines)
 
 
 def cmd_train(args) -> int:
@@ -197,14 +195,18 @@ def cmd_train(args) -> int:
     pos = load_dict(args.dict_path) if args.dict_path else None
 
     def log_fn(epoch, b):
-        if not args.quiet:
-            print(f"epoch {epoch} task {b.task:.6f} contrastive {b.contrastive:.6f} "
-                  f"total {b.total:.6f}")
+        print(f"epoch {epoch} task {b.task:.6f} contrastive {b.contrastive:.6f} "
+              f"total {b.total:.6f}")
 
-    result = train(dataset.graph, pos, cfg, log_fn=log_fn)
+    result = train(dataset.graph, pos, cfg, log_fn=None if args.quiet or args.json else log_fn)
     save_checkpoint(result.table, cfg.scorer, args.out)
     _say(args, f"wrote {args.out}")
-    return 0
+    epochs = [dataclasses.asdict(b) for b in result.epoch_log]
+    return _emit(args, {"epochs": epochs, "out": args.out}, [])
+
+
+# Text labels of RankingReport.metrics() keys.
+_METRIC_NAMES = {"mrr": "MRR", "hits1": "Hit@1", "hits3": "Hit@3", "hits10": "Hit@10"}
 
 
 def cmd_eval(args) -> int:
@@ -212,20 +214,9 @@ def cmd_eval(args) -> int:
     dataset = load_dataset(args.train, args.valid, args.test)
     known = dataset.train + dataset.valid + dataset.test
     report = evaluate_split(table, kind, dataset.test, known)
-    if args.json:
-        print(json.dumps({
-            "mrr": report.mrr,
-            "hits1": report.hits[1],
-            "hits3": report.hits[3],
-            "hits10": report.hits[10],
-            "n_queries": report.n_queries,
-        }, sort_keys=True))
-    else:
-        print(f"MRR    {report.mrr:.4f}")
-        print(f"Hit@1  {report.hits[1]:.4f}")
-        print(f"Hit@3  {report.hits[3]:.4f}")
-        print(f"Hit@10 {report.hits[10]:.4f}")
-    return 0
+    metrics = report.metrics()
+    return _emit(args, {**metrics, "n_queries": report.n_queries},
+                 [f"{_METRIC_NAMES[key]:<6} {value:.4f}" for key, value in metrics.items()])
 
 
 def _read_labeled(path, entity_ids) -> list[tuple[int, str]]:
@@ -263,42 +254,28 @@ def cmd_probe(args) -> int:
 
     weights = train_probe(table, train_labeled, ProbeConfig(lr=args.lr, steps=args.steps))
     report = probe_report(weights, table, test_labeled)
-    if args.json:
-        print(json.dumps({
-            "accuracy": report.accuracy,
-            "per_class": {
-                class_names[cls]: {"correct": c, "total": n}
-                for cls, (c, n) in report.per_class.items()
-            },
-        }, sort_keys=True))
-    else:
-        print(f"accuracy {report.accuracy:.4f}")
-        for cls, (correct, total) in report.per_class.items():
-            print(f"  class {class_names[cls]}: {correct}/{total}")
-    return 0
+    per_class = {class_names[cls]: {"correct": correct, "total": total}
+                 for cls, (correct, total) in report.per_class.items()}
+    lines = [f"accuracy {report.accuracy:.4f}"]
+    lines += [f"  class {name}: {c['correct']}/{c['total']}" for name, c in per_class.items()]
+    return _emit(args, {"accuracy": report.accuracy, "per_class": per_class}, lines)
 
 
 def _read_numbers(path) -> list[float]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        return [float(tok) for tok in text.replace(",", " ").split()]
+        return [float(tok) for _, line in text_lines(path, BadValueError)
+                for tok in line.replace(",", " ").split()]
     except ValueError as exc:
         raise BadValueError(f"{path}: {exc}") from None
 
 
 def cmd_ttest(args) -> int:
     report = students_t_test(_read_numbers(args.a), _read_numbers(args.b))
-    if args.json:
-        print(json.dumps({
-            "t": report.t_statistic,
-            "p": report.p_value,
-            "df": report.degrees_of_freedom,
-        }, sort_keys=True))
-    else:
-        print(f"t = {report.t_statistic:.6f}")
-        print(f"p = {report.p_value:.6g} (two-sided, df={report.degrees_of_freedom})")
-    return 0
+    return _emit(args, {"t": report.t_statistic, "p": report.p_value,
+                        "df": report.degrees_of_freedom}, [
+        f"t = {report.t_statistic:.6f}",
+        f"p = {report.p_value:.6g} (two-sided, df={report.degrees_of_freedom})",
+    ])
 
 
 def cmd_experiment(args) -> int:
@@ -315,31 +292,27 @@ def cmd_experiment(args) -> int:
         base_seed=args.base_seed,
     )
     report = run_experiment(spec, workers=args.threads, progress=lambda m: _say(args, m))
-    encoded = report_to_json(report)
     if args.out:
-        write_atomic(args.out, encoded.encode("utf-8"))
+        write_atomic(args.out, report_to_json(report).encode("utf-8"))
         _say(args, f"wrote {args.out}")
-    if args.json:
-        sys.stdout.write(encoded)
-    else:
-        _print_experiment_table(report)
-    return 0
+    return _emit(args, report, _experiment_lines(report), encode=report_to_json)
 
 
-def _print_experiment_table(report) -> None:
-    print(f"ablation={report['ablation']} runs={report['runs']} base_seed={report['base_seed']}")
+def _experiment_lines(report) -> list[str]:
+    def cells(metrics) -> str:
+        return " ".join(f"{metrics[key]:>8.4f}" for key in _METRIC_NAMES)
+
+    header = f"  {'run':>4} {'seed':>6} " + " ".join(f"{n:>8}" for n in _METRIC_NAMES.values())
+    lines = [f"ablation={report['ablation']} runs={report['runs']} base_seed={report['base_seed']}"]
     for arm_name, arm in report["arms"].items():
-        print(f"[{arm_name}]")
-        print(f"  {'run':>4} {'seed':>6} {'MRR':>8} {'Hit@1':>8} {'Hit@3':>8} {'Hit@10':>8}")
-        for i, entry in enumerate(arm["metrics"], start=1):
-            print(f"  {i:>4} {entry['seed']:>6} {entry['mrr']:>8.4f} "
-                  f"{entry['hits1']:>8.4f} {entry['hits3']:>8.4f} {entry['hits10']:>8.4f}")
-        mean = arm["mean"]
-        print(f"  mean        {mean['mrr']:>8.4f} {mean['hits1']:>8.4f} "
-              f"{mean['hits3']:>8.4f} {mean['hits10']:>8.4f}")
-    if report.get("ttest_mrr"):
+        lines += [f"[{arm_name}]", header]
+        lines += [f"  {i:>4} {entry['seed']:>6} " + cells(entry)
+                  for i, entry in enumerate(arm["metrics"], start=1)]
+        lines.append("  mean        " + cells(arm["mean"]))
+    if report["ttest_mrr"]:
         t = report["ttest_mrr"]
-        print(f"t-test on MRR: t={t['t']:.4f} p={t['p']:.6g}")
+        lines.append(f"t-test on MRR: t={t['t']:.4f} p={t['p']:.6g}")
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -9,6 +9,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .errors import BadValueError, UnknownKeyError
+from .graph import text_lines
 from .mining import MAX_HOP_BOUND
 from .model import ScorerKind
 
@@ -101,23 +102,22 @@ def read_config_file(path: str | os.PathLike[str] | None) -> dict[str, object]:
     """
     values: dict[str, object] = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                if "=" not in stripped:
-                    raise BadValueError(f"{path}:{lineno}: expected key=value")
-                key, _, raw = stripped.partition("=")
-                key = key.strip()
-                if key not in _KINDS:
-                    raise UnknownKeyError(f"{path}:{lineno}: unknown key {key!r}")
-                try:
-                    values[key] = _parse_value(_KINDS[key], raw.strip())
-                except ValueError:
-                    raise BadValueError(
-                        f"{path}:{lineno}: bad value {raw.strip()!r} for {key}"
-                    ) from None
+        for lineno, line in text_lines(path, BadValueError):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if "=" not in stripped:
+                raise BadValueError(f"{path}:{lineno}: expected key=value")
+            key, _, raw = stripped.partition("=")
+            key = key.strip()
+            if key not in _KINDS:
+                raise UnknownKeyError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                values[key] = _parse_value(_KINDS[key], raw.strip())
+            except ValueError:
+                raise BadValueError(
+                    f"{path}:{lineno}: bad value {raw.strip()!r} for {key}"
+                ) from None
     return values
 
 

@@ -31,6 +31,10 @@ class RankingReport:
     hits: dict[int, float]  # N in {1, 3, 10}
     n_queries: int
 
+    def metrics(self) -> dict[str, float]:
+        """MRR and Hits@{1,3,10} under the keys every report prints them with."""
+        return {"mrr": self.mrr, **{f"hits{n}": value for n, value in self.hits.items()}}
+
 
 # Floats per dense (queries x entities) array while ranking: bounds the
 # query chunk, so peak memory does not grow with the split.
@@ -129,11 +133,8 @@ def filtered_rank(
     if corrupt_side not in (HEAD, TAIL):
         raise ValueError(f"corrupt_side must be {HEAD!r} or {TAIL!r}")
     triples = np.asarray([query_triple], dtype=np.int64)
-    # Only known triples on the query's relation can filter it.
-    relation = query_triple[1]
-    same_relation = [known for known in known_triples if known[1] == relation]
     corrupt_head = np.array([corrupt_side == HEAD])
-    return float(_filtered_ranks(table, kind, triples, corrupt_head, same_relation)[0])
+    return float(_filtered_ranks(table, kind, triples, corrupt_head, known_triples)[0])
 
 
 def evaluate_split(

@@ -37,19 +37,8 @@ class ExperimentSpec:
             raise DataError(f"runs must be >= 1, got {self.runs}")
 
 
-def _metrics_entry(seed: int, report) -> dict[str, object]:
-    return {
-        "seed": seed,
-        "mrr": report.mrr,
-        "hits1": report.hits[1],
-        "hits3": report.hits[3],
-        "hits10": report.hits[10],
-    }
-
-
 def _mean_metrics(entries: list[dict[str, object]]) -> dict[str, float]:
-    keys = ("mrr", "hits1", "hits3", "hits10")
-    return {k: sum(float(e[k]) for e in entries) / len(entries) for k in keys}
+    return {k: sum(e[k] for e in entries) / len(entries) for k in entries[0] if k != "seed"}
 
 
 # (dataset, spec, pos_dict, known) in a pool worker, set once by the pool's
@@ -73,7 +62,7 @@ def _single_run(arm: str, run_index: int, inputs=None) -> dict[str, object]:
     except SymkgeError as exc:
         exc.args = (f"{arm} arm, run {run_index + 1}/{spec.runs} (seed {seed}): {exc}",)
         raise
-    return _metrics_entry(seed, report)
+    return {"seed": seed, **report.metrics()}
 
 
 def run_experiment(

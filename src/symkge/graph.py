@@ -148,6 +148,30 @@ def intern_graph(raw_triples: Iterable[RawTriple]) -> tuple[UnionGraph, LabelMap
     return _union_graph(_to_id_triples(rows, labels), labels), labels
 
 
+def text_lines(
+    path: str | os.PathLike[str], error: type[DataError]
+) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line of a UTF-8 text file, in any newline convention.
+
+    Bytes that are not UTF-8 raise error naming path:line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+            return
+        except UnicodeDecodeError:
+            pass
+    # The decoder fails a whole read chunk at once. Latin-1 decodes every byte
+    # and splits lines where UTF-8 does, so it finds the line.
+    with open(path, "r", encoding="latin-1") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("latin-1").decode("utf-8")
+            except UnicodeDecodeError:
+                raise error(f"{path}:{lineno}: not UTF-8 text") from None
+    raise error(f"{path}: not UTF-8 text")
+
+
 def read_tsv(
     path: str | os.PathLike[str], names: tuple[str, ...], error: type[DataError]
 ) -> Iterator[tuple[int, tuple[str, ...]]]:
@@ -157,17 +181,16 @@ def read_tsv(
     are skipped. Every other line holds one non-empty field per name, or
     error is raised naming path:line and the fields.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = tuple(line.split("\t"))
-            if len(fields) != len(names):
-                raise error(f"{path}:{lineno}: expected {' TAB '.join(names)}")
-            if not all(fields):
-                raise error(f"{path}:{lineno}: empty {', '.join(names[:-1])} or {names[-1]} field")
-            yield lineno, fields
+    for lineno, line in text_lines(path, error):
+        line = line.rstrip("\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = tuple(line.split("\t"))
+        if len(fields) != len(names):
+            raise error(f"{path}:{lineno}: expected {' TAB '.join(names)}")
+        if not all(fields):
+            raise error(f"{path}:{lineno}: empty {', '.join(names[:-1])} or {names[-1]} field")
+        yield lineno, fields
 
 
 def read_triple_file(path: str | os.PathLike[str]) -> list[RawTriple]:

@@ -689,3 +689,106 @@ def test_console_entry_point(kg_files):
     )
     assert proc.returncode == 0
     assert "proportion" in proc.stdout
+
+
+@pytest.fixture(scope="module")
+def subcommand_argv(kg_files):
+    """A run of each subcommand, by name, over the kg_files split and an untrained
+    checkpoint (init_embeddings, seed 0) that pins ranking without training."""
+    tmp, paths = kg_files
+    labels = load_dataset(paths["train"], paths["valid"], paths["test"]).labels
+    ckpt = tmp / "init.syme"
+    save_checkpoint(init_embeddings(len(labels.entity_labels), len(labels.relation_labels),
+                                    4, seed=0), ScorerKind.TRANSE, ckpt)
+    (tmp / "argv_labels.tsv").write_text("0\tA\n1\tA\n2\tB\n3\tB\n", encoding="utf-8")
+    (tmp / "argv_a.csv").write_text("0.469, 0.467, 0.468\n", encoding="utf-8")
+    (tmp / "argv_b.csv").write_text("0.471\n0.471\n0.472\n", encoding="utf-8")
+    train, valid, test = (str(paths[split]) for split in ("train", "valid", "test"))
+    tiny = ["--dim", "4", "--epochs", "2", "--batch-size", "64", "--negatives", "1"]
+    return {
+        "mine": ["mine", "--train", train, "--k", "1", "--out", str(tmp / "argv.symd")],
+        "stats": ["stats", "--train", train, "--k", "2"],
+        "train": ["train", "--train", train, "--out", str(tmp / "argv.syme"), *tiny],
+        "eval": ["eval", "--ckpt", str(ckpt), "--train", train, "--valid", valid,
+                 "--test", test],
+        "probe": ["probe", "--ckpt", str(ckpt), "--labels", str(tmp / "argv_labels.tsv")],
+        "ttest": ["ttest", "--a", str(tmp / "argv_a.csv"), "--b", str(tmp / "argv_b.csv")],
+        "experiment": ["experiment", "--train", train, "--test", test, "--runs", "1",
+                       "--ablation", "baseline", *tiny],
+    }
+
+
+@pytest.mark.parametrize("command", ["mine", "stats", "train", "eval", "probe", "ttest",
+                                     "experiment"])
+def test_json_stdout_is_one_document(subcommand_argv, capsys, command):
+    """--json prints exactly one JSON document: the experiment report indented, the
+    rest on one line. json.loads refuses a second document or any stray line."""
+    assert main(subcommand_argv[command] + ["--json"]) == 0
+    out = capsys.readouterr().out
+    document = json.loads(out)
+    if command == "experiment":
+        assert out == experiment.report_to_json(document)
+    else:
+        assert out.count("\n") == 1 and out.endswith("}\n")
+
+
+def test_train_json_reports_every_epoch(subcommand_argv, capsys):
+    """train --json prints its epochs instead of the epoch lines; text mode prints
+    those lines and nothing else, and --quiet prints neither."""
+    argv = subcommand_argv["train"]
+    out_path = argv[argv.index("--out") + 1]
+    outputs = {}
+    for mode in ("text", "json", "quiet"):
+        assert main(argv + ([] if mode == "text" else [f"--{mode}"])) == 0
+        outputs[mode] = capsys.readouterr()
+    payload = json.loads(outputs["json"].out)
+    assert payload["out"] == out_path
+    assert [sorted(e) for e in payload["epochs"]] == [["contrastive", "task", "total"]] * 2
+    assert outputs["text"].out == "".join(
+        f"epoch {i} task {e['task']:.6f} contrastive {e['contrastive']:.6f} "
+        f"total {e['total']:.6f}\n" for i, e in enumerate(payload["epochs"], start=1))
+    assert outputs["text"].err == outputs["json"].err == f"wrote {out_path}\n"
+    assert outputs["quiet"].out == outputs["quiet"].err == ""
+
+
+# Captured before the subcommands shared one printer.
+PINNED_TEXT = {
+    "eval": "MRR    0.1461\nHit@1  0.0000\nHit@3  0.1429\nHit@10 0.5000\n",
+    "ttest": "t = -5.000000\np = 0.00749043 (two-sided, df=4)\n",
+    "stats": ("  k    symmetric        total proportion\n"
+              "  1           92          484     0.1901\n"
+              "  2          166         7126     0.0233\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_TEXT))
+def test_text_stdout_is_pinned(subcommand_argv, capsys, command):
+    """The text reports, byte for byte; stats without its elapsed line."""
+    assert main(subcommand_argv[command]) == 0
+    out = capsys.readouterr().out
+    if command == "stats":
+        assert out.splitlines()[-1].startswith("elapsed: ")
+        out = out[: out.rindex("elapsed: ")]
+    assert out == PINNED_TEXT[command]
+
+
+@pytest.mark.parametrize("command, flag, line", [
+    ("stats", "--train", 2), ("probe", "--labels", 2), ("train", "--config", 2),
+    ("ttest", "--a", 2),
+])
+def test_non_utf8_input_exits_2_with_one_line(subcommand_argv, tmp_path, capsys, command,
+                                              flag, line):
+    """A byte that is not UTF-8 is a data error naming the file and its line."""
+    argv = list(subcommand_argv[command])
+    good = {"--train": "a\tr\tb\n", "--labels": "0\tA\n", "--config": "dim=4\n",
+            "--a": "1, 2\n"}[flag]
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(good.encode("utf-8") + b"\xff" + good.encode("utf-8"))
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(bad)
+    else:
+        argv += [flag, str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"symkge {command}: data error: {bad}:{line}: not UTF-8 text" in err

@@ -147,6 +147,18 @@ def test_read_triple_file_rejects_bad_rows(tmp_path):
             read_triple_file(path)
 
 
+def test_read_triple_file_names_the_line_that_is_not_utf8(tmp_path):
+    """The decoder fails a whole read chunk at once, so the reader finds the line
+    itself, numbering lines as text mode does whatever their newline."""
+    rows = [f"e{i}\tr\te{i + 1}".encode("utf-8") for i in range(5000)]
+    rows[4321] = b"e\xff\tr\te"
+    ends = [b"\n", b"\r\n", b"\r"]
+    path = tmp_path / "big.tsv"
+    path.write_bytes(b"".join(row + ends[i % 3] for i, row in enumerate(rows)))
+    with pytest.raises(MalformedTripleError, match=r"big\.tsv:4322: not UTF-8 text$"):
+        read_triple_file(path)
+
+
 def test_load_dataset_vocab_spans_all_splits(tmp_path):
     (tmp_path / "train.tsv").write_text("a\tr\tb\nb\tr\tc\n", encoding="utf-8")
     (tmp_path / "valid.tsv").write_text("a\tr\tc\n", encoding="utf-8")

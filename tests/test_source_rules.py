@@ -13,6 +13,8 @@ miner's view builds SymmetricStructure objects; every array the training
 step allocates names its dtype, so none silently widens the float32 state;
 negatives and ranking filter through one index of known triple keys;
 only graph.read_tsv splits lines on tabs, so every input file shares its rules;
+only cli._emit encodes a subcommand's JSON document, and experiment.report_to_json
+the experiment report it may print, so no subcommand grows its own output fork;
 and only the one alignment kernel normalizes vectors, so the alignment formula
 has one copy for the training step and the tests' contrastive_loss view.
 """
@@ -123,6 +125,18 @@ def test_one_tab_separated_reader():
     """Triple and label files share one line format, read by graph.read_tsv."""
     assert _splits_on_tab(ast.parse('line.split("\\t")').body[0].value)
     _assert_only_in(_splits_on_tab, {("graph.py", "read_tsv")})
+
+
+def _dumps_json(node) -> bool:
+    # An imported dumps would hide later calls from the name check, so it counts as a use.
+    return _called_name(node) == "dumps" or (isinstance(node, ast.alias) and node.name == "dumps")
+
+
+def test_one_printer_for_subcommand_results():
+    """Every subcommand prints its --json document and its text through cli._emit."""
+    assert _dumps_json(ast.parse("json.dumps(report, sort_keys=True)").body[0].value)
+    assert _dumps_json(ast.parse("from json import dumps").body[0].names[0])
+    _assert_only_in(_dumps_json, {("cli.py", "_emit"), ("experiment.py", "report_to_json")})
 
 
 def _checks_norms(node) -> bool:
