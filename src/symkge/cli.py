@@ -165,13 +165,13 @@ def cmd_mine(args) -> int:
     pos, structures = mine_positive_dict(graph, args.k, max_degree=args.max_degree)
     elapsed = time.perf_counter() - started
     save_dict(pos, args.out)
+    _say(args, f"wrote {args.out}")
     pairs = len(pos.indices)
     report = {"entities": graph.entity_count, "k": args.k, "directed_pairs": pairs,
               "structures": len(structures), "seconds": round(elapsed, 3), "out": args.out}
     return _emit(args, report, [
         f"mined {len(structures)} structures, {pairs} directed pairs "
         f"over {graph.entity_count} entities (k<={args.k}) in {elapsed:.2f}s",
-        f"wrote {args.out}",
     ])
 
 

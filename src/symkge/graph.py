@@ -153,9 +153,10 @@ def text_lines(
 ) -> Iterator[tuple[int, str]]:
     """(line number, line) of each line of a UTF-8 text file, in any newline convention.
 
-    Bytes that are not UTF-8 raise error naming path:line.
+    A leading byte-order mark is dropped. Bytes that are not UTF-8 raise error
+    naming path:line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             yield from enumerate(fh, start=1)
             return
@@ -166,7 +167,7 @@ def text_lines(
     with open(path, "r", encoding="latin-1") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                line.encode("latin-1").decode("utf-8")
+                line.encode("latin-1").decode("utf-8-sig")
             except UnicodeDecodeError:
                 raise error(f"{path}:{lineno}: not UTF-8 text") from None
     raise error(f"{path}: not UTF-8 text")

@@ -78,13 +78,18 @@ def _alignment(a: np.ndarray, p: np.ndarray, counts: np.ndarray, w: np.ndarray |
     p_norms = _checked_norms(p, "positive")
     a_hat = np.repeat(a / a_norm[:, None], counts, axis=0)
     p_hat = p / p_norms[:, None]
-    diff = a_hat - p_hat
-    cos = (p_hat * a_hat).sum(axis=-1)[:, None]
+    # One (rows, d) scratch holds each product in turn; p_hat ends as the positives' gradient.
+    scratch = np.multiply(p_hat, a_hat)
+    cos = scratch.sum(axis=-1)[:, None]
+    diff = np.subtract(a_hat, p_hat, out=scratch)
+    sq = np.multiply(diff, diff, out=diff).sum(axis=-1)
     # Axis 1 adds in order: the +0.0 padding at most turns -0.0 into +0.0, as _ordered_sum does.
     terms = np.zeros((len(a), counts.max(), a.shape[1]), a.dtype)
-    terms[np.arange(counts.max()) < counts[:, None]] = p_hat - cos * a_hat
-    return ((diff * diff).sum(axis=-1), (-w / a_norm)[:, None] * terms.sum(axis=1),
-            (-np.repeat(w, counts) / p_norms)[:, None] * (a_hat - cos * p_hat))
+    terms[np.arange(counts.max()) < counts[:, None]] = np.subtract(
+        p_hat, np.multiply(cos, a_hat, out=scratch), out=scratch)
+    grad_p = np.subtract(a_hat, np.multiply(cos, p_hat, out=p_hat), out=p_hat)
+    grad_p *= (-np.repeat(w, counts) / p_norms)[:, None]
+    return sq, (-w / a_norm)[:, None] * terms.sum(axis=1), grad_p
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +227,8 @@ def _contrastive_forward_backward(
     ids = np.empty(flat.size + len(uniq), np.int64)
     ids[start], ids[positive_rows] = uniq, flat
     n_occ, dim, vecs = occ.size, table.dim, table.entity_vecs
-    grad, sq = np.empty((ids.size, dim), vecs.dtype), np.empty(flat.size, vecs.dtype)
+    # float64 rows reach bincount uncast; the kernel's results widen into them exactly.
+    grad, sq = np.empty((ids.size, dim), np.float64), np.empty(flat.size, vecs.dtype)
     has = np.flatnonzero(counts)
     w = (2.0 / (n_occ * counts[has])).astype(vecs.dtype)  # rounded as a Python float w is
     step = max(1, _ALIGN_BLOCK_FLOATS // ((1 + counts.max()) * dim))
@@ -231,17 +237,35 @@ def _contrastive_forward_backward(
         span = slice(first[block[0]], first[block[-1]] + counts[block[-1]])
         sq[span], grad[start[block]], grad[positive_rows[span]] = _alignment(
             vecs[uniq[block]], vecs[flat[span]], counts[block], w[lo : lo + step])
+    # A sum's order depends on its count: the anchors sorted by count, one sum per count
+    # over their distances laid out in that order. Each divides as ndarray.mean does:
+    # a float64 quotient, rounded to sq's dtype.
+    by_count = has[np.argsort(counts[has], kind="stable")]
+    sorted_counts = counts[by_count]
+    values = sq[_ranges(first[by_count], sorted_counts)]
+    edges = np.flatnonzero(np.diff(sorted_counts, prepend=-1, append=-1)).tolist()
+    sums, v_lo = np.empty(len(by_count), sq.dtype), 0
+    for lo, hi in zip(edges, edges[1:]):
+        v_hi = v_lo + (hi - lo) * int(sorted_counts[lo])
+        np.add.reduce(values[v_lo:v_hi].reshape(hi - lo, -1), axis=1, out=sums[lo:hi])
+        v_lo = v_hi
     per_anchor = np.empty(len(uniq), np.float64)
-    # The mean's summation order depends on the count: one mean per count.
-    for m_a in np.flatnonzero(np.bincount(counts[has])).tolist():
-        group = np.flatnonzero(counts == m_a)
-        per_anchor[group] = sq[first[group][:, None] + np.arange(m_a)].mean(axis=1)
+    per_anchor[by_count] = (sums / sorted_counts).astype(sq.dtype)
     # cumsum adds left to right, as the loop over occurrences does.
     value = float(np.cumsum(per_anchor[occ])[-1]) / n_occ
     gather = _ranges(start[occ], 1 + counts[occ])
     rows, compact = _ordered_sum(ids[gather], grad[gather], table.entity_count)
+    compact = compact.astype(vecs.dtype, copy=False)
     compact *= cfg.alpha
     return value, (rows, compact)
+
+
+def check_hop_bound(pos_dict: PositiveDict, cfg: TrainConfig) -> None:
+    """Refuse a dictionary mined at a hop bound other than cfg.k with KMismatchError."""
+    if pos_dict.hop_bound != cfg.k:
+        raise KMismatchError(
+            f"dictionary mined with hop bound {pos_dict.hop_bound}, config wants {cfg.k}"
+        )
 
 
 def combined_gradients(
@@ -257,10 +281,8 @@ def combined_gradients(
     analytic gradients, row-sparse over the touched rows. A triple with an id outside
     the table is refused with UnknownEntityError, a dictionary over more entities
     than the table with DataError."""
-    if pos_dict is not None and pos_dict.hop_bound != cfg.k:
-        raise KMismatchError(
-            f"dictionary mined with hop bound {pos_dict.hop_bound}, config wants {cfg.k}"
-        )
+    if pos_dict is not None:
+        check_hop_bound(pos_dict, cfg)
     if pos_dict is not None and pos_dict.entity_count > table.entity_count:
         raise DataError(f"dictionary covers {pos_dict.entity_count} entities, "
                         f"but the table has {table.entity_count}")

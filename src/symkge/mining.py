@@ -38,6 +38,14 @@ _MAX_JOIN_PAIRS = 1 << 28
 # Most candidate rows one hop of _half_paths may expand: 512 MiB of row and edge ids.
 _MAX_HOP_ROWS = 1 << 25
 
+# draw_epoch draws anchors in blocks of at most this many targets (or one longer
+# row). Its hashing takes about 73 bytes a target: a 292 MiB tracemalloc peak
+# on a full FB15k-237-density dictionary of 11M targets.
+_DRAW_BLOCK_TARGETS = 1 << 22
+
+# sample_positives sorts by row << 40 | key, so a draw holds fewer than 2**23 anchors.
+_DRAW_BLOCK_ANCHORS = (1 << 23) - 1
+
 HalfSequence = tuple[SignedRelation, ...]
 
 
@@ -327,11 +335,11 @@ def sample_positives(pos: PositiveDict, anchors, m: int, seed: int,
     """Up to m distinct positives per anchor, drawn uniformly: (counts, flat).
 
     Anchor i's positives are the counts[i] ids of flat after those of the
-    anchors before it, ascending. A row with at most m targets is taken whole.
-    Otherwise each target gets a 40-bit key, a hash of the counter (anchor,
-    target) keyed by (seed, epoch) as in counter-based generators (Salmon et
-    al., SC'11), and the m smallest keys win, ties to the lower id: a uniform
-    m-subset that depends on (seed, epoch, anchor) alone, not on the batch.
+    anchors before it, ascending. A row with at most m targets is taken whole,
+    unhashed. Otherwise each target gets a 40-bit key, a hash of the counter
+    (anchor, target) keyed by (seed, epoch) as in counter-based generators
+    (Salmon et al., SC'11), and the m smallest keys win, ties to the lower id:
+    a uniform m-subset that depends on (seed, epoch, anchor) alone, not on the batch.
     """
     if m < 1:
         raise ValueError(f"sampling number must be >= 1, got {m}")
@@ -343,16 +351,53 @@ def sample_positives(pos: PositiveDict, anchors, m: int, seed: int,
         raise UnknownEntityError(f"anchor {outside[0]} is not in 0..{pos.entity_count - 1}")
     lo = pos.indptr[anchors]
     sizes = pos.indptr[anchors + 1] - lo
-    row = np.repeat(np.arange(len(anchors)), sizes)
     targets = pos.indices[_ranges(lo, sizes)]
+    long = np.flatnonzero(sizes > m)
+    if long.size == 0:
+        return sizes, targets
+    # Only the long rows' targets are hashed: at[j] is the j-th one's place in targets.
+    long_sizes = sizes[long]
+    at = _ranges((np.cumsum(sizes) - sizes)[long], long_sizes)
+    row = np.repeat(np.arange(len(long)), long_sizes)
     key = _mix(np.array([seed % (1 << 64), epoch % (1 << 64)], dtype=np.uint64))
-    counter = (anchors[row] * pos.entity_count + targets).astype(np.uint64)
+    counter = (anchors[long][row] * pos.entity_count + targets[at]).astype(np.uint64)
     keys = _mix(_mix(counter ^ key[0]) + key[1]) >> np.uint64(24)
     # Rows ascend already, so a stable sort by (row, key) runs fast.
     by_key = np.argsort(row << 40 | keys.astype(np.int64), kind="stable")
-    keep = np.empty(len(targets), dtype=bool)
-    keep[by_key] = np.arange(len(by_key)) - (np.cumsum(sizes) - sizes)[row[by_key]] < m
+    keep = np.ones(len(targets), dtype=bool)
+    keep[at[by_key]] = (np.arange(len(by_key))
+                        - (np.cumsum(long_sizes) - long_sizes)[row[by_key]] < m)
     return np.minimum(sizes, m), targets[keep]
+
+
+def _anchor_blocks(indptr: np.ndarray):
+    """(lo, hi) of consecutive anchor ranges that cover indptr's rows, each holding
+    at most _DRAW_BLOCK_TARGETS targets (or one longer row) and at most
+    _DRAW_BLOCK_ANCHORS anchors."""
+    lo, n = 0, len(indptr) - 1
+    while lo < n:
+        fits = int(np.searchsorted(indptr, indptr[lo] + _DRAW_BLOCK_TARGETS, "right")) - 1
+        hi = min(max(fits, lo + 1), lo + _DRAW_BLOCK_ANCHORS, n)
+        yield lo, hi
+        lo = hi
+
+
+def draw_epoch(pos: PositiveDict, m: int, seed: int, epoch: int) -> PositiveDict:
+    """Every anchor's sample_positives draw for one epoch, as a dictionary of the
+    same hop bound whose rows hold at most m ids.
+
+    A draw depends on (seed, epoch, anchor) alone, so sample_positives over this
+    dictionary returns, for any anchors, exactly what it returns over pos, and
+    takes every row whole. Anchors are drawn in blocks (see _anchor_blocks),
+    which bounds the draw's temporaries whatever the dictionary's size.
+    """
+    counts, flats = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for lo, hi in _anchor_blocks(pos.indptr):
+        block_counts, block_flat = sample_positives(pos, np.arange(lo, hi), m, seed, epoch)
+        counts.append(block_counts)
+        flats.append(block_flat)
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    return PositiveDict(indptr, np.concatenate(flats), pos.hop_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ import numpy as np
 
 from .config import TrainConfig
 from .errors import DataError, NonFiniteLossError
-from .losses import Gradients, LossBreakdown, combined_gradients
-from .mining import PositiveDict
+from .losses import Gradients, LossBreakdown, check_hop_bound, combined_gradients
+from .mining import PositiveDict, draw_epoch
 from .model import EmbeddingTable, _float32_init
 from .graph import UnionGraph, candidate_runs, known_keys, triple_array
 
@@ -125,14 +125,16 @@ def train(
     """Run the full training loop; returns the table and per-epoch losses.
 
     pos_dict=None trains the plain task objective (the contrastive term is 0).
-    A dictionary mined at a hop bound other than cfg.k fails the first batch,
-    before any update, with KMismatchError.
+    A dictionary mined at a hop bound other than cfg.k is refused with
+    KMismatchError before the first draw and any update. Each epoch draws every
+    anchor's positives once (mining.draw_epoch), and its batches read that draw.
     log_fn, when given, receives (epoch, LossBreakdown) after each epoch.
     """
     train_triples = triple_array(graph.triples)
     known = known_keys(train_triples, graph.entity_count, graph.relation_count)
     shifted = known - np.arange(len(known))
     if pos_dict is not None:
+        check_hop_bound(pos_dict, cfg)
         # Every train entity needs a (possibly empty) row; padding past the
         # train split is fine, past the graph is not.
         highest = int(train_triples[:, ::2].max(initial=-1))
@@ -150,6 +152,7 @@ def train(
         shuffle_rng = np.random.default_rng(_stream_seed(cfg.seed, epoch, 0xA))
         neg_rng = np.random.default_rng(_stream_seed(cfg.seed, epoch, 0xB))
         order = shuffle_rng.permutation(len(train_triples))
+        drawn = None if pos_dict is None else draw_epoch(pos_dict, cfg.m, cfg.seed, epoch)
 
         task_sum = 0.0
         contr_sum = 0.0
@@ -159,7 +162,7 @@ def train(
             negatives = sample_negatives(neg_rng, batch, cfg.n_negatives, graph.entity_count,
                                          graph.relation_count, known, shifted)
             breakdown, grads = combined_gradients(
-                table, cfg.scorer, batch, negatives, pos_dict, cfg, epoch
+                table, cfg.scorer, batch, negatives, drawn, cfg, epoch
             )
             if not np.isfinite(breakdown.total):
                 raise NonFiniteLossError(

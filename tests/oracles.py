@@ -13,7 +13,7 @@ from symkge.config import BINARY_CROSS_ENTROPY, MARGIN_RANKING
 from symkge import losses
 from symkge.graph import _ranges
 from symkge.losses import Gradients, _checked_norms, _log_sigmoid, _ordered_sum, _sigmoid
-from symkge.mining import HalfSequence, _check_hop_bound, sample_positives
+from symkge.mining import HalfSequence, _check_hop_bound, _mix, sample_positives
 from symkge.model import SCORERS, ScorerKind
 
 
@@ -157,6 +157,21 @@ def contrastive_loss_cosine_form(anchor_vec: np.ndarray, positive_vecs: np.ndarr
     p_norms = _checked_norms(positives, "positive")
     cosines = (positives * anchor).sum(axis=1) / (p_norms * a_norm)
     return float(2.0 - 2.0 * cosines.mean())
+
+
+def sample_positives_one_by_one(pos, anchors, m, seed, epoch):
+    """sample_positives one anchor at a time, hashing every row, short ones too:
+    each target's 40-bit key, and the m smallest (key, target) pairs, ascending."""
+    key = _mix(np.array([seed % (1 << 64), epoch % (1 << 64)], dtype=np.uint64))
+    counts, flat = [], []
+    for anchor in np.asarray(anchors, dtype=np.int64).tolist():
+        row = pos.indices[pos.indptr[anchor] : pos.indptr[anchor + 1]]
+        counter = (anchor * pos.entity_count + row).astype(np.uint64)
+        keys = (_mix(_mix(counter ^ key[0]) + key[1]) >> np.uint64(24)).tolist()
+        chosen = sorted(t for _, t in sorted(zip(keys, row.tolist()))[:m])
+        counts.append(len(chosen))
+        flat += chosen
+    return np.array(counts, dtype=np.int64), np.array(flat, dtype=np.int64)
 
 
 def contrastive_forward_backward_loop(table, anchors, pos_dict, cfg, epoch, grad_entity):

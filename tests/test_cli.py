@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -40,7 +41,7 @@ def test_mine_writes_dict(kg_files, capsys):
     pos = load_dict(out)
     assert pos.hop_bound == 1
     assert any(pos.targets)
-    assert "wrote" in capsys.readouterr().out
+    assert "wrote" in capsys.readouterr().err
 
 
 def test_mine_out_in_missing_directory(kg_files, tmp_path, capsys):
@@ -749,6 +750,26 @@ def test_train_json_reports_every_epoch(subcommand_argv, capsys):
         f"total {e['total']:.6f}\n" for i, e in enumerate(payload["epochs"], start=1))
     assert outputs["text"].err == outputs["json"].err == f"wrote {out_path}\n"
     assert outputs["quiet"].out == outputs["quiet"].err == ""
+
+
+def test_mine_reports_on_stdout_and_progress_on_stderr(subcommand_argv, capsys):
+    """mine's result goes to stdout, and its wrote line to stderr, as train's does:
+    --quiet drops that line, and --json keeps it off the JSON document."""
+    argv = subcommand_argv["mine"]
+    out_path = argv[argv.index("--out") + 1]
+    outputs = {}
+    for mode in ("text", "json", "quiet"):
+        assert main(argv + ([] if mode == "text" else [f"--{mode}"])) == 0
+        outputs[mode] = capsys.readouterr()
+    result = r"mined 92 structures, 90 directed pairs over 24 entities \(k<=1\) in \d+\.\d\ds\n"
+    assert re.fullmatch(result, outputs["text"].out)
+    assert re.fullmatch(result, outputs["quiet"].out)
+    payload = json.loads(outputs["json"].out)
+    assert {key: payload[key] for key in ("entities", "k", "directed_pairs", "structures",
+                                          "out")} == {
+        "entities": 24, "k": 1, "directed_pairs": 90, "structures": 92, "out": out_path}
+    assert outputs["text"].err == outputs["json"].err == f"wrote {out_path}\n"
+    assert outputs["quiet"].err == ""
 
 
 # Captured before the subcommands shared one printer.

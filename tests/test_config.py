@@ -60,6 +60,13 @@ def test_none_overrides_are_ignored(tmp_path):
     assert cfg.alpha == 0.01
 
 
+def test_byte_order_mark_is_not_part_of_the_first_key(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfdim = 7\nepochs = 3\n")
+    cfg = parse_config(path, {})
+    assert (cfg.dim, cfg.epochs) == (7, 3)
+
+
 def test_unknown_key_has_line_number(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("alpha=0.01\nbogus=3\n", encoding="utf-8")

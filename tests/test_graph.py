@@ -159,6 +159,15 @@ def test_read_triple_file_names_the_line_that_is_not_utf8(tmp_path):
         read_triple_file(path)
 
 
+def test_byte_order_mark_is_not_part_of_the_first_label(tmp_path):
+    """A train file saved with a BOM and a test file without one name the same Bob."""
+    (tmp_path / "train.tsv").write_bytes(b"\xef\xbb\xbfBob\tknows\tBall\nBall\tknows\tJones\n")
+    (tmp_path / "test.tsv").write_text("Bob\tknows\tJones\n", encoding="utf-8")
+    ds = load_dataset(tmp_path / "train.tsv", None, tmp_path / "test.tsv")
+    assert ds.labels.entity_labels == ("Bob", "Ball", "Jones")
+    assert ds.test == ((0, 0, 2),)
+
+
 def test_load_dataset_vocab_spans_all_splits(tmp_path):
     (tmp_path / "train.tsv").write_text("a\tr\tb\nb\tr\tc\n", encoding="utf-8")
     (tmp_path / "valid.tsv").write_text("a\tr\tc\n", encoding="utf-8")

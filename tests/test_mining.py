@@ -20,6 +20,7 @@ from symkge.errors import (
 )
 from symkge.graph import FORWARD, INVERSE, SignedRelation, intern_graph, load_dataset
 from symkge.mining import (
+    draw_epoch,
     load_dict,
     mine_positive_dict,
     sample_positives,
@@ -28,8 +29,8 @@ from symkge.mining import (
 )
 
 from conftest import positive_dict, random_graph, symd_bytes
-from oracles import (brute_force_oracle, relation_sequences, signed_neighbors,
-                     structure_stats_oracle)
+from oracles import (brute_force_oracle, relation_sequences, sample_positives_one_by_one,
+                     signed_neighbors, structure_stats_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +652,65 @@ def test_sample_from_an_empty_dictionary():
     assert counts.size == flat.size == 0
     with pytest.raises(UnknownEntityError):
         sample_positives(pos, [0], 3, seed=0)
+
+
+def test_sample_takes_rows_of_at_most_m_whole_unhashed(monkeypatch):
+    def unreachable(z):
+        raise AssertionError("hashed a row of at most m targets")
+
+    monkeypatch.setattr(mining, "_mix", unreachable)
+    rows = [{1, 2, 3}, {0}, {0, 3}, {0, 2}, set()]
+    pos = _dict_of(rows)
+    counts, flat = sample_positives(pos, [4, 0, 2, 0, 1], 3, seed=7, epoch=1)
+    assert counts.tolist() == [0, 3, 2, 3, 1]
+    assert flat.tolist() == [1, 2, 3, 0, 3, 1, 2, 3, 0]
+
+
+def _mixed_rows(n, m, padding, seed):
+    """Rows over n entities of every length 0..2m + 1, so shorter than, equal to and
+    longer than m, then padding empty rows, as a dictionary padded past the train
+    split has."""
+    rng = np.random.default_rng(seed)
+    rows = [set(rng.choice(np.delete(np.arange(n), a), a % (2 * m + 2), replace=False).tolist())
+            for a in range(n)]
+    return _dict_of(rows + [set()] * padding, k=2)
+
+
+@pytest.mark.parametrize("block_targets, block_anchors", [
+    (mining._DRAW_BLOCK_TARGETS, mining._DRAW_BLOCK_ANCHORS), (9, 1 << 20), (1 << 20, 3)])
+@pytest.mark.parametrize("m", [2, 4])
+def test_epoch_draw_equals_the_per_batch_draw(monkeypatch, block_targets, block_anchors, m):
+    """The epoch's dictionary gives every anchor subset exactly the draw the mined
+    dictionary gives it, with the blocks bounded small so that the rows split
+    across many of them."""
+    monkeypatch.setattr(mining, "_DRAW_BLOCK_TARGETS", block_targets)
+    monkeypatch.setattr(mining, "_DRAW_BLOCK_ANCHORS", block_anchors)
+    pos = _mixed_rows(30, m, padding=4, seed=m)
+    rng = np.random.default_rng(block_anchors)
+    for seed in (0, 5):
+        for epoch in (1, 2, 3):
+            drawn = draw_epoch(pos, m, seed, epoch)
+            assert drawn.hop_bound == 2 and drawn.entity_count == pos.entity_count
+            assert np.diff(drawn.indptr).max() <= m
+            everyone = np.arange(pos.entity_count)
+            whole = sample_positives(pos, everyone, m, seed, epoch)
+            oracle = sample_positives_one_by_one(pos, everyone, m, seed, epoch)
+            assert all(np.array_equal(a, b) for a, b in zip(whole, oracle))
+            for size in (0, 1, 7, 40):
+                anchors = rng.integers(0, pos.entity_count, size)  # repeats included
+                want = sample_positives(pos, anchors, m, seed, epoch)
+                got = sample_positives(drawn, anchors, m, seed, epoch)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_epoch_draw_blocks_cover_every_anchor_within_the_bounds(monkeypatch):
+    monkeypatch.setattr(mining, "_DRAW_BLOCK_TARGETS", 5)
+    monkeypatch.setattr(mining, "_DRAW_BLOCK_ANCHORS", 3)
+    pos = _dict_of([{1}, {0, 2, 3, 4, 5, 6, 7}, {1}, {1}, {1}, {1}, {1}, {1}, set(), set()])
+    blocks = list(mining._anchor_blocks(pos.indptr))
+    assert blocks == [(0, 1), (1, 2), (2, 5), (5, 8), (8, 10)]
+    assert list(mining._anchor_blocks(_dict_of([]).indptr)) == []
+    assert draw_epoch(_dict_of([]), 3, 0, 1) == _dict_of([])
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ negatives and ranking filter through one index of known triple keys;
 only graph.read_tsv splits lines on tabs, so every input file shares its rules;
 only cli._emit encodes a subcommand's JSON document, and experiment.report_to_json
 the experiment report it may print, so no subcommand grows its own output fork;
-and only the one alignment kernel normalizes vectors, so the alignment formula
-has one copy for the training step and the tests' contrastive_loss view.
+only the one alignment kernel normalizes vectors, so the alignment formula
+has one copy for the training step and the tests' contrastive_loss view;
+and train() draws positives once per epoch, outside its batch loop.
 """
 
 import ast
@@ -185,6 +186,35 @@ def test_training_step_groups_ids_without_sorting():
     assert unique_calls("np.unique(ids, return_inverse=True)") == [1]  # the detector works
     lines = unique_calls((SRC / "losses.py").read_text(encoding="utf-8"))
     assert not lines, f"losses.py:{lines}: np.unique sorts; group ids with graph._distinct"
+
+
+def _draw_loops(source: str) -> list[list[str]]:
+    """For each draw_epoch call in train(), the targets of the for loops around it,
+    outermost first."""
+    found = []
+
+    def visit(node, loops):
+        if isinstance(node, ast.For):
+            loops = loops + [ast.unparse(node.target)]
+        if _called_name(node) == "draw_epoch":
+            found.append(loops)
+        for child in ast.iter_child_nodes(node):
+            visit(child, loops)
+
+    tree = ast.parse(source)
+    visit(next(node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "train"), [])
+    return found
+
+
+def test_positives_drawn_once_per_epoch_not_per_batch():
+    """At FB15k-237 density a per-batch draw hashed every target of every batch
+    anchor's row, 210-263 ms a batch; train() draws each epoch's rows once."""
+    per_batch = ("def train():\n for epoch in epochs:\n  for batch_index, lo in batches:\n"
+                 "   drawn = draw_epoch(pos, m, seed, epoch)\n")
+    assert _draw_loops(per_batch) == [["epoch", "(batch_index, lo)"]]  # the detector works
+    source = (SRC / "training.py").read_text(encoding="utf-8")
+    assert _draw_loops(source) == [["epoch"]], "draw positives once per epoch, before its batches"
 
 
 def _random_imports(source: str) -> list[int]:

@@ -12,7 +12,7 @@ from symkge.evaluation import evaluate_split
 from symkge.graph import intern_graph, known_keys, triple_array, triple_keys
 from symkge.mining import mine_positive_dict
 from symkge.model import ScorerKind, init_embeddings, load_checkpoint, save_checkpoint
-from symkge import training
+from symkge import mining, training
 from symkge.training import Adam, sample_negatives, train
 
 from conftest import planted_kg_triples, random_graph
@@ -81,11 +81,55 @@ def test_non_finite_loss_aborts_with_location():
     assert exc_info.value.batch_index is not None
 
 
-def test_hop_bound_mismatch_rejected_before_training():
+def test_hop_bound_mismatch_rejected_before_training(monkeypatch):
     graph, _ = random_graph(11, 10, 20, 2)
     pos, _ = mine_positive_dict(graph, 1)
+
+    def unreachable(*args):
+        raise AssertionError("drew positives or stepped before checking the hop bound")
+
+    monkeypatch.setattr(training, "draw_epoch", unreachable)
+    monkeypatch.setattr(training.Adam, "step", unreachable)
     with pytest.raises(KMismatchError):
         train(graph, pos, _toy_cfg(k=2, epochs=1))
+
+
+def test_positives_are_hashed_once_per_block_per_epoch(monkeypatch):
+    """train() draws the epoch's positives block by block before its batches, so
+    no batch hashes a target: each batch only reads rows of at most m ids."""
+    graph, _ = random_graph(12, 16, 70, 2)
+    pos, _ = mine_positive_dict(graph, 1)
+    cfg = _toy_cfg(m=2, epochs=3, batch_size=8)
+    monkeypatch.setattr(mining, "_DRAW_BLOCK_TARGETS", 12)
+    blocks = list(mining._anchor_blocks(pos.indptr))
+    sizes = np.diff(pos.indptr)
+    hashed_blocks = sum(int(sizes[lo:hi].max() > cfg.m) for lo, hi in blocks)
+    assert len(blocks) > 2 and hashed_blocks > 2
+
+    mixes = [0]
+    mix = mining._mix
+
+    def counted(z):
+        mixes[0] += 1
+        return mix(z)
+
+    monkeypatch.setattr(mining, "_mix", counted)
+    mining.sample_positives(pos, [int(sizes.argmax())], cfg.m, cfg.seed)
+    per_draw, mixes[0] = mixes[0], 0
+    batches = [0]
+    step = training.combined_gradients
+
+    def batch_without_hashing(*args):
+        before = mixes[0]
+        out = step(*args)
+        assert mixes[0] == before, "a batch hashed its positives"
+        batches[0] += 1
+        return out
+
+    monkeypatch.setattr(training, "combined_gradients", batch_without_hashing)
+    train(graph, pos, cfg)
+    assert batches[0] == cfg.epochs * -(-len(graph.triples) // cfg.batch_size)
+    assert mixes[0] == cfg.epochs * hashed_blocks * per_draw
 
 
 def test_renormalize_flag_keeps_unit_entities():
