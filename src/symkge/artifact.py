@@ -18,6 +18,7 @@ def write_atomic(path: str | os.PathLike[str], data) -> None:
     The data goes to a uniquely named file in path's directory, created as
     open(path, "wb") would create it (mode 0o666 less the umask), and removed
     on any failure. The rename makes the write atomic, not durable: no fsync.
+    An OSError names path, not the temporary file.
     """
     head, tail = os.path.split(os.fspath(path))
     temp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
@@ -25,9 +26,11 @@ def write_atomic(path: str | os.PathLike[str], data) -> None:
         with open(temp, "xb") as fh:
             fh.write(data)
         os.replace(temp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(temp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 

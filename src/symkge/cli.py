@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import enum
 import json
+import os
 import sys
 import time
 
@@ -159,7 +160,15 @@ def _emit(args, report: dict[str, object], lines: list[str], encode=None) -> int
     return 0
 
 
+def _check_out_dir(path: str) -> None:
+    """Refuse an output path whose directory is missing, before any data is read."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise DataError(f"{path}: no directory {parent} to write into")
+
+
 def cmd_mine(args) -> int:
+    _check_out_dir(args.out)
     graph = load_dataset(args.train).graph
     started = time.perf_counter()
     pos, structures = mine_positive_dict(graph, args.k, max_degree=args.max_degree)
@@ -190,6 +199,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_out_dir(args.out)
     cfg = _config_from_args(args)
     dataset = load_dataset(args.train, args.valid)
     pos = load_dict(args.dict_path) if args.dict_path else None
@@ -281,6 +291,8 @@ def cmd_ttest(args) -> int:
 def cmd_experiment(args) -> int:
     if args.seed is not None or "seed" in read_config_file(args.config):
         raise UsageError("--seed or a config seed is refused: run i uses seed --base-seed + i")
+    if args.out:
+        _check_out_dir(args.out)
     cfg = _config_from_args(args)
     spec = ExperimentSpec(
         train_path=args.train,

@@ -97,10 +97,11 @@ _KINDS = {f.name: type(f.default) for f in fields(TrainConfig)}
 def read_config_file(path: str | os.PathLike[str] | None) -> dict[str, object]:
     """The values a key=value config file sets, by key; {} for no file.
 
-    Blank lines and '#' comments are skipped. Unknown keys and unparseable
-    values are errors with the line number attached.
+    Blank lines and '#' comments are skipped. Unknown keys, keys set twice and
+    unparseable values are errors with the line number attached.
     """
     values: dict[str, object] = {}
+    set_on: dict[str, int] = {}
     if path is not None:
         for lineno, line in text_lines(path, BadValueError):
             stripped = line.strip()
@@ -112,6 +113,11 @@ def read_config_file(path: str | os.PathLike[str] | None) -> dict[str, object]:
             key = key.strip()
             if key not in _KINDS:
                 raise UnknownKeyError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in set_on:
+                raise BadValueError(
+                    f"{path}:{lineno}: key {key!r} set again, first set on line {set_on[key]}"
+                )
+            set_on[key] = lineno
             try:
                 values[key] = _parse_value(_KINDS[key], raw.strip())
             except ValueError:

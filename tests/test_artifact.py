@@ -37,6 +37,13 @@ def test_failed_write_leaves_existing_files(tmp_path, monkeypatch, capsys):
     assert sorted(os.listdir(tmp_path)) == ["model.syme", "pos.symd", "report.json"]
 
 
+def test_failed_write_names_the_requested_path(tmp_path):
+    path = tmp_path / "missing" / "m.syme"
+    with pytest.raises(FileNotFoundError) as caught:
+        artifact.write_atomic(path, b"frame")
+    assert caught.value.filename == str(path)
+
+
 def test_written_file_mode_matches_plain_open(tmp_path):
     with open(tmp_path / "plain", "wb"):
         pass

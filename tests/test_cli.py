@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from symkge import experiment, mining, training
+from symkge import cli, experiment, mining, training
 from symkge.cli import main
 from symkge.graph import load_dataset
 from symkge.mining import load_dict, save_dict
@@ -51,6 +51,25 @@ def test_mine_out_in_missing_directory(kg_files, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "data error" in err and "x.symd" in err
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command, long_stage, flags", [
+    ("mine", "mine_positive_dict", ["--k", "1"]),
+    ("train", "train", ["--dim", "4", "--epochs", "1"]),
+    ("experiment", "run_experiment", ["--test", "test.tsv", "--runs", "1"]),
+], ids=["mine", "train", "experiment"])
+def test_out_in_missing_directory_refused_before_the_long_stage(tmp_path, capsys, monkeypatch,
+                                                                command, long_stage, flags):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached a long stage with nowhere to write its result")
+
+    monkeypatch.setattr(cli, "load_dataset", unreachable)
+    monkeypatch.setattr(cli, long_stage, unreachable)
+    out = tmp_path / "missing" / "result.out"
+    rc = main([command, "--train", "train.tsv", *flags, "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and f"data error: {out}: " in err and ".tmp" not in err
 
 
 def test_eval_rejects_entities_missing_from_checkpoint(kg_files, tmp_path, capsys):

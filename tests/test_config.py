@@ -81,6 +81,13 @@ def test_bad_value_has_line_number(tmp_path):
         parse_config(path, {})
 
 
+def test_key_set_twice_names_both_lines(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("dim=4\n# a later override\nalpha=0.01\ndim = 5\n", encoding="utf-8")
+    with pytest.raises(BadValueError, match=r":4: key 'dim' set again, first set on line 1$"):
+        parse_config(path, {})
+
+
 def test_missing_equals_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("alpha 0.01\n", encoding="utf-8")

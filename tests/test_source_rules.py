@@ -17,11 +17,14 @@ only cli._emit encodes a subcommand's JSON document, and experiment.report_to_js
 the experiment report it may print, so no subcommand grows its own output fork;
 only the one alignment kernel normalizes vectors, so the alignment formula
 has one copy for the training step and the tests' contrastive_loss view;
-and train() draws positives once per epoch, outside its batch loop.
+train() draws positives once per epoch, outside its batch loop; the
+benchmark-only views stay unused by the package; and the README's Library
+section lists exactly what the package exports.
 """
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import symkge
@@ -303,6 +306,49 @@ def test_every_export_resolves_once():
     assert len(symkge.__all__) == len(set(symkge.__all__))
     missing = [name for name in symkge.__all__ if not hasattr(symkge, name)]
     assert not missing, f"symkge.__all__ names what the package lacks: {missing}"
+
+
+def _library_section() -> str:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_library_section_lists_the_exports():
+    section = _library_section()
+    imported = re.search(r"from symkge import \((.*?)\)", section, re.DOTALL).group(1)
+    names = [name.strip() for name in imported.split(",") if name.strip()]
+    assert names and set(names) <= set(symkge.__all__), names
+    listed = re.findall(r"^ *- `(\w+)`:", section, re.MULTILINE)
+    assert sorted(listed) == sorted(symkge.__all__)
+
+
+# Views that only the benchmark and the tests call. Moving them out of the package
+# stays a pure move while no module of the package uses them.
+BENCH_VIEWS = {"task_loss", "filtered_rank", "init_embeddings"}
+# cfg.task_loss is the config field, read as an attribute and never called.
+READ_VIEWS = {"filtered_rank", "init_embeddings", "targets"}
+
+
+def _uses_bench_view(node) -> bool:
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr in BENCH_VIEWS
+    if isinstance(node, ast.Attribute):
+        return node.attr in READ_VIEWS and isinstance(node.ctx, ast.Load)
+    if isinstance(node, ast.Name):
+        return node.id in BENCH_VIEWS and isinstance(node.ctx, ast.Load)
+    return isinstance(node, ast.alias) and node.name in BENCH_VIEWS
+
+
+def test_package_uses_no_benchmark_view():
+    detected = ("from .losses import task_loss\nfilter = filtered_rank\n"
+                "model.init_embeddings(2, 1, 3, 0)\nlosses.task_loss(t, s, n, c)\n"
+                "pos.targets\nevaluation.filtered_rank")
+    found = [node.lineno for node in ast.walk(ast.parse(detected)) if _uses_bench_view(node)]
+    assert sorted(set(found)) == [1, 2, 3, 4, 5, 6]
+    not_views = ("if cfg.task_loss == MARGIN_RANKING:\n    pass\n"
+                 "task_loss: str = ''\ndef task_loss(table):\n    pass\n")
+    assert not [node for node in ast.walk(ast.parse(not_views)) if _uses_bench_view(node)]
+    _assert_only_in(_uses_bench_view, set())
 
 
 def test_bench_span_targets_resolve():
