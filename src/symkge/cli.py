@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import enum
 import json
 import os
 import sys
@@ -16,7 +15,7 @@ import time
 
 from . import __version__
 from .artifact import write_atomic
-from .config import TrainConfig, parse_config, read_config_file
+from .config import OPTION_FLAGS, TrainConfig, parse_config, read_config_file
 from .errors import (
     BadValueError,
     DataError,
@@ -124,21 +123,14 @@ def _build_parser() -> _Parser:
 
 
 def _train_override_flags(parser: argparse.ArgumentParser) -> None:
-    for f in dataclasses.fields(TrainConfig):
-        flag = "--" + f.metadata.get("flag", f.name).replace("_", "-")
-        kind = type(f.default)
-        if kind is bool:
-            parser.add_argument(flag, dest=f.name, action="store_true", default=None)
-        elif issubclass(kind, enum.Enum):
-            parser.add_argument(flag, dest=f.name, type=kind, choices=list(kind),
-                                metavar="{" + ",".join(v.value for v in kind) + "}")
-        else:
-            parser.add_argument(flag, dest=f.name, type=kind, choices=f.metadata.get("choices"))
+    for f in dataclasses.fields(TrainConfig):  # config.parse_config parses each value
+        parser.add_argument(OPTION_FLAGS[f.name], dest=f.name, default=None,
+                            action="store_true" if type(f.default) is bool else "store")
 
 
 def _config_from_args(args) -> TrainConfig:
     overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)}
-    return parse_config(getattr(args, "config", None), overrides)
+    return parse_config(args.config, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +153,9 @@ def _emit(args, report: dict[str, object], lines: list[str], encode=None) -> int
 
 
 def _check_out_dir(path: str) -> None:
-    """Refuse an output path whose directory is missing, before any data is read."""
+    """Refuse an output path that cannot name a file, before any data is read."""
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise DataError(f"{path}: --out must name a file (not a directory, not empty)")
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise DataError(f"{path}: no directory {parent} to write into")
@@ -291,7 +285,7 @@ def cmd_ttest(args) -> int:
 def cmd_experiment(args) -> int:
     if args.seed is not None or "seed" in read_config_file(args.config):
         raise UsageError("--seed or a config seed is refused: run i uses seed --base-seed + i")
-    if args.out:
+    if args.out is not None:
         _check_out_dir(args.out)
     cfg = _config_from_args(args)
     spec = ExperimentSpec(
@@ -304,7 +298,7 @@ def cmd_experiment(args) -> int:
         base_seed=args.base_seed,
     )
     report = run_experiment(spec, workers=args.threads, progress=lambda m: _say(args, m))
-    if args.out:
+    if args.out is not None:
         write_atomic(args.out, report_to_json(report).encode("utf-8"))
         _say(args, f"wrote {args.out}")
     return _emit(args, report, _experiment_lines(report), encode=report_to_json)

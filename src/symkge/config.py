@@ -21,8 +21,8 @@ _ACCEPTS = {int: numbers.Integral, float: numbers.Real}
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Every training option: each field is a config-file key, parsed by the type
-    of its default, and a CLI flag --<name> ('_' as '-', or metadata "flag")."""
+    """Every training option: each field is a config-file key and a CLI flag
+    --<name> ('_' as '-', or metadata "flag"), parsed alike by the type of its default."""
 
     k: int = 2
     m: int = 50
@@ -35,7 +35,7 @@ class TrainConfig:
     margin: float = 1.0
     seed: int = 0
     scorer: ScorerKind = ScorerKind.TRANSE
-    task_loss: str = field(default="", metadata={"choices": TASK_LOSSES})  # "": from scorer
+    task_loss: str = ""  # "": from scorer
     renormalize: bool = False
 
     def __post_init__(self):
@@ -73,25 +73,28 @@ def _validate(cfg: TrainConfig) -> None:
         raise BadValueError(f"unknown task loss {cfg.task_loss!r}")
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
-
-
-def _parse_value(kind: type, raw: str) -> object:
-    """A config-file value for a field whose default is of type kind."""
-    if kind is bool:
-        return _parse_bool(raw)
-    if issubclass(kind, enum.Enum):
-        return kind(raw.lower())
-    return kind(raw)
-
-
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
 _KINDS = {f.name: type(f.default) for f in fields(TrainConfig)}
+OPTION_FLAGS = {f.name: "--" + f.metadata.get("flag", f.name).replace("_", "-")
+                for f in fields(TrainConfig)}
+
+
+def _parse_option(key: str, raw: str, where: str) -> object:
+    """Option key's value from its text in a file line or a flag, parsed by the
+    type of its default and checked alone by TrainConfig; errors name where."""
+    kind, raw = _KINDS[key], raw.strip()
+    try:
+        if kind is bool:
+            value = _BOOLS[raw.lower()]
+        else:
+            value = kind(raw.lower()) if issubclass(kind, enum.Enum) else kind(raw)
+        TrainConfig(**{key: value})
+    except (KeyError, ValueError):
+        raise BadValueError(f"{where}: bad value {raw!r} for {key}") from None
+    except BadValueError as exc:
+        raise BadValueError(f"{where}: {exc}") from None
+    return value
 
 
 def read_config_file(path: str | os.PathLike[str] | None) -> dict[str, object]:
@@ -118,12 +121,7 @@ def read_config_file(path: str | os.PathLike[str] | None) -> dict[str, object]:
                     f"{path}:{lineno}: key {key!r} set again, first set on line {set_on[key]}"
                 )
             set_on[key] = lineno
-            try:
-                values[key] = _parse_value(_KINDS[key], raw.strip())
-            except ValueError:
-                raise BadValueError(
-                    f"{path}:{lineno}: bad value {raw.strip()!r} for {key}"
-                ) from None
+            values[key] = _parse_option(key, raw, f"{path}:{lineno}")
     return values
 
 
@@ -131,11 +129,14 @@ def parse_config(
     path: str | os.PathLike[str] | None,
     cli_overrides: dict[str, object] | None = None,
 ) -> TrainConfig:
-    """Resolve a TrainConfig: CLI flags > file values > built-in defaults."""
+    """Resolve a TrainConfig: CLI flags > file values > built-in defaults.
+    A string override is parsed as a file value is, and an error names its flag."""
     values = read_config_file(path)
     for key, value in (cli_overrides or {}).items():
         if key not in _KINDS:
             raise UnknownKeyError(f"unknown config key {key!r}")
+        if isinstance(value, str):
+            value = _parse_option(key, value, OPTION_FLAGS[key])
         if value is not None:
             values[key] = value
 

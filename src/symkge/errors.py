@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the toolkit.
 
 DataError subclasses map to CLI exit code 2, NumericError subclasses to
-exit code 3. Usage problems (bad flags) are raised as UsageError by the
-CLI itself and map to exit code 1.
+exit code 3. Usage problems (unknown, missing or misplaced flags) are raised
+as UsageError by the CLI itself and map to exit code 1. A bad training-option
+value is a BadValueError (exit 2), from a flag or a config file alike; its
+message names the flag (--dim) or the file's path:line.
 """
 
 
@@ -67,7 +69,7 @@ class UnknownKeyError(DataError):
 
 
 class BadValueError(DataError):
-    """Config value could not be parsed or is out of range."""
+    """A value, from a flag or a file, could not be parsed or is out of range."""
 
 
 class DegenerateVectorError(NumericError):

@@ -13,6 +13,7 @@ import pytest
 
 from symkge import cli, experiment, mining, training
 from symkge.cli import main
+from symkge.config import BINARY_CROSS_ENTROPY, OPTION_FLAGS, TrainConfig
 from symkge.graph import load_dataset
 from symkge.mining import load_dict, save_dict
 from symkge.model import (
@@ -53,19 +54,28 @@ def test_mine_out_in_missing_directory(kg_files, tmp_path, capsys):
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("command, long_stage, flags", [
+LONG_STAGES = [
     ("mine", "mine_positive_dict", ["--k", "1"]),
     ("train", "train", ["--dim", "4", "--epochs", "1"]),
     ("experiment", "run_experiment", ["--test", "test.tsv", "--runs", "1"]),
-], ids=["mine", "train", "experiment"])
+]
+# --out values that name no file to write, by id suffix: paths under the test's
+# (existing) directory, or None for the empty path
+UNWRITABLE_OUTS = {"": "missing/result.out", "-directory": ".", "-slash": "./", "-empty": None}
+
+
+@pytest.mark.parametrize("command, long_stage, flags, out", [
+    (command, stage, flags, out)
+    for command, stage, flags in LONG_STAGES for out in UNWRITABLE_OUTS.values()
+], ids=[command + suffix for command, _, _ in LONG_STAGES for suffix in UNWRITABLE_OUTS])
 def test_out_in_missing_directory_refused_before_the_long_stage(tmp_path, capsys, monkeypatch,
-                                                                command, long_stage, flags):
+                                                                command, long_stage, flags, out):
     def unreachable(*args, **kwargs):
         raise AssertionError("reached a long stage with nowhere to write its result")
 
     monkeypatch.setattr(cli, "load_dataset", unreachable)
     monkeypatch.setattr(cli, long_stage, unreachable)
-    out = tmp_path / "missing" / "result.out"
+    out = os.path.join(tmp_path, out) if out is not None else ""
     rc = main([command, "--train", "train.tsv", *flags, "--out", str(out), "--quiet"])
     err = capsys.readouterr().err
     assert rc == 2
@@ -665,6 +675,41 @@ def test_train_refuses_ids_outside_the_table(kg_files, tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "is outside the table's" in err
     assert not ckpt.exists()
+
+
+# A valid non-default value of every TrainConfig field: its text and its parsed value
+OPTION_VALUES = {
+    "k": ("1", 1), "m": ("7", 7), "alpha": ("0.5", 0.5), "dim": ("16", 16),
+    "lr": ("0.01", 0.01), "epochs": ("3", 3), "batch_size": ("64", 64),
+    "n_negatives": ("2", 2), "margin": ("2.5", 2.5), "seed": ("9", 9),
+    "scorer": ("DistMult", ScorerKind.DISTMULT),
+    "task_loss": ("binary_cross_entropy", BINARY_CROSS_ENTROPY), "renormalize": ("yes", True),
+}
+
+
+@pytest.mark.parametrize("key, raw, value", [
+    *((key, *OPTION_VALUES[key]) for key in TrainConfig.__dataclass_fields__),
+    ("scorer", "TransE", ScorerKind.TRANSE),
+    ("dim", "1e1", None), ("task_loss", "bogus", None), ("scorer", "nope", None),
+    ("lr", "nan", None), ("epochs", "0", None),
+])
+def test_an_option_reads_the_same_from_a_flag_and_a_file(tmp_path, capsys, key, raw, value):
+    """value None: raw is refused, as a data error on one line naming the flag or path:line."""
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key}={raw}\n", encoding="utf-8")
+    flag = OPTION_FLAGS[key]
+    sources = {flag: [flag] if key == "renormalize" else [flag, raw],
+               f"{config}:1: ": ["--config", str(config)]}
+    for where, source in sources.items():
+        argv = ["train", "--train", str(tmp_path / "never_read.tsv"),
+                "--out", str(tmp_path / "x.syme"), "--quiet", *source]
+        if value is None:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and f"data error: {where}" in err
+        else:
+            args = cli._build_parser().parse_args(argv)
+            assert cli._config_from_args(args) == TrainConfig(**{key: value}), where
 
 
 @pytest.mark.parametrize("flags, config", [

@@ -15,6 +15,8 @@ negatives and ranking filter through one index of known triple keys;
 only graph.read_tsv splits lines on tabs, so every input file shares its rules;
 only cli._emit encodes a subcommand's JSON document, and experiment.report_to_json
 the experiment report it may print, so no subcommand grows its own output fork;
+training options have one parser, config's, so cli adds their flags as plain
+strings and a value reads the same from a flag and from a config file;
 only the one alignment kernel normalizes vectors, so the alignment formula
 has one copy for the training step and the tests' contrastive_loss view;
 train() draws positives once per epoch, outside its batch loop; the
@@ -141,6 +143,22 @@ def test_one_printer_for_subcommand_results():
     assert _dumps_json(ast.parse("json.dumps(report, sort_keys=True)").body[0].value)
     assert _dumps_json(ast.parse("from json import dumps").body[0].names[0])
     _assert_only_in(_dumps_json, {("cli.py", "_emit"), ("experiment.py", "report_to_json")})
+
+
+def _adds_converting_flag(node) -> bool:
+    return _called_name(node) == "add_argument" and any(
+        k.arg in ("type", "choices") for k in node.keywords)
+
+
+def test_one_parser_for_training_options():
+    """cli adds each TrainConfig flag as a plain string, and config parses its text
+    as it parses a config file's value."""
+    assert _adds_converting_flag(ast.parse('p.add_argument("--k", type=int)').body[0].value)
+    converting = {scope for scope, _ in _scopes(SRC / "cli.py", _adds_converting_flag)}
+    adding = {scope for scope, _ in _scopes(SRC / "cli.py",
+                                            lambda node: _called_name(node) == "add_argument")}
+    assert "_train_override_flags" in adding - converting
+    assert "_build_parser" in converting  # the detector still finds the other flags' types
 
 
 def _checks_norms(node) -> bool:
