@@ -6,7 +6,9 @@ squared distance between L2-normalized vectors,
     (1/m) sum_i || a/|a| - p_i/|p_i| ||^2  =  2 - (2/m) sum_i cos(a, p_i),
 
 which is bounded in [0, 4] and invariant to positive rescaling of any vector.
-The combined objective is task + alpha * alignment.
+The combined objective is task + alpha * alignment. The task term scores each
+negative against its positive's shared query (see model.SCORERS), and both
+terms' gradient rows go into one float64 ordered scatter per table.
 
 Gradients are computed in closed form and are checked against central finite
 differences in the test suite; keep both in sync when touching formulas.
@@ -130,87 +132,84 @@ def task_loss(
 # ---------------------------------------------------------------------------
 
 
-def _pair_terms(pos: np.ndarray, neg: np.ndarray, cfg: TrainConfig, n_pairs: int):
-    """Per-pair loss terms, and d loss / d score of positives (B,) and negatives (B, N)."""
+def _pair_terms(scores: np.ndarray, cfg: TrainConfig, n_pairs: int):
+    """Per-pair loss terms, and d loss / d score, from (B, 1 + N) scores: each
+    positive's, then its N negatives'."""
+    pos, neg = scores[:, :1], scores[:, 1:]
     if cfg.task_loss == MARGIN_RANKING:
-        hinge = cfg.margin - pos[:, None] + neg
+        hinge = cfg.margin - pos + neg
         active = hinge > 0.0
-        d_pos = -active.sum(axis=1).astype(np.float64) / n_pairs
-        return np.maximum(0.0, hinge), d_pos, active.astype(np.float64) / n_pairs
+        d_pos = -active.sum(axis=1, keepdims=True).astype(np.float64) / n_pairs
+        return np.maximum(0.0, hinge), np.concatenate([d_pos, active / n_pairs], axis=1)
     if cfg.task_loss == BINARY_CROSS_ENTROPY:
-        per_pair = -_log_sigmoid(pos)[:, None] - _log_sigmoid(-neg)
+        per_pair = -_log_sigmoid(pos) - _log_sigmoid(-neg)
         # d/ds_pos of -log s(s_pos) = s(s_pos) - 1, repeated over its negatives.
         d_pos = (_sigmoid(pos) - 1.0) * (neg.shape[1] / n_pairs)
-        return per_pair, d_pos, _sigmoid(neg) / n_pairs
+        return per_pair, np.concatenate([d_pos, _sigmoid(neg) / n_pairs], axis=1)
     raise ValueError(f"unknown task loss {cfg.task_loss!r}")
 
 
-def _task_forward_backward(
-    table: EmbeddingTable,
-    kind: ScorerKind,
-    batch: np.ndarray,
-    negatives: np.ndarray,
-    cfg: TrainConfig,
-    then: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[float, Gradients]:
+def _task_forward_backward(table: EmbeddingTable, kind: ScorerKind, batch: np.ndarray,
+                           negatives: np.ndarray, cfg: TrainConfig,
+                           then: tuple[np.ndarray, np.ndarray] | None = None
+                           ) -> tuple[float, Gradients]:
     """Mean task loss over (positive, negative) pairs, and its gradients.
 
-    Each block of positives and their negatives gathers its rows once. Scaled
-    partials land in slots in the order one scatter of the batch adds them:
-    positive heads, positive tails, negative heads, negative tails, then the
-    (ids, rows) in then. A pair with coefficient exactly 0 would add +-0 to
-    sums that start at +0.0, changing no bit while partials are finite: skipped.
-    The slots are float64 whatever the table's dtype; Adam rounds their sums.
+    Positive (h, r, t) scores as its tail query, query(h, r), against t; a
+    negative whose head differs from h scores its head against the head query,
+    query(t, inverse(r)), any other its tail against the tail query. Per
+    positive and side, the partials by the query are summed, the positive's
+    first, then the negatives' in order. The float64 slots, in the order one
+    scatter adds them: the B positive heads; per positive, its tail (its partial
+    by t, plus the head query's by its anchor), then its N negatives' corrupted
+    entities; then the (ids, rows) in then; and the B relations.
     """
     scorer = SCORERS[kind]
     n_pos, n_neg = negatives.shape[:2]
-    n_pairs = n_pos * n_neg
-    flat = negatives.reshape(-1, 3)
-    per_pair = np.empty((n_pos, n_neg), np.float64)
-    then_ids, then_rows = then or (
-        np.empty(0, np.int64), np.empty((0, table.dim), table.entity_vecs.dtype)
-    )
-    ent_ids = np.concatenate([batch[:, 0], batch[:, 2], flat[:, 0], flat[:, 2], then_ids])
-    ent_slots = np.zeros((len(ent_ids), table.dim), np.float64)
+    dim, vecs = table.dim, table.entity_vecs
+    # Row j of a positive's 1 + n_neg: its tail (j = 0), else negative j - 1's
+    # corrupted entity, and whether it scores against the head query.
+    head_side = negatives[:, :, 0] != batch[:, None, 0]
+    candidates = np.concatenate(
+        [batch[:, 2:], np.where(head_side, negatives[:, :, 0], negatives[:, :, 2])], axis=1)
+    on_head = np.concatenate([np.zeros((n_pos, 1), np.bool_), head_side], axis=1)[:, :, None]
+    then_ids, then_rows = then or (np.empty(0, np.int64), np.empty((0, dim), np.float64))
+    ent_ids = np.concatenate([batch[:, 0], candidates.ravel(), then_ids])
+    ent_slots = np.empty((len(ent_ids), dim), np.float64)
     ent_slots[len(ent_ids) - len(then_rows) :] = then_rows
-    rel_slots = np.zeros((n_pos + n_pairs, table.dim), np.float64)
-    chunk = max(1, _TASK_BLOCK_FLOATS // ((1 + n_neg) * table.dim))
+    rel_slots = np.empty((n_pos, dim), np.float64)
+    per_pair = np.empty((n_pos, n_neg), np.float64)
+    chunk = max(1, _TASK_BLOCK_FLOATS // ((1 + n_neg) * dim))
     for lo in range(0, n_pos, chunk):
-        n = min(chunk, n_pos - lo)
-        h, r, t = np.concatenate([batch[lo : lo + n], flat[lo * n_neg : (lo + n) * n_neg]]).T
-        scores, scaled_partials = scorer.forward(
-            table.entity_vecs[h], table.relation_vecs[r], table.entity_vecs[t]
-        )
-        per_pair[lo : lo + n], d_pos, d_neg = _pair_terms(
-            scores[:n], scores[n:].reshape(n, n_neg), cfg, n_pairs
-        )
-        coeff = np.concatenate([d_pos, d_neg.ravel()])
-        keep = np.flatnonzero(coeff)
-        d_h, d_r, d_t = scaled_partials(keep, coeff[keep])
-        # Pair index: positives 0..n_pos, then negatives in flat order.
-        is_pos = keep < n
-        pair = np.where(is_pos, lo + keep, n_pos + lo * n_neg + keep - n)
-        rel_slots[pair] = d_r
-        ent_slots[np.where(is_pos, pair, pair + n_pos)] = d_h
-        ent_slots[np.where(is_pos, pair + n_pos, pair + n_pos + n_pairs)] = d_t
-    value = float(per_pair.mean())
-    rel_ids = np.concatenate([batch[:, 1], flat[:, 1]])
-    return value, Gradients(*_ordered_sum(ent_ids, ent_slots, table.entity_count),
-                            *_ordered_sum(rel_ids, rel_slots, table.relation_count))
+        hi = min(lo + chunk, n_pos)
+        e_h, rel = vecs[batch[lo:hi, 0]], table.relation_vecs[batch[lo:hi, 1]]
+        rows = vecs[candidates[lo:hi]]
+        e_t, inv, head = rows[:, 0], scorer.inverse(rel), on_head[lo:hi]
+        queries = np.where(head, scorer.query(e_t, inv)[:, None], scorer.query(e_h, rel)[:, None])
+        scores, scaled_partials = scorer.compare(queries, rows)
+        per_pair[lo:hi], coeff = _pair_terms(scores, cfg, n_pos * n_neg)
+        d_q, d_c = scaled_partials(coeff)
+        # NumPy adds axis 1 in order. A +0.0 term changes at most a zero's sign,
+        # which the scatter's sums from +0.0 do not keep.
+        d_h, d_r = scorer.query_partials(np.where(head, 0.0, d_q).sum(axis=1), e_h, rel)
+        d_t, d_inv = scorer.query_partials(np.where(head, d_q, 0.0).sum(axis=1), e_t, inv)
+        ent_slots[lo:hi] = d_h
+        block = ent_slots[n_pos + lo * (1 + n_neg) : n_pos + hi * (1 + n_neg)]
+        block[:] = d_c.reshape(-1, dim)
+        block[:: 1 + n_neg] += d_t
+        np.add(d_r, scorer.inverse(d_inv), out=rel_slots[lo:hi])
+    return float(per_pair.mean()), Gradients(
+        *_ordered_sum(ent_ids, ent_slots, table.entity_count),
+        *_ordered_sum(batch[:, 1], rel_slots, table.relation_count))
 
 
-def _contrastive_forward_backward(
-    table: EmbeddingTable,
-    anchors: np.ndarray,
-    pos_dict: PositiveDict | None,
-    cfg: TrainConfig,
-    epoch: int,
-) -> tuple[float, tuple[np.ndarray, np.ndarray] | None]:
-    """Mean alignment loss over anchor occurrences with nonempty positives, and
-    cfg.alpha times its gradient: touched entity rows, sorted, and their gradients,
-    or None. Each distinct anchor's terms are computed once, and every sum runs
-    in occurrence order: bit-identical to a loop over occurrences.
-    """
+def _contrastive_forward_backward(table: EmbeddingTable, anchors: np.ndarray,
+                                  pos_dict: PositiveDict | None, cfg: TrainConfig, epoch: int
+                                  ) -> tuple[float, tuple[np.ndarray, np.ndarray] | None]:
+    """Mean alignment loss over anchor occurrences with nonempty positives, bit-identical
+    to a loop over occurrences, and the unsummed float64 (ids, rows) of cfg.alpha times
+    its gradient, or None: each distinct anchor with positives, then its positives, each
+    row computed once and scaled by alpha times its anchor's occurrences."""
     if pos_dict is None:
         return 0.0, None
     # The positive draw depends on the anchor, not the occurrence.
@@ -219,23 +218,23 @@ def _contrastive_forward_backward(
     occ = occ[counts[occ] > 0]
     if occ.size == 0:
         return 0.0, None
-    # Distinct anchor u owns rows start[u] : start[u] + 1 + counts[u] of ids and grad:
-    # the anchor, then its positives flat[first[u] : first[u] + counts[u]].
-    first = np.cumsum(counts) - counts
-    start = first + np.arange(len(uniq))
-    positive_rows = _ranges(start + 1, counts)
-    ids = np.empty(flat.size + len(uniq), np.int64)
-    ids[start], ids[positive_rows] = uniq, flat
-    n_occ, dim, vecs = occ.size, table.dim, table.entity_vecs
-    # float64 rows reach bincount uncast; the kernel's results widen into them exactly.
-    grad, sq = np.empty((ids.size, dim), np.float64), np.empty(flat.size, vecs.dtype)
+    # Distinct anchor u = has[i] owns rows start[i] : start[i] + 1 + counts[u] of ids and
+    # grad: the anchor, then its positives flat[first[u] : first[u] + counts[u]].
     has = np.flatnonzero(counts)
+    first = np.cumsum(counts) - counts
+    start = first[has] + np.arange(len(has))
+    positive_rows = _ranges(start + 1, counts[has])
+    ids = np.empty(flat.size + len(has), np.int64)
+    ids[start], ids[positive_rows] = uniq[has], flat
+    n_occ, dim, vecs = occ.size, table.dim, table.entity_vecs
+    # float64 rows, which the kernel's results widen into exactly, join the task's scatter.
+    grad, sq = np.empty((ids.size, dim), np.float64), np.empty(flat.size, vecs.dtype)
     w = (2.0 / (n_occ * counts[has])).astype(vecs.dtype)  # rounded as a Python float w is
     step = max(1, _ALIGN_BLOCK_FLOATS // ((1 + counts.max()) * dim))
     for lo in range(0, len(has), step):
         block = has[lo : lo + step]
         span = slice(first[block[0]], first[block[-1]] + counts[block[-1]])
-        sq[span], grad[start[block]], grad[positive_rows[span]] = _alignment(
+        sq[span], grad[start[lo : lo + step]], grad[positive_rows[span]] = _alignment(
             vecs[uniq[block]], vecs[flat[span]], counts[block], w[lo : lo + step])
     # A sum's order depends on its count: the anchors sorted by count, one sum per count
     # over their distances laid out in that order. Each divides as ndarray.mean does:
@@ -253,11 +252,9 @@ def _contrastive_forward_backward(
     per_anchor[by_count] = (sums / sorted_counts).astype(sq.dtype)
     # cumsum adds left to right, as the loop over occurrences does.
     value = float(np.cumsum(per_anchor[occ])[-1]) / n_occ
-    gather = _ranges(start[occ], 1 + counts[occ])
-    rows, compact = _ordered_sum(ids[gather], grad[gather], table.entity_count)
-    compact = compact.astype(vecs.dtype, copy=False)
-    compact *= cfg.alpha
-    return value, (rows, compact)
+    scale = cfg.alpha * np.bincount(occ, minlength=len(uniq))[has]
+    grad *= np.repeat(scale, 1 + counts[has])[:, None]
+    return value, (ids, grad)
 
 
 def check_hop_bound(pos_dict: PositiveDict, cfg: TrainConfig) -> None:
@@ -268,19 +265,14 @@ def check_hop_bound(pos_dict: PositiveDict, cfg: TrainConfig) -> None:
         )
 
 
-def combined_gradients(
-    table: EmbeddingTable,
-    kind: ScorerKind,
-    batch: np.ndarray,
-    negatives: np.ndarray,
-    pos_dict: PositiveDict | None,
-    cfg: TrainConfig,
-    epoch: int = 0,
-) -> tuple[LossBreakdown, Gradients]:
+def combined_gradients(table: EmbeddingTable, kind: ScorerKind, batch: np.ndarray,
+                       negatives: np.ndarray, pos_dict: PositiveDict | None, cfg: TrainConfig,
+                       epoch: int = 0) -> tuple[LossBreakdown, Gradients]:
     """task + alpha * alignment over one batch, deterministic given cfg.seed, and its
     analytic gradients, row-sparse over the touched rows. A triple with an id outside
-    the table is refused with UnknownEntityError, a dictionary over more entities
-    than the table with DataError."""
+    the table is refused with UnknownEntityError; a dictionary over more entities
+    than the table, or a negative that changes its positive's relation or both its
+    head and its tail, with DataError."""
     if pos_dict is not None:
         check_hop_bound(pos_dict, cfg)
     if pos_dict is not None and pos_dict.entity_count > table.entity_count:
@@ -290,6 +282,11 @@ def combined_gradients(
     negatives = np.asarray(negatives, dtype=np.int64)
     table.check_triples(batch)
     table.check_triples(negatives.reshape(-1, 3))
+    kept = negatives == batch[:, None, :]
+    if (wrong := ~kept[:, :, 1] | ~(kept[:, :, 0] | kept[:, :, 2])).any():
+        i, j = np.argwhere(wrong)[0]
+        raise DataError(f"negative {tuple(negatives[i, j].tolist())} of positive "
+                        f"{tuple(batch[i].tolist())} must keep its relation and its head or tail")
     # Both endpoints of every triple are anchor occurrences. With alpha == 0
     # the term is still reported but adds nothing to train on.
     contrastive, alignment = _contrastive_forward_backward(

@@ -80,43 +80,51 @@ class EmbeddingTable:
 
 
 def _float32_init(entity_count: int, relation_count: int, dim: int, seed: int) -> EmbeddingTable:
-    """The float32 table train() starts from: init_embeddings' draw, rounded."""
+    """The float32 table train() starts from, drawn uniformly in float32."""
     if entity_count < 1 or relation_count < 1 or dim < 1:
         raise ValueError("counts and dim must be >= 1")
     rng = np.random.default_rng(seed)
-    bound = 6.0 / np.sqrt(dim)
-    return EmbeddingTable(*(rng.uniform(-bound, bound, size=(count, dim)).astype(np.float32)
+    bound = np.float32(6.0 / np.sqrt(dim))  # [0, 1) maps onto [-bound, bound)
+    return EmbeddingTable(*(rng.random((count, dim), np.float32) * (2 * bound) - bound
                             for count in (entity_count, relation_count)))
 
 
 def init_embeddings(entity_count: int, relation_count: int, dim: int, seed: int) -> EmbeddingTable:
     """Uniform init in [-6/sqrt(dim), +6/sqrt(dim)], reproducible from seed.
 
-    The arrays are float64, but every value is a float32 rounded from the
-    draw, so train()'s float32 state starts from this table exactly.
+    The arrays are float64, but every value is a float32 drawn as train()
+    draws it, so train()'s float32 state starts from this table exactly.
     """
     return _float32_init(entity_count, relation_count, dim, seed).astype(np.float64)
 
 
-class TransE:
+class _Scorer:
+    @classmethod
+    def score(cls, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return cls.compare(cls.query(h, r), t)[0]
+
+
+class TransE(_Scorer):
     """-||h + r - t||: the relation translates the head onto the tail."""
 
     @staticmethod
-    def score(h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return TransE.forward(h, r, t)[0]
+    def query(a: np.ndarray, rel: np.ndarray) -> np.ndarray:
+        return a + rel
 
     @staticmethod
-    def forward(h: np.ndarray, r: np.ndarray, t: np.ndarray):
-        delta = h + r - t
+    def compare(q: np.ndarray, c: np.ndarray):
+        delta = q - c
         dist = np.sqrt((delta * delta).sum(axis=-1))
 
-        def scaled_partials(rows: np.ndarray, coeff: np.ndarray) -> tuple[np.ndarray, ...]:
+        def scaled_partials(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # Zero distance has no defined direction; use the zero subgradient.
-            norms = dist[rows]
-            d_t = delta[rows] / np.where(norms > 0.0, norms, 1.0)[:, None] * coeff[:, None]
-            d_h = -d_t  # negation is exact: -(unit * c) == (-unit) * c
-            return d_h, d_h, d_t
+            d_c = delta / np.where(dist > 0.0, dist, 1.0)[..., None] * coeff[..., None]
+            return -d_c, d_c  # negation is exact: -(unit * c) == (-unit) * c
         return -dist, scaled_partials
+
+    @staticmethod
+    def query_partials(d_q: np.ndarray, a: np.ndarray, rel: np.ndarray):
+        return d_q, d_q
 
     @staticmethod
     def inverse(r: np.ndarray) -> np.ndarray:
@@ -124,7 +132,7 @@ class TransE:
 
     @staticmethod
     def bounds(h: np.ndarray, r: np.ndarray, entities: np.ndarray, e_sq: np.ndarray):
-        q = h + r  # the rows score() subtracts each tail from
+        q = TransE.query(h, r)  # the rows score() subtracts each tail from
         q_sq = squared_norms(q)
         dist_sq = (-2.0 * q) @ entities.T  # power-of-two scaling is exact
         dist_sq += q_sq[:, None]
@@ -141,19 +149,22 @@ class TransE:
         return lo, hi
 
 
-class DistMult:
+class DistMult(_Scorer):
     """<h, r, t>: a diagonal bilinear form, symmetric in head and tail."""
 
     @staticmethod
-    def score(h: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return (h * r * t).sum(axis=-1)
+    def query(a: np.ndarray, rel: np.ndarray) -> np.ndarray:
+        return a * rel
 
     @staticmethod
-    def forward(h: np.ndarray, r: np.ndarray, t: np.ndarray):
-        def scaled_partials(rows: np.ndarray, coeff: np.ndarray) -> tuple[np.ndarray, ...]:
-            c, h_, r_, t_ = coeff[:, None], h[rows], r[rows], t[rows]
-            return r_ * t_ * c, h_ * t_ * c, h_ * r_ * c
-        return DistMult.score(h, r, t), scaled_partials
+    def compare(q: np.ndarray, c: np.ndarray):
+        def scaled_partials(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return c * coeff[..., None], q * coeff[..., None]
+        return (q * c).sum(axis=-1), scaled_partials
+
+    @staticmethod
+    def query_partials(d_q: np.ndarray, a: np.ndarray, rel: np.ndarray):
+        return d_q * rel, d_q * a
 
     @staticmethod
     def inverse(r: np.ndarray) -> np.ndarray:
@@ -161,7 +172,7 @@ class DistMult:
 
     @staticmethod
     def bounds(h: np.ndarray, r: np.ndarray, entities: np.ndarray, e_sq: np.ndarray):
-        w = h * r  # the rows score() multiplies each tail by
+        w = DistMult.query(h, r)  # the rows score() multiplies each tail by
         products = w @ entities.T
         # Any summation order errs by at most gamma * sum |w_k e_k|, and
         # sum |w_k e_k| <= ||w|| ||e||. The padding keeps the norms upper
@@ -174,15 +185,19 @@ class DistMult:
         return products - err, np.add(products, err, out=products)
 
 
-# The only place scoring math lives. Each scorer works on rows and broadcasts:
-# score(h, r, t) is higher for more plausible triples; forward(h, r, t) gives
-# those scores and a function of (rows, c) giving, for the rows selected, the
-# rows of c * d score / d h, d r, d t; score(t, inverse(r), h) equals
-# score(h, r, t), so a head query is scored as a tail query of the inverse
-# relation. bounds(h, r, entities, squared_norms(entities)) gives, for B query
+# The only place scoring math lives. Each scorer works on rows and broadcasts.
+# query(a, rel) is the query of anchor rows a and relation rows rel. compare(q, c)
+# gives the scores of candidate rows c against query rows q, higher for more
+# plausible triples, and a function of coefficients giving coeff * d score / d q
+# and coeff * d score / d c; query_partials(d_q, a, rel) maps a summed partial
+# by the query back to a and rel. score(h, r, t), the one scoring formula, is
+# compare(query(h, r), t)'s scores. score(t, inverse(r), h) equals score(h, r, t),
+# so a head query is the tail query of the inverse relation anchored at the tail;
+# inverse is linear, so its partial by r is inverse() of its partial by inverse(r).
+# bounds(h, r, entities, squared_norms(entities)) gives, for B query
 # rows and N candidate tails, (B, N) arrays lo and hi with lo <= score(h[i],
 # r[i], entities[j]) <= hi exactly as score() computes it, or a non-finite bound.
-# score() and forward() reduce with ndarray.sum (pairwise, single-threaded,
+# score() and compare() reduce with ndarray.sum (pairwise, single-threaded,
 # each row on its own) rather than BLAS, so results are bit-stable across
 # thread counts. bounds() is the only BLAS product in the package: its error
 # bound holds for any summation order, so ranking, which decides only clear

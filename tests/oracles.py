@@ -11,8 +11,7 @@ from symkge.evaluation import HEAD
 from symkge.graph import FORWARD, INVERSE, SignedRelation, UnionGraph
 from symkge.config import BINARY_CROSS_ENTROPY, MARGIN_RANKING
 from symkge import losses
-from symkge.graph import _ranges
-from symkge.losses import Gradients, _checked_norms, _log_sigmoid, _ordered_sum, _sigmoid
+from symkge.losses import Gradients, _checked_norms, _log_sigmoid, _sigmoid
 from symkge.mining import HalfSequence, _check_hop_bound, _mix, sample_positives
 from symkge.model import SCORERS, ScorerKind
 
@@ -174,42 +173,47 @@ def sample_positives_one_by_one(pos, anchors, m, seed, epoch):
     return np.array(counts, dtype=np.int64), np.array(flat, dtype=np.int64)
 
 
-def contrastive_forward_backward_loop(table, anchors, pos_dict, cfg, epoch, grad_entity):
-    """One anchor occurrence at a time: the reference for the batched alignment.
+def contrastive_forward_backward_loop(table, anchors, pos_dict, cfg, epoch):
+    """One anchor at a time: the reference for the batched alignment.
 
-    Returns the mean alignment loss over occurrences with nonempty positives
-    and, when grad_entity is given, adds the unscaled loss gradient into it.
+    Returns the mean alignment loss over occurrences with nonempty positives,
+    added one occurrence at a time, and the gradient rows of alpha times that
+    loss as (ids, rows), or None: each distinct anchor with positives, ascending,
+    then its positives, each row scaled by alpha times the anchor's occurrences.
     """
     if pos_dict is None:
-        return 0.0
-    sampled = []
-    for anchor in np.asarray(anchors).tolist():
-        positives = sample_positives(pos_dict, [anchor], cfg.m, cfg.seed, epoch)[1].tolist()
-        if positives:
-            sampled.append((anchor, positives))
-    if not sampled:
-        return 0.0
+        return 0.0, None
+    drawn = {anchor: sample_positives(pos_dict, [anchor], cfg.m, cfg.seed, epoch)[1].tolist()
+             for anchor in set(np.asarray(anchors).tolist())}
+    occurrences = [anchor for anchor in np.asarray(anchors).tolist() if drawn[anchor]]
+    if not occurrences:
+        return 0.0, None
 
-    n_occ = len(sampled)
-    total = 0.0
-    for anchor, positives in sampled:
+    def unit_rows(anchor):
+        positives = drawn[anchor]
         a = table.entity_vecs[anchor]
         p = table.entity_vecs[positives]
         a_norm = _checked_norms(a[None, :], "anchor")[0]
         p_norms = _checked_norms(p, "positive")
-        a_hat = a / a_norm
-        p_hat = p / p_norms[:, None]
+        return a_norm, p_norms, a / a_norm, p / p_norms[:, None]
+
+    n_occ = len(occurrences)
+    total = 0.0
+    for anchor in occurrences:
+        _, _, a_hat, p_hat = unit_rows(anchor)
         diff = a_hat[None, :] - p_hat
         total += float((diff * diff).sum(axis=1).mean())
-        if grad_entity is not None:
-            m_a = len(positives)
-            cosines = (p_hat * a_hat).sum(axis=1)
-            w = 2.0 / (n_occ * m_a)
-            grad_a = -w / a_norm * (p_hat - cosines[:, None] * a_hat).sum(axis=0)
-            grad_entity[anchor] += grad_a
-            grad_p = -w / p_norms[:, None] * (a_hat[None, :] - cosines[:, None] * p_hat)
-            np.add.at(grad_entity, positives, grad_p)
-    return total / n_occ
+    ids, rows = [], []
+    for anchor in sorted(set(occurrences)):
+        a_norm, p_norms, a_hat, p_hat = unit_rows(anchor)
+        cosines = (p_hat * a_hat).sum(axis=1)
+        w = 2.0 / (n_occ * len(drawn[anchor]))
+        grad_a = -w / a_norm * (p_hat - cosines[:, None] * a_hat).sum(axis=0)
+        grad_p = -w / p_norms[:, None] * (a_hat[None, :] - cosines[:, None] * p_hat)
+        scale = cfg.alpha * occurrences.count(anchor)
+        ids += [anchor] + drawn[anchor]
+        rows += [grad_a * scale] + list(grad_p * scale)
+    return total / n_occ, (np.array(ids, dtype=np.int64), np.array(rows))
 
 
 def _alignment_per_count(a, p, w):
@@ -229,7 +233,8 @@ def _alignment_per_count(a, p, w):
 def contrastive_forward_backward_per_count(table, anchors, pos_dict, cfg, epoch):
     """The alignment step as one dense kernel per distinct positive count, in blocks
     of at most losses._ALIGN_BLOCK_FLOATS floats: the bit-for-bit reference for
-    losses._contrastive_forward_backward, which runs one pass over all counts."""
+    losses._contrastive_forward_backward, which runs one pass over all counts.
+    Rows are laid out and scaled as contrastive_forward_backward_loop's are."""
     if pos_dict is None:
         return 0.0, None
     uniq, occ = np.unique(anchors, return_inverse=True)
@@ -254,10 +259,11 @@ def contrastive_forward_backward_per_count(table, anchors, pos_dict, cfg, epoch)
             per_anchor[block], grads = _alignment_per_count(vecs[:, 0], vecs[:, 1:], w)
             grad[slots[:, 0]], grad[slots[:, 1:]] = grads
     value = float(np.cumsum(per_anchor[occ])[-1]) / n_occ
-    gather = _ranges(start[occ], lengths[occ])
-    rows, compact = _ordered_sum(ids[gather], grad[gather], table.entity_count)
-    compact *= cfg.alpha
-    return value, (rows, compact)
+    # The rows of anchors with positives, in float64, scaled by alpha times occurrences.
+    has = np.repeat(counts > 0, lengths)
+    scale = cfg.alpha * np.bincount(occ, minlength=len(uniq))
+    rows = grad[has].astype(np.float64) * np.repeat(scale, lengths)[has, None]
+    return value, (ids[has], rows)
 
 
 def known_keys_oracle(triples, entity_count: int, relation_count: int) -> list[int]:
@@ -325,43 +331,24 @@ def row_sparse(entity: np.ndarray, relation: np.ndarray, entity_rows=None,
     return Gradients(e_rows, entity[e_rows], r_rows, relation[r_rows])
 
 
-def _partials(kind, h, r, t):
-    """d score / d h, d r, d t, written out once more for the reference."""
-    if kind is ScorerKind.TRANSE:
-        delta = h + r - t
-        norms = np.sqrt((delta * delta).sum(axis=-1, keepdims=True))
-        unit = delta / np.where(norms > 0.0, norms, 1.0)
-        return -unit, -unit, unit
-    return r * t, h * t, h * r
-
-
 def task_forward_backward_dense(table, kind, batch, negatives, cfg):
-    """The task loss and its gradients as dense tables, scattered with np.add.at.
-
-    Scores every positive, then every negative, gathering rows again for the
-    partials. The reference for the blocked, row-sparse task step.
+    """The task loss and its gradients as dense tables, by the shared-query arithmetic
+    over the whole batch at once, the slots added into zeros with np.add.at in the
+    order losses._task_forward_backward documents. The reference for that blocked,
+    row-sparse step.
     """
     scorer = SCORERS[kind]
-    grad_e = np.zeros_like(table.entity_vecs)
-    grad_r = np.zeros_like(table.relation_vecs)
-
-    def scores(triples):
-        h, r, t = triples.T
-        return scorer.score(table.entity_vecs[h], table.relation_vecs[r], table.entity_vecs[t])
-
-    def add_grads(triples, coeff):
-        h, r, t = triples.T
-        d_h, d_r, d_t = _partials(
-            kind, table.entity_vecs[h], table.relation_vecs[r], table.entity_vecs[t]
-        )
-        c = coeff[:, None]
-        np.add.at(grad_e, h, d_h * c)
-        np.add.at(grad_r, r, d_r * c)
-        np.add.at(grad_e, t, d_t * c)
-
-    flat = negatives.reshape(-1, 3)
-    pos_scores = scores(batch)
-    neg_scores = scores(flat).reshape(negatives.shape[0], negatives.shape[1])
+    vecs, dim = table.entity_vecs, table.dim
+    n_pos, n_neg = negatives.shape[:2]
+    h, r, t = batch.T
+    e_h, rel, e_t = vecs[h], table.relation_vecs[r], vecs[t]
+    inv = scorer.inverse(rel)
+    queries = np.stack([scorer.query(e_h, rel), scorer.query(e_t, inv)])  # tail, head
+    on_head = negatives[:, :, 0] != h[:, None]
+    corrupted = np.where(on_head, negatives[:, :, 0], negatives[:, :, 2])
+    pos_scores, pos_partials = scorer.compare(queries[0], e_t)
+    neg_scores, neg_partials = scorer.compare(
+        queries[on_head.astype(np.intp), np.arange(n_pos)[:, None]], vecs[corrupted])
     n_pairs = neg_scores.size
     if cfg.task_loss == MARGIN_RANKING:
         hinge = cfg.margin - pos_scores[:, None] + neg_scores
@@ -373,8 +360,21 @@ def task_forward_backward_dense(table, kind, batch, negatives, cfg):
         assert cfg.task_loss == BINARY_CROSS_ENTROPY
         per_pair = -_log_sigmoid(pos_scores)[:, None] - _log_sigmoid(-neg_scores)
         value = float(per_pair.mean())
-        d_pos = (_sigmoid(pos_scores) - 1.0) * (negatives.shape[1] / n_pairs)
+        d_pos = (_sigmoid(pos_scores) - 1.0) * (n_neg / n_pairs)
         d_neg = _sigmoid(neg_scores) / n_pairs
-    add_grads(batch, d_pos)
-    add_grads(flat, d_neg.reshape(-1))
+    d_q_pos, d_c_pos = pos_partials(d_pos)
+    d_q_neg, d_c_neg = neg_partials(d_neg)
+    # Each (side, positive)'s query partial from +0.0: the positive's, then its negatives'.
+    d_query = np.zeros((2, n_pos, dim), np.float64)
+    np.add.at(d_query, (0, np.arange(n_pos)), d_q_pos)
+    np.add.at(d_query, (on_head.ravel().astype(np.intp), np.repeat(np.arange(n_pos), n_neg)),
+              d_q_neg.reshape(-1, dim))
+    d_h, d_r = scorer.query_partials(d_query[0], e_h, rel)
+    d_t, d_inv = scorer.query_partials(d_query[1], e_t, inv)
+    grad_e = np.zeros_like(vecs)
+    grad_r = np.zeros_like(table.relation_vecs)
+    tails_then_negatives = np.concatenate([(d_c_pos + d_t)[:, None], d_c_neg], axis=1)
+    np.add.at(grad_e, np.concatenate([h, np.concatenate([t[:, None], corrupted], axis=1).ravel()]),
+              np.concatenate([d_h, tails_then_negatives.reshape(-1, dim)]))
+    np.add.at(grad_r, r, d_r + scorer.inverse(d_inv))
     return value, grad_e, grad_r

@@ -1,5 +1,6 @@
 """Loss values against hand-derived numbers and gradients against finite differences."""
 
+import math
 import re
 import tracemalloc
 from dataclasses import replace
@@ -164,14 +165,10 @@ def _small_setup(seed=0, alpha=0.001, task=MARGIN_RANKING, kind=ScorerKind.TRANS
     batch = np.stack(
         [rng.integers(0, 10, 4), rng.integers(0, 3, 4), rng.integers(0, 10, 4)], axis=1
     ).astype(np.int64)
-    negatives = np.stack(
-        [
-            rng.integers(0, 10, (4, 3)),
-            np.repeat(batch[:, 1][:, None], 3, axis=1),
-            rng.integers(0, 10, (4, 3)),
-        ],
-        axis=2,
-    ).astype(np.int64)
+    # Each negative corrupts its head or its tail (a fair coin), as the sampler does.
+    negatives = np.repeat(batch[:, None, :], 3, axis=1)
+    side = rng.integers(0, 2, (4, 3)) * 2
+    negatives[np.arange(4)[:, None], np.arange(3), side] = rng.integers(0, 10, (4, 3))
     pos_dict = _dict_of(
         [{1, 2}, {0, 2}, {0, 1}, {4}, {3}, set(), {7}, {6}, {9}, {8}], k=2
     )
@@ -203,20 +200,35 @@ def test_breakdown_additivity():
 
 
 def test_combined_loss_matches_straight_line_recompute():
-    """Independent elementwise reimplementation of the objective."""
-    table, cfg, batch, negatives, pos_dict = _small_setup(alpha=0.001)
+    """Independent elementwise reimplementation of the objective, for each scorer
+    and task loss."""
+    for kind in ScorerKind:
+        for task in (MARGIN_RANKING, BINARY_CROSS_ENTROPY):
+            _assert_straight_line_recompute(kind, task)
+
+
+def _assert_straight_line_recompute(kind, task):
+    table, cfg, batch, negatives, pos_dict = _small_setup(alpha=0.001, task=task, kind=kind)
     breakdown = combined_gradients(table, cfg.scorer, batch, negatives, pos_dict, cfg, epoch=4)[0]
 
-    def transe(h, r, t):
-        d = table.entity_vecs[h] + table.relation_vecs[r] - table.entity_vecs[t]
+    def score(h, r, t):
+        e_h, e_r, e_t = table.entity_vecs[h], table.relation_vecs[r], table.entity_vecs[t]
+        if kind is ScorerKind.DISTMULT:
+            return float((e_h * e_r * e_t).sum())
+        d = e_h + e_r - e_t
         return -float(np.sqrt((d * d).sum()))
 
-    hinge_terms = []
+    def pair_term(sp, sn):
+        if task == MARGIN_RANKING:
+            return max(0.0, cfg.margin - sp + sn)
+        return math.log1p(math.exp(-sp)) + math.log1p(math.exp(sn))
+
+    pair_terms = []
     for (h, r, t), negs in zip(batch.tolist(), negatives.tolist()):
-        sp = transe(h, r, t)
+        sp = score(h, r, t)
         for nh, nr, nt in negs:
-            hinge_terms.append(max(0.0, cfg.margin - sp + transe(nh, nr, nt)))
-    expected_task = sum(hinge_terms) / len(hinge_terms)
+            pair_terms.append(pair_term(sp, score(nh, nr, nt)))
+    expected_task = sum(pair_terms) / len(pair_terms)
 
     anchor_terms = []
     for anchor in [row[0] for row in batch.tolist()] + [row[2] for row in batch.tolist()]:
@@ -257,7 +269,8 @@ def test_combined_loss_deterministic_per_epoch():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("chunked", [False, True])
 def test_batched_alignment_equals_per_anchor_loop(m, seed, chunked, monkeypatch):
-    """Same loss and gradient bits as one anchor occurrence at a time."""
+    """Same loss bits as one anchor occurrence at a time, and the same unsummed
+    gradient rows, scaled by alpha times each anchor's occurrences."""
     rng = np.random.default_rng(seed)
     n, dim = 40, 16
     if chunked:  # a few occurrences per dense block, so the batch spans many
@@ -276,14 +289,12 @@ def test_batched_alignment_equals_per_anchor_loop(m, seed, chunked, monkeypatch)
     assert 0 in sizes_hit and min(sizes_hit - {0}) < m < max(sizes_hit)
     assert len({min(size, m) for size in sizes_hit} - {0}) >= 2  # several positive counts
 
-    base = rng.normal(size=(n, dim))
-    base[::3] = 0.0
-    grad = base.copy()
-    value, (rows, values) = _contrastive_forward_backward(table, anchors, pos_dict, cfg, 5)
-    grad[rows] += values
-    reference = np.zeros_like(base)
-    assert value == contrastive_forward_backward_loop(table, anchors, pos_dict, cfg, 5, reference)
-    assert np.array_equal(grad, base + cfg.alpha * reference)
+    value, (ids, rows) = _contrastive_forward_backward(table, anchors, pos_dict, cfg, 5)
+    expected, (oracle_ids, oracle_rows) = contrastive_forward_backward_loop(
+        table, anchors, pos_dict, cfg, 5)
+    assert value == expected
+    assert np.array_equal(ids, oracle_ids)
+    assert rows.dtype == np.float64 and np.array_equal(rows, oracle_rows)
 
     empty_only = anchors[[len(targets[a]) == 0 for a in anchors.tolist()]]
     assert _contrastive_forward_backward(table, empty_only, pos_dict, cfg, 5) == (0.0, None)
@@ -312,7 +323,7 @@ def _alignment_battery(seed, n, dim, dtype):
 @pytest.mark.parametrize("m", [3, 10, 12])
 @pytest.mark.parametrize("block_anchors", [None, 1, 7])
 def test_alignment_bytes_equal_the_per_count_kernel(dtype, m, block_anchors, monkeypatch):
-    """Value, rows and gradients byte for byte against one kernel per positive count.
+    """Value, ids and gradient rows byte for byte against one kernel per positive count.
 
     m = 12 takes NumPy's unrolled pairwise path in the mean; tobytes() sees the
     float32 rounding of each weight and the signs of zeros.
@@ -326,13 +337,13 @@ def test_alignment_bytes_equal_the_per_count_kernel(dtype, m, block_anchors, mon
     counts = sample_positives(pos_dict, np.unique(anchors), m, cfg.seed, 4)[0]
     assert len(np.unique(anchors)) < len(anchors) and 0 in counts  # repeats, no positives
     assert len(np.unique(counts)) >= 4
-    value, (rows, compact) = _contrastive_forward_backward(table, anchors, pos_dict, cfg, 4)
-    expected, (oracle_rows, oracle_compact) = contrastive_forward_backward_per_count(
+    value, (ids, rows) = _contrastive_forward_backward(table, anchors, pos_dict, cfg, 4)
+    expected, (oracle_ids, oracle_rows) = contrastive_forward_backward_per_count(
         table, anchors, pos_dict, cfg, 4
     )
     assert type(value) is float and np.float64(value).tobytes() == np.float64(expected).tobytes()
-    assert rows.tobytes() == oracle_rows.tobytes()
-    assert compact.dtype == dtype and compact.tobytes() == oracle_compact.tobytes()
+    assert ids.tobytes() == oracle_ids.tobytes()
+    assert rows.dtype == np.float64 and rows.tobytes() == oracle_rows.tobytes()
 
 
 def test_alignment_temporaries_stay_within_the_block(monkeypatch):
@@ -396,6 +407,7 @@ def test_blocked_task_step_equals_dense_scatter(kind, task, chunked, monkeypatch
     batch = np.stack([rng.integers(0, 9, n_pos), rng.integers(0, 3, n_pos),
                       rng.integers(0, 9, n_pos)], axis=1)
     batch[:2] = [0, 0, 1]
+    batch[5, :2] = 0  # so that negative [0, 0, 1] below corrupts only its tail
     negatives = np.repeat(batch[:, None, :], n_neg, axis=1)
     side = rng.integers(0, 2, (n_pos, n_neg)) * 2
     negatives[np.arange(n_pos)[:, None], np.arange(n_neg), side] = rng.integers(0, 9, (n_pos, n_neg))
@@ -437,6 +449,53 @@ def test_ids_outside_the_table_are_refused(where, column, outside):
         with pytest.raises(UnknownEntityError, match=message) as err:
             combined_gradients(table, cfg.scorer, batch, negatives, dictionary, cfg)
         assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("kind", list(ScorerKind))
+def test_negatives_must_share_a_side_with_their_positive(kind):
+    """A negative is scored against its positive's head or tail query, so it must
+    keep the relation and one endpoint; one equal to its positive is a tail corruption."""
+    table, cfg, batch, negatives, pos_dict = _small_setup(kind=kind)
+    h, r, t = batch[2].tolist()
+    for bad in ([h, (r + 1) % 3, t], [(h + 1) % 10, r, (t + 1) % 10]):
+        broken = negatives.copy()
+        broken[2, 1] = bad
+        message = re.escape(f"negative {tuple(bad)} of positive {(h, r, t)} must keep its "
+                            f"relation and its head or tail")
+        for dictionary in (None, pos_dict):
+            with pytest.raises(DataError, match=message) as err:
+                combined_gradients(table, kind, batch, broken, dictionary, cfg)
+            assert "\n" not in str(err.value)
+    same = negatives.copy()
+    same[2, 1] = batch[2]
+    breakdown, grads = combined_gradients(table, kind, batch, same, pos_dict, cfg)
+    assert np.isfinite(breakdown.total) and np.isfinite(grads.entity).all()
+
+
+@pytest.mark.parametrize("with_dict", [False, True])
+def test_one_scatter_per_batch(with_dict, monkeypatch):
+    """One ordered sum per table: 2B + BN entity slots, plus the alignment's rows,
+    and B relation slots."""
+    table, cfg, batch, negatives, pos_dict = _small_setup(alpha=0.5)
+    n_pos, n_neg = negatives.shape[:2]
+    calls, ordered_sum = [], losses._ordered_sum
+
+    def recorded(ids, rows, count):
+        calls.append((len(ids), len(rows), count))
+        return ordered_sum(ids, rows, count)
+
+    monkeypatch.setattr(losses, "_ordered_sum", recorded)
+    dictionary = pos_dict if with_dict else None
+    combined_gradients(table, cfg.scorer, batch, negatives, dictionary, cfg, epoch=2)
+    aligned = 0
+    if with_dict:
+        anchors = np.unique(batch[:, [0, 2]])
+        counts = sample_positives(pos_dict, anchors, cfg.m, cfg.seed, 2)[0]
+        aligned = int((counts + (counts > 0)).sum())  # each anchor with positives, then them
+        assert aligned > 0
+    entity_slots = 2 * n_pos + n_pos * n_neg + aligned
+    assert calls == [(entity_slots, entity_slots, table.entity_count),
+                     (n_pos, n_pos, table.relation_count)]
 
 
 def test_dictionary_over_more_entities_than_the_table_is_refused():
@@ -565,7 +624,7 @@ def test_contrastive_gradient_zero_at_alignment():
     cfg = TrainConfig(k=1, m=1, alpha=1.0, dim=3, task_loss=MARGIN_RANKING)
     pos_dict = _dict_of([{1}, {0}, set()], k=1)
     batch = np.array([[0, 0, 0]])
-    negatives = np.array([[[2, 0, 2]]])
+    negatives = np.array([[[2, 0, 0]]])
     _, grads = combined_gradients(table, ScorerKind.TRANSE, batch, negatives, pos_dict, cfg)
     # isolate the contrastive part: alpha=0 run removes it
     cfg0 = TrainConfig(k=1, m=1, alpha=0.0, dim=3, task_loss=MARGIN_RANKING)

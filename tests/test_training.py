@@ -407,10 +407,11 @@ def test_blocked_adam_matches_dense_formula_bits(monkeypatch):
         assert m.tobytes() == ref_m.tobytes() and v.tobytes() == ref_v.tobytes()
 
 
-# Recorded when the negative sampler began drawing each slot once from its
-# free candidates, over the known keys that ranking shares. A change that
-# alters trajectories on purpose re-records it and says so in CHANGES.md.
-GOLDEN_TRAJECTORY_SHA256 = "06b90338909d6d8db02cef87b646d05ed3f2335780ab2e1fd9e66135c03f74d8"
+# Recorded when the init table began to be drawn in float32, negatives began
+# to be scored against their positive's shared query, and the alignment's rows
+# joined the task's one scatter. A change that alters trajectories on purpose
+# re-records it and says so in CHANGES.md.
+GOLDEN_TRAJECTORY_SHA256 = "bd68732abcf2c998c14e3b49fb77ab3a16510b2a24fb33627606f8ac0470673e"
 
 
 def test_golden_trajectory():
