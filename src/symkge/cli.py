@@ -243,6 +243,8 @@ def _read_labeled(path, entity_ids) -> list[tuple[int, str]]:
 
 
 def cmd_probe(args) -> int:
+    if args.valid is not None and not args.train:
+        raise UsageError("--valid only extends --train's label map; add --train or drop --valid")
     table, _ = load_checkpoint(args.ckpt)
     entity_ids = None
     if args.train:

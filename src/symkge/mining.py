@@ -23,7 +23,7 @@ import numpy as np
 from .artifact import read_framed, write_framed
 from .errors import (BadValueError, CorruptDictFileError, DataError, HopBoundExceededError,
                      UnknownEntityError)
-from .graph import SignedRelation, UnionGraph, _ranges
+from .graph import SignedRelation, UnionGraph, _ranges, _row_order
 
 MAX_HOP_BOUND = 3
 
@@ -175,19 +175,23 @@ def _half_paths(graph: UnionGraph, k_max: int, max_degree: int | None):
         yield k, nodes, seq
 
 
-def _joined(nodes: np.ndarray, seq: np.ndarray, by_seq: bool, max_degree: int | None):
-    """Yield every distinct structure the half-path rows form, block by block.
+def _joined(graph: UnionGraph, k: int, nodes: np.ndarray, seq: np.ndarray, by_seq: bool,
+            max_degree: int | None):
+    """Yield every distinct structure the hop-k half-path rows form, block by
+    block, as (start, pivot, seq, i, j): the columns of the rows sorted by
+    (pivot, sequence, start), and row indices into them.
 
     Two rows pair when they share the pivot, and the sequence too with
     by_seq, and their starts and interiors (nodes[:, :-1]) have no entity in
     common, so the halves splice into one simple 2k walk between distinct
     endpoints. The realizations of one member, a distinct (pivot, sequence,
-    start), collapse into one. Each block holds whole members and is an
-    (n, 5) array of (anchor, pivot, target, anchor sequence, target
-    sequence), one row per distinct ordered member pair. Over the join budget it
-    refuses, naming a degree cap below max_degree, the cap the rows were walked with.
+    start), collapse into one, so each distinct ordered member pair comes
+    once, as rows i and j of its two members, ascending by (i, j), in blocks of
+    whole members. Over the join budget it refuses, naming a degree cap below
+    max_degree, the cap the rows were walked with.
     """
-    order = np.lexsort((nodes[:, 0], seq, nodes[:, -1]))
+    order = _row_order((nodes[:, -1], seq, nodes[:, 0]),
+                       (graph.entity_count, (2 * graph.relation_count) ** k, graph.entity_count))
     nodes, seq = nodes[order], seq[order]
     start, pivot = nodes[:, 0], nodes[:, -1]
     new_member = _key_starts(pivot, seq, start)
@@ -211,11 +215,12 @@ def _joined(nodes: np.ndarray, seq: np.ndarray, by_seq: bool, max_degree: int | 
         left = np.repeat(block, size[block])
         right = _ranges(lo[block], size[block])
         apart = (nodes[left, :-1, None] != nodes[right, None, :-1]).all(axis=(1, 2))
-        # Sorted, not np.unique: its hashing is slow on these strided codes.
-        pairs = np.sort(member[left[apart]] * len(first) + member[right[apart]])
-        pairs = pairs[_key_starts(pairs)]
-        i, j = (first[m] for m in np.divmod(pairs, len(first)))
-        yield np.column_stack([start[i], pivot[i], start[j], seq[i], seq[j]])
+        left, right = left[apart], right[apart]
+        if len(first) < len(seq):  # some member has several rows: pair members once
+            # Sorted, not np.unique: its hashing is slow on these strided codes.
+            keys = np.sort(member[left] * len(first) + member[right])
+            left, right = (first[m] for m in np.divmod(keys[_key_starts(keys)], len(first)))
+        yield start, pivot, seq, left, right
 
 
 def _unpacked(code: int, k: int, base: int) -> HalfSequence:
@@ -240,9 +245,11 @@ class Structures:
     def __iter__(self):
         base = 2 * self.graph.relation_count
         for k, nodes, seq in _half_paths(self.graph, self.k_max, self.max_degree):
-            for found in _joined(nodes, seq, by_seq=True, max_degree=self.max_degree):
-                for anchor, pivot, target, code, _ in found.tolist():
-                    yield SymmetricStructure(anchor, pivot, target, _unpacked(code, k, base), k)
+            for start, pivot, codes, i, j in _joined(self.graph, k, nodes, seq, True,
+                                                     self.max_degree):
+                for anchor, p, target, code in zip(start[i].tolist(), pivot[i].tolist(),
+                                                   start[j].tolist(), codes[i].tolist()):
+                    yield SymmetricStructure(anchor, p, target, _unpacked(code, k, base), k)
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +276,9 @@ def mine_positive_dict(
     harness stops passing it, the keyword is removed.
     """
     keys = np.concatenate([np.empty(0, np.int64)] + [
-        found[:, 0] * graph.entity_count + found[:, 2]
-        for _, nodes, seq in _half_paths(graph, k_max, max_degree)
-        for found in _joined(nodes, seq, by_seq=True, max_degree=max_degree)])
+        start[i] * graph.entity_count + start[j]
+        for k, nodes, seq in _half_paths(graph, k_max, max_degree)
+        for start, _, _, i, j in _joined(graph, k, nodes, seq, True, max_degree)])
     keys.sort()
     anchor, target = np.divmod(keys[_key_starts(keys)], graph.entity_count)
     pos = PositiveDict(np.searchsorted(anchor, np.arange(graph.entity_count + 1)), target, k_max)
@@ -311,9 +318,9 @@ def structure_stats(
             total = squares(pivot) - squares(pivot * graph.entity_count + start)
         else:
             rs = total = 0
-            for found in _joined(nodes, seq, by_seq=False, max_degree=max_degree):
-                rs += int(np.count_nonzero(found[:, 3] == found[:, 4]))
-                total += len(found)
+            for _, _, codes, i, j in _joined(graph, k, nodes, seq, False, max_degree):
+                rs += int(np.count_nonzero(codes[i] == codes[j]))
+                total += len(i)
         per_hop.append(HopStats(k=k, rs_count=rs, total_count=total))
     return StructureStats(per_hop=tuple(per_hop))
 

@@ -299,6 +299,17 @@ def test_probe_refuses_ids_outside_the_table(tmp_path, capsys, bad_id, held_out)
     assert err.count("\n") == 1 and "data error" in err and bad_id in err
 
 
+def test_probe_refuses_valid_without_train(tmp_path, capsys):
+    """--valid only adds labels to --train's map, so alone it would be ignored.
+    It is refused before any file is read: none of these exists."""
+    missing = [str(tmp_path / name) for name in ("model.syme", "labels.tsv", "valid.tsv")]
+    rc = main(["probe", "--ckpt", missing[0], "--labels", missing[1], "--valid", missing[2]])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == ("symkge probe: usage error: --valid only extends --train's label "
+                            "map; add --train or drop --valid\n")
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--steps", "0"], "steps must be >= 1"),
     (["--lr", "-5"], "lr must be finite and >= 0"),
@@ -759,12 +770,15 @@ def test_console_entry_point(kg_files):
 @pytest.fixture(scope="module")
 def subcommand_argv(kg_files):
     """A run of each subcommand, by name, over the kg_files split and an untrained
-    checkpoint (init_embeddings, seed 0) that pins ranking without training."""
+    checkpoint of fixed values, drawn from no random stream, so that the pinned
+    eval figures change with the printer and the ranking, never with the init draw."""
     tmp, paths = kg_files
     labels = load_dataset(paths["train"], paths["valid"], paths["test"]).labels
-    ckpt = tmp / "init.syme"
-    save_checkpoint(init_embeddings(len(labels.entity_labels), len(labels.relation_labels),
-                                    4, seed=0), ScorerKind.TRANSE, ckpt)
+    n_entities = len(labels.entity_labels)
+    rows = np.arange((n_entities + len(labels.relation_labels)) * 4).reshape(-1, 4)
+    vecs = (rows * 37 % 23 - 11) / 8.0  # exact in binary, so every platform ranks alike
+    ckpt = tmp / "fixed.syme"
+    save_checkpoint(EmbeddingTable(vecs[:n_entities], vecs[n_entities:]), ScorerKind.TRANSE, ckpt)
     (tmp / "argv_labels.tsv").write_text("0\tA\n1\tA\n2\tB\n3\tB\n", encoding="utf-8")
     (tmp / "argv_a.csv").write_text("0.469, 0.467, 0.468\n", encoding="utf-8")
     (tmp / "argv_b.csv").write_text("0.471\n0.471\n0.472\n", encoding="utf-8")
@@ -837,9 +851,9 @@ def test_mine_reports_on_stdout_and_progress_on_stderr(subcommand_argv, capsys):
 
 
 # Captured before the subcommands shared one printer; eval's figures re-recorded
-# when the init table (its checkpoint) began to be drawn in float32.
+# once, when its checkpoint became a table of fixed values instead of an init draw.
 PINNED_TEXT = {
-    "eval": "MRR    0.0686\nHit@1  0.0000\nHit@3  0.0000\nHit@10 0.1429\n",
+    "eval": "MRR    0.2031\nHit@1  0.1429\nHit@3  0.1429\nHit@10 0.2143\n",
     "ttest": "t = -5.000000\np = 0.00749043 (two-sided, df=4)\n",
     "stats": ("  k    symmetric        total proportion\n"
               "  1           92          484     0.1901\n"

@@ -1,5 +1,6 @@
 """Interning, union adjacency, and triple-file parsing."""
 
+import math
 import random
 
 import numpy as np
@@ -13,6 +14,7 @@ from symkge.graph import (
     INVERSE,
     SignedRelation,
     _distinct,
+    _row_order,
     intern_graph,
     known_keys,
     load_dataset,
@@ -116,6 +118,50 @@ def test_distinct_equals_np_unique(count, data):
     for got, want in ((distinct, expected), (inverse, expected_inverse)):
         assert got.dtype == want.dtype == np.int64 and got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+def _bounded_columns(data, unique):
+    """Up to 200 rows of 1 to 4 columns, column c in [0, bounds[c]), as tuples."""
+    bounds = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    size = math.prod(bounds)
+    flat = data.draw(st.lists(st.integers(0, size - 1), max_size=min(size, 200) if unique else 200,
+                              unique=unique))
+    return np.unravel_index(np.array(flat, np.int64), bounds), tuple(bounds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_row_order_is_lexsorts_permutation_for_distinct_keys(data):
+    columns, bounds = _bounded_columns(data, unique=True)
+    assert np.array_equal(_row_order(columns, bounds), np.lexsort(columns[::-1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_row_order_sorts_tied_keys_as_lexsort_does(data):
+    """Rows that tie may land in any order, so only the sorted rows must agree."""
+    columns, bounds = _bounded_columns(data, unique=False)
+    order = _row_order(columns, bounds)
+    assert sorted(order.tolist()) == list(range(len(columns[0])))
+    rows = np.stack(columns, axis=1)
+    assert np.array_equal(rows[order], rows[np.lexsort(columns[::-1])])
+
+
+@pytest.mark.parametrize("bounds, packed", [
+    ((2**40, 2**23), True),
+    ((2**40 + 1, 2**23), False),
+    ((3, 2**62, 2), False),
+    ((2**64, 1), False),
+])
+def test_row_order_keeps_lexsort_where_keys_would_not_fit(monkeypatch, bounds, packed):
+    """The bounds alone choose the branch. Each column holds its largest value, 0
+    and a middle value, so a packed key of the first case reaches 2^63 - 1."""
+    columns = tuple(np.array([top, 0, top // 2], np.int64)
+                    for top in (min(b, 2**63) - 1 for b in bounds))
+    lexsort, calls = np.lexsort, []
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(keys) or lexsort(keys))
+    assert np.array_equal(_row_order(columns, bounds), lexsort(columns[::-1]))
+    assert len(calls) == (0 if packed else 1)
 
 
 def test_interning_deterministic():
