@@ -225,7 +225,8 @@ def cmd_eval(args) -> int:
 
 def _read_labeled(path, entity_ids) -> list[tuple[int, str]]:
     rows: list[tuple[int, str]] = []
-    for lineno, (entity_label, class_label) in read_tsv(path, ("entity", "class"), BadValueError):
+    for lineno, (entity_label, class_label) in zip(*read_tsv(path, ("entity", "class"),
+                                                             BadValueError)):
         if entity_ids is not None:
             if entity_label not in entity_ids:
                 raise BadValueError(f"{path}:{lineno}: unknown entity {entity_label!r}")
@@ -269,8 +270,7 @@ def cmd_probe(args) -> int:
 
 def _read_numbers(path) -> list[float]:
     try:
-        return [float(tok) for _, line in text_lines(path, BadValueError)
-                for tok in line.replace(",", " ").split()]
+        return [float(tok) for tok in text_lines(path, BadValueError).replace(",", " ").split()]
     except ValueError as exc:
         raise BadValueError(f"{path}: {exc}") from None
 

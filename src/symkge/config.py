@@ -106,7 +106,7 @@ def read_config_file(path: str | os.PathLike[str] | None) -> dict[str, object]:
     values: dict[str, object] = {}
     set_on: dict[str, int] = {}
     if path is not None:
-        for lineno, line in text_lines(path, BadValueError):
+        for lineno, line in enumerate(text_lines(path, BadValueError).split("\n"), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

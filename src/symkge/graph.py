@@ -12,7 +12,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -160,22 +160,20 @@ def intern_graph(raw_triples: Iterable[RawTriple]) -> tuple[UnionGraph, LabelMap
             raise MalformedTripleError(f"empty field in triple {row!r}")
     if not rows:
         raise EmptyDatasetError("no triples to intern")
-    labels = _extend_vocab(rows)
-    return _union_graph(_to_id_triples(rows, labels), labels), labels
+    labels, (triples,) = _extend_vocab(rows)
+    return _union_graph(triples, labels), labels
 
 
-def text_lines(
-    path: str | os.PathLike[str], error: type[DataError]
-) -> Iterator[tuple[int, str]]:
-    """(line number, line) of each line of a UTF-8 text file, in any newline convention.
+def text_lines(path: str | os.PathLike[str], error: type[DataError]) -> str:
+    """The text of a UTF-8 file, read at once, its lines separated by "\n"
+    whatever the file's newline convention.
 
     A leading byte-order mark is dropped. Bytes that are not UTF-8 raise error
     naming path:line.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
-            yield from enumerate(fh, start=1)
-            return
+            return fh.read()
         except UnicodeDecodeError:
             pass
     # The decoder fails a whole read chunk at once. Latin-1 decodes every byte
@@ -189,17 +187,44 @@ def text_lines(
     raise error(f"{path}: not UTF-8 text")
 
 
+# False at the UTF-8 bytes of every character that str.isspace() accepts, so
+# a line holding a byte that is True here is not blank.
+_SOLID = np.ones(256, np.bool_)
+_SOLID[[*range(0x09, 0x0E), *range(0x1C, 0x21), *range(0x80, 0x8B),
+        0x9A, 0x9F, 0xA0, 0xA8, 0xA9, 0xAF, 0xC2, 0xE1, 0xE2, 0xE3]] = False
+
+
+def _only_data_rows(body: str, width: int) -> bool:
+    """Whether every "\n"-separated line of body holds width non-empty fields,
+    starts with no '#' and holds a solid byte, so that read_tsv's walk would
+    skip and refuse none. A line that is not blank may hold no solid byte
+    ('\u00a9' is C2 A9); its file is walked."""
+    data = np.frombuffer((body + "\n").encode(), np.uint8)
+    ends = np.flatnonzero((data == ord("\t")) | (data == ord("\n")))  # of every field
+    if len(ends) % width or np.diff(ends, prepend=-1).min() < 2:
+        return False
+    pattern = np.array([ord("\t")] * (width - 1) + [ord("\n")], np.uint8)
+    starts = np.concatenate([[0], ends[width - 1 : -1 : width] + 1])
+    return bool((data[ends].reshape(-1, width) == pattern).all()
+                and (data[starts] != ord("#")).all()
+                and np.logical_or.reduceat(_SOLID[data], starts).all())
+
+
 def read_tsv(
     path: str | os.PathLike[str], names: tuple[str, ...], error: type[DataError]
-) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """(line number, fields) of each row of a tab-separated UTF-8 file.
+) -> tuple[Sequence[int], list[tuple[str, ...]]]:
+    """(line numbers, fields) of the rows of a tab-separated UTF-8 file.
 
     Any newline convention is read. Blank lines and lines starting with '#'
     are skipped. Every other line holds one non-empty field per name, or
     error is raised naming path:line and the fields.
     """
-    for lineno, line in text_lines(path, error):
-        line = line.rstrip("\n")
+    body = text_lines(path, error).removesuffix("\n")
+    if body and _only_data_rows(body, len(names)):
+        rows = list(zip(*[iter(body.replace("\n", "\t").split("\t"))] * len(names)))
+        return range(1, len(rows) + 1), rows
+    linenos, rows = [], []
+    for lineno, line in enumerate(body.split("\n"), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         fields = tuple(line.split("\t"))
@@ -207,12 +232,14 @@ def read_tsv(
             raise error(f"{path}:{lineno}: expected {' TAB '.join(names)}")
         if not all(fields):
             raise error(f"{path}:{lineno}: empty {', '.join(names[:-1])} or {names[-1]} field")
-        yield lineno, fields
+        linenos.append(lineno)
+        rows.append(fields)
+    return linenos, rows
 
 
 def read_triple_file(path: str | os.PathLike[str]) -> list[RawTriple]:
     """The head TAB relation TAB tail rows of a triple file, as read_tsv reads them."""
-    return [row for _, row in read_tsv(path, ("head", "relation", "tail"), MalformedTripleError)]
+    return read_tsv(path, ("head", "relation", "tail"), MalformedTripleError)[1]
 
 
 @dataclass(frozen=True)
@@ -232,27 +259,23 @@ class Dataset:
     test: tuple[Triple, ...]
 
 
-def _extend_vocab(raw: Iterable[RawTriple]) -> LabelMaps:
-    """Label maps over every label of raw, with ids in first-appearance order."""
+def _extend_vocab(*splits: Iterable[RawTriple]) -> tuple[LabelMaps, list[tuple[Triple, ...]]]:
+    """Label maps over every label of splits, ids in first-appearance order,
+    and each split's id triples: one pass of _to_id_triples over fresh maps."""
     entity_ids: dict[str, int] = {}
     relation_ids: dict[str, int] = {}
-    for h, r, t in raw:
-        entity_ids.setdefault(h, len(entity_ids))
-        relation_ids.setdefault(r, len(relation_ids))
-        entity_ids.setdefault(t, len(entity_ids))
-    return LabelMaps(
-        entity_labels=tuple(entity_ids),
-        relation_labels=tuple(relation_ids),
-        entity_ids=entity_ids,
-        relation_ids=relation_ids,
-    )
+    triples = [_to_id_triples(raw, entity_ids, relation_ids) for raw in splits]
+    return LabelMaps(tuple(entity_ids), tuple(relation_ids), entity_ids, relation_ids), triples
 
 
-def _to_id_triples(raw: Iterable[RawTriple], labels: LabelMaps) -> tuple[Triple, ...]:
-    """Id triples of raw, duplicates dropped (first occurrence wins)."""
-    entity_ids, relation_ids = labels.entity_ids, labels.relation_ids
+def _to_id_triples(raw: Iterable[RawTriple], entity_ids: dict[str, int],
+                   relation_ids: dict[str, int]) -> tuple[Triple, ...]:
+    """Id triples of raw, duplicates dropped (first occurrence wins). A label the
+    maps lack gets the next id as it appears, head before relation before tail."""
+    entity, relation = entity_ids.setdefault, relation_ids.setdefault
     return tuple(dict.fromkeys(
-        (entity_ids[h], relation_ids[r], entity_ids[t]) for h, r, t in raw
+        (entity(h, len(entity_ids)), relation(r, len(relation_ids)), entity(t, len(entity_ids)))
+        for h, r, t in raw
     ))
 
 
@@ -268,12 +291,6 @@ def load_dataset(
     if not raw_train:
         raise EmptyDatasetError(f"{train_path}: no triples")
 
-    labels = _extend_vocab(itertools.chain(raw_train, raw_valid, raw_test))
-    graph = _union_graph(_to_id_triples(raw_train, labels), labels)
-    return Dataset(
-        graph=graph,
-        labels=labels,
-        train=graph.triples,
-        valid=_to_id_triples(raw_valid, labels),
-        test=_to_id_triples(raw_test, labels),
-    )
+    labels, (train, valid, test) = _extend_vocab(raw_train, raw_valid, raw_test)
+    graph = _union_graph(train, labels)
+    return Dataset(graph=graph, labels=labels, train=graph.triples, valid=valid, test=test)

@@ -237,6 +237,9 @@ def load_checkpoint(path: str | os.PathLike[str]) -> tuple[EmbeddingTable, Score
         path, _CKPT_MAGIC, _CKPT_HEADER, _CKPT_VERSION, CorruptCheckpointError)
     if scorer_code not in _SCORER_FROM_CODE:
         raise CorruptCheckpointError(f"{path}: unknown scorer code {scorer_code}")
+    if min(dim, entity_count, relation_count) < 1:
+        raise CorruptCheckpointError(f"{path}: dim {dim}, {entity_count} entities and "
+                                     f"{relation_count} relations; each must be at least 1")
     expected = 4 * dim * (entity_count + relation_count)
     if len(body) != expected:
         raise CorruptCheckpointError(f"{path}: body size {len(body)} != expected {expected}")

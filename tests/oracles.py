@@ -278,6 +278,40 @@ def known_keys_oracle(triples, entity_count: int, relation_count: int) -> list[i
     return sorted(keys)
 
 
+def _text_lines_by_lines(path, error):
+    """(line number, line) of each line of a UTF-8 text file, in text mode."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+            return
+        except UnicodeDecodeError:
+            pass
+    with open(path, "r", encoding="latin-1") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("latin-1").decode("utf-8-sig")
+            except UnicodeDecodeError:
+                raise error(f"{path}:{lineno}: not UTF-8 text") from None
+    raise error(f"{path}: not UTF-8 text")
+
+
+def read_tsv_by_lines(path, names: tuple[str, ...], error):
+    """Reference for graph.read_tsv: (line number, fields) of each row, read one
+    line at a time, blank and '#' lines skipped. The decoder fails a whole read
+    chunk at once, so a bad row before a non-UTF-8 byte in a later chunk of a
+    large file is reported here, and the byte by read_tsv."""
+    for lineno, line in _text_lines_by_lines(path, error):
+        line = line.rstrip("\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = tuple(line.split("\t"))
+        if len(fields) != len(names):
+            raise error(f"{path}:{lineno}: expected {' TAB '.join(names)}")
+        if not all(fields):
+            raise error(f"{path}:{lineno}: empty {', '.join(names[:-1])} or {names[-1]} field")
+        yield lineno, fields
+
+
 def rank_one(table, kind, triple, corrupt_side, known_here):
     """Filtered rank of one query from one full pass of score() over the table.
 

@@ -299,6 +299,27 @@ def test_probe_refuses_ids_outside_the_table(tmp_path, capsys, bad_id, held_out)
     assert err.count("\n") == 1 and "data error" in err and bad_id in err
 
 
+@pytest.mark.parametrize("command", ["eval", "probe"])
+@pytest.mark.parametrize("entities, relations, dim", [(3, 1, 0), (0, 1, 4), (3, 0, 4)])
+def test_degenerate_checkpoint_exits_2_with_one_line(tmp_path, capsys, command, entities,
+                                                     relations, dim):
+    """A checksum-valid table with no columns, entities or relations is refused on
+    load: at dim 0, eval divided by zero and probe reported an accuracy."""
+    ckpt = tmp_path / "degenerate.syme"
+    save_checkpoint(EmbeddingTable(np.zeros((entities, dim)), np.zeros((relations, dim))),
+                    ScorerKind.TRANSE, ckpt)
+    split = tmp_path / "split.tsv"
+    split.write_text("a\tr\tb\nb\tr\tc\nc\tr\ta\n", encoding="utf-8")
+    labels = tmp_path / "labels.tsv"
+    labels.write_text("a\tX\nb\tY\nc\tX\n", encoding="utf-8")
+    inputs = {"eval": ["--test", str(split)], "probe": ["--labels", str(labels)]}[command]
+    rc = main([command, "--ckpt", str(ckpt), "--train", str(split)] + inputs)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (f"symkge {command}: data error: {ckpt}: dim {dim}, {entities} "
+                            f"entities and {relations} relations; each must be at least 1\n")
+
+
 def test_probe_refuses_valid_without_train(tmp_path, capsys):
     """--valid only adds labels to --train's map, so alone it would be ignored.
     It is refused before any file is read: none of these exists."""

@@ -2,14 +2,16 @@
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symkge.errors import EmptyDatasetError, MalformedTripleError
+from symkge.errors import BadValueError, EmptyDatasetError, MalformedTripleError
 from symkge.graph import (
+    _SOLID,
     FORWARD,
     INVERSE,
     SignedRelation,
@@ -19,10 +21,11 @@ from symkge.graph import (
     known_keys,
     load_dataset,
     read_triple_file,
+    read_tsv,
 )
 
 from conftest import random_raw_triples
-from oracles import flipped, known_keys_oracle, signed_neighbors
+from oracles import flipped, known_keys_oracle, read_tsv_by_lines, signed_neighbors
 
 
 def test_single_triple_counts():
@@ -203,6 +206,84 @@ def test_read_triple_file_names_the_line_that_is_not_utf8(tmp_path):
     path.write_bytes(b"".join(row + ends[i % 3] for i, row in enumerate(rows)))
     with pytest.raises(MalformedTripleError, match=r"big\.tsv:4322: not UTF-8 text$"):
         read_triple_file(path)
+
+
+# '–' (U+2013, E2 80 93) and '©' (U+00A9, C2 A9) are not whitespace, though their
+# lead bytes start some characters that are, and each of ©'s bytes is in one.
+FIELD_CHARS = "ab#\u00e9\u4e2d\u2013\u00a9 \u00a0\x1c\u2028"
+SPACES = " \t\x0b\x0c\x1c\x85\u00a0\u2028"
+READERS = {3: (("head", "relation", "tail"), MalformedTripleError),
+           2: (("entity", "class"), BadValueError)}
+
+
+def _replaced(fields, at, value):
+    return [*fields[:at], value, *fields[at + 1 :]]
+
+
+@st.composite
+def tsv_files(draw, width):
+    """The bytes of a file mixing data rows with blank, all-whitespace, '#',
+    wrong-width and empty-field lines and rows with one whitespace-only field,
+    in mixed newlines; or of data rows only."""
+    field = st.text(st.sampled_from(FIELD_CHARS), min_size=1, max_size=3)
+    fields = st.lists(field, min_size=width, max_size=width)
+    slot = st.integers(0, width - 1)
+    other = st.one_of(
+        st.just(""),
+        st.text(st.sampled_from(SPACES), min_size=1, max_size=4),
+        field.map("#".__add__),
+        st.one_of(
+            st.lists(field, min_size=1, max_size=width + 2).filter(lambda f: len(f) != width),
+            st.builds(_replaced, fields, slot, st.just("")),
+            st.builds(_replaced, fields, slot,
+                      st.text(st.sampled_from(" \x1c\u00a0\u2028"), min_size=1, max_size=2)),
+        ).map("\t".join),
+    )
+    rows = fields.map("\t".join)
+    lines = draw(st.one_of(st.lists(rows, max_size=8), st.lists(rows | other, max_size=8)))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    data = "".join(map(str.__add__, lines, ends)).encode("utf-8")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if data and draw(st.sampled_from(range(10))) == 9:  # one file in ten
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def _outcome(read, path, names, error):
+    try:
+        return list(read(path, names, error))
+    except error as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from([3, 2]).flatmap(lambda width: st.tuples(st.just(width), tsv_files(width))))
+def test_read_tsv_matches_the_line_walk(tmp_path_factory, width_and_data):
+    width, data = width_and_data
+    path = tmp_path_factory.getbasetemp() / "read_tsv_example.tsv"
+    path.write_bytes(data)
+    names, error = READERS[width]
+    bulk = _outcome(lambda *args: zip(*read_tsv(*args)), path, names, error)
+    assert bulk == _outcome(read_tsv_by_lines, path, names, error)
+
+
+def test_a_file_of_data_rows_is_split_at_once(tmp_path):
+    """No line is walked: the line numbers are a range, not a list built per line."""
+    path = tmp_path / "rows.tsv"
+    path.write_text("a\tr\tb\n\u4e2d\tr\t\u2013\n\u00a0b\tr \ta\n", encoding="utf-8")
+    linenos, rows = read_tsv(path, READERS[3][0], MalformedTripleError)
+    assert linenos == range(1, 4)
+    assert rows == [("a", "r", "b"), ("\u4e2d", "r", "\u2013"), ("\u00a0b", "r ", "a")]
+
+
+def test_solid_bytes_are_in_no_whitespace_character():
+    space = {byte for c in range(sys.maxunicode + 1) if chr(c).isspace()
+             for byte in chr(c).encode("utf-8")}
+    assert set(np.flatnonzero(~_SOLID).tolist()) == space
 
 
 def test_byte_order_mark_is_not_part_of_the_first_label(tmp_path):

@@ -12,7 +12,8 @@ mined structures stay array rows until a caller iterates them, so only the
 miner's view builds SymmetricStructure objects; every array the training
 step allocates names its dtype, so none silently widens the float32 state;
 negatives and ranking filter through one index of known triple keys;
-only graph.read_tsv splits lines on tabs, so every input file shares its rules;
+only graph.read_tsv splits lines on tabs, so every input file shares its rules,
+and only graph.text_lines opens a text input, so every one is decoded alike;
 rows are ordered by graph._row_order's packed int64 key, never by np.lexsort
 outside it;
 only cli._emit encodes a subcommand's JSON document, and experiment.report_to_json
@@ -150,6 +151,37 @@ def test_one_tab_separated_reader():
     _assert_only_in(_splits_on_tab, {("graph.py", "read_tsv")})
 
 
+def _open_modes(node) -> list:
+    """The mode arguments of a call open(path, mode) or path.open(mode)."""
+    given = node.args[1:2] if isinstance(node.func, ast.Name) else node.args[:1]
+    return given + [k.value for k in node.keywords if k.arg == "mode"]
+
+
+def _opens_text(node) -> bool:
+    """A call that may open a file as text: read_text(), or open() or path.open()
+    with no mode, a mode without b, or a mode that is not a constant."""
+    if _called_name(node) == "read_text":
+        return True
+    if _called_name(node) != "open":
+        return False
+    modes = _open_modes(node)
+    return not modes or any(not isinstance(m, ast.Constant) or "b" not in str(m.value)
+                            for m in modes)
+
+
+def test_text_inputs_opened_only_by_text_lines():
+    """Triple, label, config and number files are decoded by one reader, so a
+    second UTF-8 reader cannot drop the BOM, the newline rules or the line of a
+    bad byte."""
+    detected = ('open(p)\nopen(p, "r", encoding="utf-8")\np.open()\np.read_text()\n'
+                'open(p, mode=m)\np.open("rt")')
+    assert [node.lineno for node in ast.walk(ast.parse(detected)) if _opens_text(node)] == [
+        1, 2, 3, 4, 5, 6]
+    binary = 'open(p, "rb")\np.open("rb")\np.read_bytes()\nopen(p, mode="xb")'
+    assert not [node for node in ast.walk(ast.parse(binary)) if _opens_text(node)]
+    _assert_only_in(_opens_text, {("graph.py", "text_lines")})
+
+
 def _dumps_json(node) -> bool:
     # An imported dumps would hide later calls from the name check, so it counts as a use.
     return _called_name(node) == "dumps" or (isinstance(node, ast.alias) and node.name == "dumps")
@@ -283,12 +315,10 @@ def _file_writes(source: str) -> list[int]:
         if _called_name(node) in ("write_bytes", "write_text"):
             lines.append(node.lineno)
         elif _called_name(node) == "open":
-            # open(path, mode) or path.open(mode). A mode that is not a constant
-            # may write, and so may any mode holding w, a, x or +.
-            given = node.args[1:2] if isinstance(node.func, ast.Name) else node.args[:1]
-            modes = given + [k.value for k in node.keywords if k.arg == "mode"]
+            # A mode that is not a constant may write, and so may any mode
+            # holding w, a, x or +.
             if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
-                   for m in modes):
+                   for m in _open_modes(node)):
                 lines.append(node.lineno)
         elif isinstance(node, ast.Import) and {a.name for a in node.names} & FRAME_MODULES:
             lines.append(node.lineno)
