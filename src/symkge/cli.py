@@ -223,7 +223,7 @@ def cmd_eval(args) -> int:
                  [f"{_METRIC_NAMES[key]:<6} {value:.4f}" for key, value in metrics.items()])
 
 
-def _read_labeled(path, entity_ids) -> list[tuple[int, str]]:
+def _read_labeled(path, entity_ids, entity_count: int) -> list[tuple[int, str]]:
     rows: list[tuple[int, str]] = []
     for lineno, (entity_label, class_label) in zip(*read_tsv(path, ("entity", "class"),
                                                              BadValueError)):
@@ -239,6 +239,8 @@ def _read_labeled(path, entity_ids) -> list[tuple[int, str]]:
                     f"{path}:{lineno}: entity must be an integer id when no --train "
                     f"file is given"
                 ) from None
+            if not 0 <= eid < entity_count:
+                raise BadValueError(f"{path}:{lineno}: entity id {eid} outside [0, {entity_count})")
         rows.append((eid, class_label))
     return rows
 
@@ -251,8 +253,9 @@ def cmd_probe(args) -> int:
     if args.train:
         dataset = load_dataset(args.train, args.valid)
         entity_ids = dataset.labels.entity_ids
-    train_rows = _read_labeled(args.labels, entity_ids)
-    test_rows = _read_labeled(args.test_labels, entity_ids) if args.test_labels else train_rows
+    train_rows = _read_labeled(args.labels, entity_ids, table.entity_count)
+    test_rows = (_read_labeled(args.test_labels, entity_ids, table.entity_count)
+                 if args.test_labels else train_rows)
 
     class_names = sorted({c for _, c in train_rows} | {c for _, c in test_rows})
     class_id = {name: i for i, name in enumerate(class_names)}

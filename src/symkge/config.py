@@ -6,7 +6,7 @@ import enum
 import math
 import numbers
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import BadValueError, UnknownKeyError
 from .graph import text_lines
@@ -60,6 +60,8 @@ def _validate(cfg: TrainConfig) -> None:
         raise BadValueError(f"k must be in 1..{MAX_HOP_BOUND}, got {cfg.k}")
     if cfg.m < 1:
         raise BadValueError(f"m must be >= 1, got {cfg.m}")
+    if cfg.seed < 0:
+        raise BadValueError(f"seed must be >= 0, got {cfg.seed}")
     # A NaN fails every comparison, so each bounded range below refuses it too.
     if not 0 <= cfg.alpha < math.inf:
         raise BadValueError(f"alpha must be finite and >= 0, got {cfg.alpha}")
@@ -144,9 +146,5 @@ def parse_config(
 
 
 def config_as_dict(cfg: TrainConfig) -> dict[str, object]:
-    """JSON-friendly view of a config (enums become their string values)."""
-    out: dict[str, object] = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        out[f.name] = value.value if isinstance(value, ScorerKind) else value
-    return out
+    """JSON-friendly view of a config (the scorer becomes its string value)."""
+    return {**asdict(cfg), "scorer": cfg.scorer.value}

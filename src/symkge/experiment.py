@@ -35,6 +35,8 @@ class ExperimentSpec:
             raise DataError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
         if self.runs < 1:
             raise DataError(f"runs must be >= 1, got {self.runs}")
+        if self.base_seed < 0:
+            raise DataError(f"base_seed must be >= 0, got {self.base_seed}")
 
 
 def _mean_metrics(entries: list[dict[str, object]]) -> dict[str, float]:

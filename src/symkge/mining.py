@@ -38,13 +38,10 @@ _MAX_JOIN_PAIRS = 1 << 28
 # Most candidate rows one hop of _half_paths may expand: 512 MiB of row and edge ids.
 _MAX_HOP_ROWS = 1 << 25
 
-# draw_epoch draws anchors in blocks of at most this many targets (or one longer
-# row). Its hashing takes about 73 bytes a target: a 292 MiB tracemalloc peak
-# on a full FB15k-237-density dictionary of 11M targets.
-_DRAW_BLOCK_TARGETS = 1 << 22
-
-# sample_positives sorts by row << 40 | key, so a draw holds fewer than 2**23 anchors.
-_DRAW_BLOCK_ANCHORS = (1 << 23) - 1
+# draw_epoch draws blocks of at most this many anchors and targets (or one longer
+# row), at about 73 bytes a target. It stays below 2**23, the most anchors that
+# sample_positives sorts by row << 40 | key, so no block reaches that refusal.
+_DRAW_BLOCK = 1 << 18
 
 HalfSequence = tuple[SignedRelation, ...]
 
@@ -379,12 +376,11 @@ def sample_positives(pos: PositiveDict, anchors, m: int, seed: int,
 
 def _anchor_blocks(indptr: np.ndarray):
     """(lo, hi) of consecutive anchor ranges that cover indptr's rows, each holding
-    at most _DRAW_BLOCK_TARGETS targets (or one longer row) and at most
-    _DRAW_BLOCK_ANCHORS anchors."""
+    at most _DRAW_BLOCK anchors and _DRAW_BLOCK targets (or one longer row)."""
     lo, n = 0, len(indptr) - 1
     while lo < n:
-        fits = int(np.searchsorted(indptr, indptr[lo] + _DRAW_BLOCK_TARGETS, "right")) - 1
-        hi = min(max(fits, lo + 1), lo + _DRAW_BLOCK_ANCHORS, n)
+        fits = int(np.searchsorted(indptr, indptr[lo] + _DRAW_BLOCK, "right")) - 1
+        hi = min(max(fits, lo + 1), lo + _DRAW_BLOCK, n)
         yield lo, hi
         lo = hi
 

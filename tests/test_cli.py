@@ -283,10 +283,11 @@ def _three_entity_checkpoint(tmp_path):
     return ckpt
 
 
-@pytest.mark.parametrize("bad_id", ["7", "-1"])
+@pytest.mark.parametrize("bad_id", ["7", "-1", "99999999999999999999999"])
 @pytest.mark.parametrize("held_out", [False, True])
 def test_probe_refuses_ids_outside_the_table(tmp_path, capsys, bad_id, held_out):
-    """Without --train, ids index the table: 7 would crash, -1 would probe entity 2."""
+    """Without --train, ids index the table: 7 would crash, -1 would probe entity 2,
+    and an id beyond int64 overflowed the id array."""
     ckpt = _three_entity_checkpoint(tmp_path)
     labels = tmp_path / "labels.tsv"
     labels.write_text("0\tA\n1\tB\n", encoding="utf-8")
@@ -297,6 +298,7 @@ def test_probe_refuses_ids_outside_the_table(tmp_path, capsys, bad_id, held_out)
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1 and "data error" in err and bad_id in err
+    assert f"{bad}:2: " in err
 
 
 @pytest.mark.parametrize("command", ["eval", "probe"])
@@ -723,7 +725,7 @@ OPTION_VALUES = {
     *((key, *OPTION_VALUES[key]) for key in TrainConfig.__dataclass_fields__),
     ("scorer", "TransE", ScorerKind.TRANSE),
     ("dim", "1e1", None), ("task_loss", "bogus", None), ("scorer", "nope", None),
-    ("lr", "nan", None), ("epochs", "0", None),
+    ("lr", "nan", None), ("epochs", "0", None), ("seed", "-1", None),
 ])
 def test_an_option_reads_the_same_from_a_flag_and_a_file(tmp_path, capsys, key, raw, value):
     """value None: raw is refused, as a data error on one line naming the flag or path:line."""
@@ -763,6 +765,16 @@ def test_train_refuses_non_finite_settings(kg_files, tmp_path, capsys, flags, co
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and "must be finite" in captured.err
     assert not out.exists()
+
+
+def test_experiment_refuses_a_negative_base_seed_before_reading_data(tmp_path, capsys):
+    """NumPy's generators refuse a negative seed with a traceback in the first run;
+    it is refused first, on one line. Neither data file exists."""
+    never = str(tmp_path / "never_read.tsv")
+    rc = main(["experiment", "--train", never, "--test", never, "--base-seed", "-1", "--quiet"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "symkge experiment: data error: base_seed must be >= 0, got -1\n"
 
 
 def test_numeric_error_exit_code(kg_files, capsys):

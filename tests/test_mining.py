@@ -676,17 +676,15 @@ def _mixed_rows(n, m, padding, seed):
     return _dict_of(rows + [set()] * padding, k=2)
 
 
-@pytest.mark.parametrize("block_targets, block_anchors", [
-    (mining._DRAW_BLOCK_TARGETS, mining._DRAW_BLOCK_ANCHORS), (9, 1 << 20), (1 << 20, 3)])
+@pytest.mark.parametrize("block", [mining._DRAW_BLOCK, 9, 3])
 @pytest.mark.parametrize("m", [2, 4])
-def test_epoch_draw_equals_the_per_batch_draw(monkeypatch, block_targets, block_anchors, m):
+def test_epoch_draw_equals_the_per_batch_draw(monkeypatch, block, m):
     """The epoch's dictionary gives every anchor subset exactly the draw the mined
     dictionary gives it, with the blocks bounded small so that the rows split
     across many of them."""
-    monkeypatch.setattr(mining, "_DRAW_BLOCK_TARGETS", block_targets)
-    monkeypatch.setattr(mining, "_DRAW_BLOCK_ANCHORS", block_anchors)
+    monkeypatch.setattr(mining, "_DRAW_BLOCK", block)
     pos = _mixed_rows(30, m, padding=4, seed=m)
-    rng = np.random.default_rng(block_anchors)
+    rng = np.random.default_rng(block)
     for seed in (0, 5):
         for epoch in (1, 2, 3):
             drawn = draw_epoch(pos, m, seed, epoch)
@@ -704,13 +702,39 @@ def test_epoch_draw_equals_the_per_batch_draw(monkeypatch, block_targets, block_
 
 
 def test_epoch_draw_blocks_cover_every_anchor_within_the_bounds(monkeypatch):
-    monkeypatch.setattr(mining, "_DRAW_BLOCK_TARGETS", 5)
-    monkeypatch.setattr(mining, "_DRAW_BLOCK_ANCHORS", 3)
+    monkeypatch.setattr(mining, "_DRAW_BLOCK", 3)
     pos = _dict_of([{1}, {0, 2, 3, 4, 5, 6, 7}, {1}, {1}, {1}, {1}, {1}, {1}, set(), set()])
     blocks = list(mining._anchor_blocks(pos.indptr))
     assert blocks == [(0, 1), (1, 2), (2, 5), (5, 8), (8, 10)]
     assert list(mining._anchor_blocks(_dict_of([]).indptr)) == []
     assert draw_epoch(_dict_of([]), 3, 0, 1) == _dict_of([])
+
+
+def test_epoch_draw_temporaries_stay_within_the_block(monkeypatch):
+    """Each block's draw allocates a fixed multiple of the block at most, however
+    many targets the dictionary holds."""
+    n, row, block = 1 << 10, 1 << 6, 1 << 10
+    monkeypatch.setattr(mining, "_DRAW_BLOCK", block)
+    rng = np.random.default_rng(0)
+    pos = _dict_of([set(rng.choice(n, row, replace=False).tolist()) for _ in range(n)])
+    assert len(pos.indices) >= 1 << 16
+    draw, peaks = mining.sample_positives, []
+
+    def traced(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = draw(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    monkeypatch.setattr(mining, "sample_positives", traced)
+    tracemalloc.start()
+    try:
+        draw_epoch(pos, 4, 0, 1)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) >= len(pos.indices) // block  # one block after another
+    assert max(peaks) <= 128 * block  # about 73 bytes a target; 64 blocks unblocked
 
 
 # ---------------------------------------------------------------------------

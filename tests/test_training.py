@@ -100,7 +100,7 @@ def test_positives_are_hashed_once_per_block_per_epoch(monkeypatch):
     graph, _ = random_graph(12, 16, 70, 2)
     pos, _ = mine_positive_dict(graph, 1)
     cfg = _toy_cfg(m=2, epochs=3, batch_size=8)
-    monkeypatch.setattr(mining, "_DRAW_BLOCK_TARGETS", 12)
+    monkeypatch.setattr(mining, "_DRAW_BLOCK", 12)
     blocks = list(mining._anchor_blocks(pos.indptr))
     sizes = np.diff(pos.indptr)
     hashed_blocks = sum(int(sizes[lo:hi].max() > cfg.m) for lo, hi in blocks)
